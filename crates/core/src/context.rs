@@ -15,11 +15,18 @@
 //!   against the graph/index/events triple it started with, even while
 //!   writers publish newer versions (the snapshot-separation idea of
 //!   HTAP designs, scaled to this library).
-//! * **Writers are incremental.** `add_edges` re-derives only the
-//!   dirty region of the vicinity index via the per-node rebuild path
-//!   of [`VicinityIndex::refresh`] — cost proportional to the
-//!   perturbed neighborhood, not `|V|` BFS sweeps. Event ingestion
-//!   reuses the graph and index entirely.
+//! * **Writers pay copy + delta.** `add_edges` splices the delta into
+//!   a copy of the CSR ([`CsrGraph::with_edges`]: untouched rows are
+//!   block-copied, touched rows merged — no edge list, no sort) and
+//!   re-derives only the dirty region of the vicinity index via the
+//!   per-node rebuild path of [`VicinityIndex::refresh`]: the
+//!   `(max_level − 1)`-ball around the new edges' endpoints, the only
+//!   nodes that can see a new `≤ max_level` path. What remains
+//!   proportional to the whole graph is copying arrays that must
+//!   exist twice anyway (readers keep the old snapshot) and one
+//!   fingerprint pass for the new version's cache. WAL replay
+//!   ([`TescContext::open_dir`]) applies edge records through the same
+//!   splice. Event ingestion reuses the graph and index entirely.
 //! * **Each snapshot carries a cross-pair [`DensityCache`]** shared by
 //!   every engine derived from it. Graph-changing ingests get a fresh
 //!   cache (memoized vicinity counts can never leak across graph
@@ -299,8 +306,8 @@ impl Snapshot {
 pub struct TescContext {
     current: RwLock<Arc<Snapshot>>,
     /// Serializes writers so each prepares its snapshot against the
-    /// latest published one; held across the (potentially long)
-    /// rebuild, while `current`'s lock is only held for the swap.
+    /// latest published one; held while the next snapshot is
+    /// prepared, while `current`'s lock is only held for the swap.
     writer: Mutex<()>,
     max_level: u32,
     /// Build (and maintain across graph versions) a locality-relabeled
@@ -511,10 +518,11 @@ impl TescContext {
         }
     }
 
-    /// Ingest an edge delta: validate, rebuild the CSR, incrementally
-    /// refresh the vicinity index around the touched endpoints (the
-    /// per-node rebuild path of [`VicinityIndex::refresh`]) and
-    /// publish the result as the next version. Edges already present
+    /// Ingest an edge delta: validate, splice it into a copy of the
+    /// CSR, incrementally refresh the vicinity index around the
+    /// touched endpoints (the per-node rebuild path of
+    /// [`VicinityIndex::refresh`]) and publish the result as the next
+    /// version. Edges already present
     /// are ignored; a delta with no genuinely new edge returns the
     /// current snapshot unchanged (no version bump). Readers holding
     /// older snapshots are unaffected.
@@ -665,7 +673,9 @@ impl TescContext {
         }
         let durability = Durability::attach(
             store,
-            recovery.as_ref(),
+            recovery
+                .as_ref()
+                .map(|rec| (rec.snapshot_version, &rec.plan)),
             snap.version,
             &snap.graph,
             &snap.events,
@@ -692,8 +702,8 @@ impl TescContext {
             return Ok(None);
         };
         let ctx = Self::try_with_threads_at(
-            recovery.graph.clone(),
-            recovery.events.clone(),
+            recovery.graph,
+            recovery.events,
             max_level,
             threads,
             recovery.version,
@@ -705,7 +715,7 @@ impl TescContext {
         let snap = ctx.snapshot();
         let durability = Durability::attach(
             store,
-            Some(&recovery),
+            Some((recovery.snapshot_version, &recovery.plan)),
             snap.version,
             &snap.graph,
             &snap.events,

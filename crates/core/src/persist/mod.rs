@@ -465,19 +465,21 @@ pub struct Durability {
 
 impl Durability {
     /// Wire a store to a context at `version` with state
-    /// `(graph, events)`, applying `recovery`'s cleanup plan. With no
-    /// prior recovery (a fresh directory) the initial snapshot is
-    /// written immediately, so the WAL always has a base image to
-    /// replay onto.
+    /// `(graph, events)`. `recovered` is what a prior
+    /// [`Store::recover`] of the directory left to act on — the
+    /// version of the snapshot its replay started from and the cleanup
+    /// plan, which is applied here. With no prior recovery (a fresh
+    /// directory) the initial snapshot is written immediately, so the
+    /// WAL always has a base image to replay onto.
     pub fn attach(
         store: Store,
-        recovery: Option<&Recovery>,
+        recovered: Option<(u64, &AttachPlan)>,
         version: u64,
         graph: &CsrGraph,
         events: &EventStore,
     ) -> Result<Self, PersistError> {
         let fsync = store.options.fsync;
-        match recovery {
+        match recovered {
             None => {
                 store.write_snapshot(version, graph, events)?;
                 let path = store.dir.join(segment_file_name(version));
@@ -493,15 +495,15 @@ impl Durability {
                     last_snapshot_version: version,
                 })
             }
-            Some(rec) => {
-                for path in &rec.plan.delete {
+            Some((snapshot_version, plan)) => {
+                for path in &plan.delete {
                     match fs::remove_file(path) {
                         Ok(()) => {}
                         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                         Err(e) => return Err(io_err(path, e)),
                     }
                 }
-                let writer = match &rec.plan.active {
+                let writer = match &plan.active {
                     Some(a) => WalWriter::reopen(&a.path, a.clean_len, a.records, fsync)
                         .map_err(|e| io_err(&a.path, e))?,
                     None => {
@@ -515,8 +517,8 @@ impl Durability {
                 Ok(Durability {
                     store,
                     writer,
-                    records_since_checkpoint: version - rec.snapshot_version,
-                    last_snapshot_version: rec.snapshot_version,
+                    records_since_checkpoint: version - snapshot_version,
+                    last_snapshot_version: snapshot_version,
                 })
             }
         }

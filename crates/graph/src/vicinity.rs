@@ -189,28 +189,37 @@ impl VicinityIndex {
         nodes.iter().map(|&v| self.size(v, h) as u64).sum()
     }
 
-    /// Incrementally refresh after the graph changed near `touched`
-    /// nodes (typically the endpoints of added/removed edges).
+    /// Incrementally refresh after edges incident to the `touched`
+    /// nodes were added or removed (pass both endpoints of every
+    /// changed edge), and return how many nodes were recomputed.
     ///
-    /// Any node whose `h`-vicinity could have changed lies within
-    /// `max_level` hops of a touched node in the old *or* new graph, so
-    /// we recompute exactly that dirty set against `g_new`. Pass the
-    /// pre-change graph as `g_old` when edges were removed (the dirty
-    /// region must be discovered through the now-deleted edges too).
-    pub fn refresh<G: Adjacency>(&mut self, g_new: &G, g_old: Option<&G>, touched: &[NodeId]) {
+    /// `|V^h'_x|` changes only if some path of length ≤ `h'` from `x`
+    /// runs through a changed edge `{a, b}`, i.e. only if `x` reaches
+    /// `a` or `b` in at most `h' − 1` hops. The dirty set is therefore
+    /// the `(max_level − 1)`-ball around `touched`: discovered in
+    /// `g_new`, which covers additions, and also in `g_old` when edges
+    /// were removed (pass the pre-change graph then — those paths ran
+    /// through edges `g_new` no longer has). Every dirty node gets a
+    /// fresh `max_level`-hop BFS against `g_new`; all other entries are
+    /// already exact.
+    pub fn refresh<G: Adjacency>(
+        &mut self,
+        g_new: &G,
+        g_old: Option<&G>,
+        touched: &[NodeId],
+    ) -> usize {
         assert_eq!(
             self.levels[0].len(),
             g_new.num_nodes(),
             "refresh cannot change the node count"
         );
         let n = g_new.num_nodes();
+        let radius = self.max_level - 1;
         let mut scratch = BfsScratch::new(n);
         let mut dirty = Vec::new();
-        scratch.visit_h_vicinity(g_new, touched, self.max_level, |v, _| dirty.push(v));
+        scratch.visit_h_vicinity(g_new, touched, radius, |v, _| dirty.push(v));
         if let Some(old) = g_old {
-            let mut dirty_old = Vec::new();
-            scratch.visit_h_vicinity(old, touched, self.max_level, |v, _| dirty_old.push(v));
-            dirty.extend(dirty_old);
+            scratch.visit_h_vicinity(old, touched, radius, |v, _| dirty.push(v));
             dirty.sort_unstable();
             dirty.dedup();
         }
@@ -227,6 +236,7 @@ impl VicinityIndex {
                 use_bitset,
             );
         }
+        dirty.len()
     }
 
     /// Non-destructive [`VicinityIndex::refresh`]: clone the index and
@@ -358,6 +368,26 @@ mod tests {
         let g_new = path5();
         idx.refresh(&g_new, Some(&g_old), &[0, 4]);
         assert_eq!(idx, VicinityIndex::build(&g_new, 3));
+    }
+
+    #[test]
+    fn refresh_recomputes_only_the_ball_below_max_level() {
+        // Star, hub 0: a new leaf–leaf edge puts every node within 2
+        // hops of an endpoint, but only the endpoints and the hub gain
+        // a ≤2-hop path through it.
+        let g_old = crate::generators::star(50);
+        let g_new = g_old.with_edges(&[(7, 31)]);
+        let mut idx = VicinityIndex::build(&g_old, 2);
+        assert_eq!(idx.refresh(&g_new, None, &[7, 31]), 3);
+        assert_eq!(idx, VicinityIndex::build(&g_new, 2));
+        // Removing it again dirties the same three nodes, found
+        // through the old graph.
+        assert_eq!(idx.refresh(&g_old, Some(&g_new), &[7, 31]), 3);
+        assert_eq!(idx, VicinityIndex::build(&g_old, 2));
+        // At max_level 1 only the endpoints' own degrees change.
+        let mut idx1 = VicinityIndex::build(&g_old, 1);
+        assert_eq!(idx1.refresh(&g_new, None, &[7, 31]), 2);
+        assert_eq!(idx1, VicinityIndex::build(&g_new, 1));
     }
 
     #[test]

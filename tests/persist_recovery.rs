@@ -442,3 +442,70 @@ fn random_interleavings_of_commits_rotations_and_crashes_recover_exactly() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+#[test]
+fn wal_tail_of_edge_records_replays_onto_the_live_fingerprint() {
+    // Replay applies `AddEdges` through the same CSR splice the live
+    // writer uses. A tail of several such records — new edges, deltas
+    // the writer trimmed of present and repeated edges, several arcs
+    // on one row, node 0 and node n−1 — must land on the fingerprint
+    // the live context had, record by record.
+    use tesc::persist::wal::{WalRecord, WalWriter};
+
+    let dir = temp_dir("edge-tail");
+    let (graph, events) = base_state();
+    let live = TescContext::new(graph, events, 2)
+        .with_durability(&dir, single_segment_options())
+        .expect("attach durability");
+    let deltas: [&[(NodeId, NodeId)]; 3] = [
+        &[(0, 7), (1, 8)],
+        &[(7, 0), (8, 1), (2, 9), (9, 2), (2, 9)],
+        &[(0, 14), (0, 21), (35, 0), (35, 28), (0, 1)],
+    ];
+    for delta in deltas {
+        live.add_edges(delta).expect("add_edges");
+    }
+    assert_eq!(live.version(), 4);
+
+    // The writer never logs a delta without a new edge, but replay
+    // must still take one (a no-op splice that bumps the version).
+    // Hand-append it, and one more real delta behind it; the live
+    // context reaches the same two versions with an empty occurrence
+    // delta (publishes, changes nothing) and the same real delta.
+    let seeded = live.snapshot().events().id_by_name("seeded").unwrap();
+    live.add_event_occurrences(seeded, &[])
+        .expect("empty delta");
+    live.add_edges(&[(3, 10), (35, 28)]).expect("add_edges");
+    let expected = live.snapshot();
+    assert_eq!(expected.version(), 6);
+
+    let crash = copy_dir(&dir, "edge-tail-crash");
+    let segment = wal_segments(&crash).pop().expect("one segment");
+    let scan = scan_segment_file(&segment).expect("scan");
+    assert_eq!(scan.records.len(), 5);
+    // Rewind to the three edge commits and write the hand-made tail.
+    let mut wal = WalWriter::reopen(&segment, scan.ends[2], 3, true).expect("reopen");
+    let all_present = WalRecord::AddEdges {
+        edges: vec![(0, 7), (1, 8), (2, 9), (0, 35), (0, 7)],
+    };
+    wal.append(5, &all_present).expect("append");
+    let real = WalRecord::AddEdges {
+        edges: vec![(3, 10)],
+    };
+    wal.append(6, &real).expect("append");
+    drop(wal);
+
+    let recovered = TescContext::open_dir(&crash, 2, 1, StoreOptions::default())
+        .expect("recovery must not error")
+        .expect("directory holds data");
+    let snap = recovered.snapshot();
+    assert_eq!(snap.version(), 6);
+    assert_eq!(snap.graph(), expected.graph());
+    assert_eq!(snap.fingerprint(), expected.fingerprint());
+    assert_eq!(snap.vicinity(), expected.vicinity());
+    // And the untouched directory recovers the live context as is.
+    assert_eq!(recover(&dir), (6, expected.fingerprint()));
+
+    std::fs::remove_dir_all(&crash).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -261,6 +261,63 @@ fn incremental_vicinity_update_equals_rebuild_at_every_step() {
 }
 
 #[test]
+fn vicinity_refresh_equals_rebuild_under_additions_and_removals() {
+    // The dirty set is the (max_level − 1)-ball around the changed
+    // edges' endpoints — in the new graph for additions, also in the
+    // old one for removals. Random add/remove sequences on graph
+    // families with very different ball shapes (path: thin; star: one
+    // hub; clustered: dense blocks; BA: heavy tail) must land on the
+    // from-scratch index after every step, at every max_level.
+    use tesc_graph::generators::{barabasi_albert, path, planted_partition, star};
+    let mut seeder = StdRng::seed_from_u64(14_000);
+    let families: Vec<(&str, tesc_graph::CsrGraph)> = vec![
+        ("path", path(24)),
+        ("star", star(20)),
+        (
+            "clustered",
+            planted_partition(4, 8, 0.6, 0.03, &mut seeder).0,
+        ),
+        ("ba", barabasi_albert(40, 2, &mut seeder)),
+    ];
+    for (family, g0) in &families {
+        let n = g0.num_nodes() as u32;
+        for max_level in 1..=3u32 {
+            let mut rng = StdRng::seed_from_u64(14_100 + u64::from(max_level));
+            let mut g = g0.clone();
+            let mut idx = VicinityIndex::build(&g, max_level);
+            for step in 0..40 {
+                let removal = rng.gen_bool(0.4) && g.num_edges() > 0;
+                let (g_next, changed) = if removal {
+                    let gone = g.edges().nth(rng.gen_range(0..g.num_edges())).unwrap();
+                    let kept: Vec<_> = g.edges().filter(|&e| e != gone).collect();
+                    (from_edges(n as usize, &kept), gone)
+                } else {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if u == v || g.has_edge(u, v) {
+                        continue;
+                    }
+                    (g.with_edges(&[(u, v)]), (u, v))
+                };
+                let recomputed =
+                    idx.refresh(&g_next, removal.then_some(&g), &[changed.0, changed.1]);
+                assert_eq!(
+                    idx,
+                    VicinityIndex::build(&g_next, max_level),
+                    "{family}, h ≤ {max_level}, step {step}: \
+                     {} of {changed:?}",
+                    if removal { "removal" } else { "insertion" }
+                );
+                assert!((2..=n as usize).contains(&recomputed));
+                if max_level == 1 {
+                    assert_eq!(recomputed, 2, "level 1 only changes at the endpoints");
+                }
+                g = g_next;
+            }
+        }
+    }
+}
+
+#[test]
 fn snapshot_ingestion_matches_rebuild_and_preserves_old_versions() {
     // Same invariant one layer up: TescContext::add_edges must land on
     // the rebuilt index, while snapshots pinned earlier keep the index
