@@ -20,6 +20,21 @@
 //!   each, per-lane counts by popcount.
 //! * `<scenario>/h<h>/multi+relabel` — the multi-source kernel on the
 //!   relabeled substrate.
+//! * `<scenario>/h<h>/event` — the same multi-source kernel driven from
+//!   the **event side**: the two events' occurrence nodes traverse as
+//!   lanes (`⌈|V_e|/64⌉` traversals per event), `|V^h_r|` read from the
+//!   vicinity index.
+//!
+//! A second section, the **crossover sweep**, measures where the event
+//! side wins: `sweep/e<|V_e|>/h<h>/<route>` on the 100k-node
+//! Twitter-like graph (`|V_e| ∈ {40, 150, 400, 1000}`, `h ∈ {1, 2}`,
+//! 400 reference nodes) plus `sweep/dblp2x1000/h2/<route>` (two
+//! ~1000-node keyword events against 300 reference nodes). Each point
+//! times the four fixed routes (`scalar`, `bitset`, `multi`, `event`)
+//! and `auto` — [`choose_route`] resolving `BfsKernel::Auto`, decision
+//! included — and records `…/regret` = auto ÷ best fixed route. This is
+//! where the cost constants of `choose_route` are calibrated; a full
+//! run (≥ 5 samples) fails if any point's regret exceeds 1.1.
 //!
 //! **Per-row identity verification** (like `fig12_ingest_vs_rebuild`):
 //! before timing, each row's density vectors are asserted bit-identical
@@ -35,16 +50,19 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tesc::density::{
-    density_vectors_group_plan, density_vectors_plan, translate_mask, GroupKernelPlan, KernelPlan,
+    choose_route, density_vectors_group_plan, density_vectors_plan, translate_mask,
+    GroupKernelPlan, KernelPlan, Route,
 };
 use tesc::sampler::batch_bfs_sample;
 use tesc::NodeMask;
 use tesc_bench::timing::Harness;
 use tesc_bench::{dblp_scenario, Scale};
-use tesc_datasets::{IntrusionConfig, IntrusionScenario};
+use tesc_datasets::{
+    DblpConfig, DblpScenario, IntrusionConfig, IntrusionScenario, TwitterConfig, TwitterScenario,
+};
 use tesc_events::store::merge_union;
 use tesc_graph::relabel::RelabeledGraph;
-use tesc_graph::{BfsScratch, CsrGraph, NodeId, ScratchPool};
+use tesc_graph::{BfsKernel, BfsScratch, CsrGraph, NodeId, ScratchPool, VicinityIndex};
 
 /// Group size of the `multi` rows — the full lane word.
 const GROUP: usize = tesc_graph::SOURCE_GROUP_SIZE;
@@ -98,6 +116,7 @@ fn main() {
         let (a_norm, b_norm) = (normalize(&s.va), normalize(&s.vb));
         let union = merge_union(&a_norm, &b_norm);
         let rel = RelabeledGraph::build(g);
+        let index = VicinityIndex::build_parallel(g, 3, threads());
         let (ta, tb) = (
             translate_mask(rel.map(), &ma),
             translate_mask(rel.map(), &mb),
@@ -137,12 +156,18 @@ fn main() {
                 slot_nodes: &slot_nodes,
                 translate: None,
                 h,
+                event_side: None,
             };
             let group_relabel = GroupKernelPlan {
                 graph: rel.graph(),
                 slot_nodes: &slot_nodes_rel,
                 translate: Some(rel.map()),
                 h,
+                event_side: None,
+            };
+            let event = GroupKernelPlan {
+                event_side: Some(&index),
+                ..group
             };
             // Per-row identity verification: every plan must reproduce
             // the scalar baseline bit-for-bit before it gets timed.
@@ -155,7 +180,11 @@ fn main() {
                     s.name
                 );
             }
-            for (label, plan) in [("multi", &group), ("multi+relabel", &group_relabel)] {
+            for (label, plan) in [
+                ("multi", &group),
+                ("multi+relabel", &group_relabel),
+                ("event", &event),
+            ] {
                 let got = density_vectors_group_plan(plan, &pool, &refs, 1, GROUP);
                 assert!(
                     baseline == got,
@@ -178,6 +207,9 @@ fn main() {
             let t_multi_rel = harness.bench(&format!("{}/h{h}/multi+relabel", s.name), || {
                 density_vectors_group_plan(&group_relabel, &pool, &refs, 1, GROUP)
             });
+            harness.bench(&format!("{}/h{h}/event", s.name), || {
+                density_vectors_group_plan(&event, &pool, &refs, 1, GROUP)
+            });
             if t_scalar.is_finite() && t_bitset.is_finite() {
                 summary.push((
                     format!("{}/h{h}", s.name),
@@ -197,6 +229,163 @@ fn main() {
         );
         for (row, sb, sr, sm, smb, smr) in &summary {
             println!("{row:<14} {sb:<7.2} {sr:<11.2} {sm:<7.2} {smb:<16.2} {smr:.2}");
+        }
+    }
+
+    crossover_sweep(&harness);
+}
+
+fn threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// One sweep point: the four fixed routes and `auto` over the same
+/// reference sample, each gated bit-identical to scalar before timing;
+/// returns auto ÷ best fixed route (`NAN` when filtered out).
+fn sweep_point(
+    harness: &Harness,
+    row: &str,
+    g: &CsrGraph,
+    index: &VicinityIndex,
+    (va, vb): (&[NodeId], &[NodeId]),
+    h: u32,
+    n: usize,
+) -> f64 {
+    let nodes = g.num_nodes();
+    let (a, b) = (normalize(va), normalize(vb));
+    let (ma, mb) = (
+        NodeMask::from_nodes(nodes, &a),
+        NodeMask::from_nodes(nodes, &b),
+    );
+    let refs = batch_bfs_sample(
+        g,
+        &mut BfsScratch::new(nodes),
+        &merge_union(&a, &b),
+        h,
+        n,
+        &mut StdRng::seed_from_u64(9),
+    )
+    .nodes;
+    // The inputs of `choose_route`'s cost model, for recalibration.
+    eprintln!(
+        "{row}: |V| = {nodes}, event chunks = {}, event lane visits = {}, refs = {}, ref visits = {}",
+        a.len().div_ceil(GROUP) + b.len().div_ceil(GROUP),
+        index.sum_over(&a, h) + index.sum_over(&b, h),
+        refs.len(),
+        index.sum_over(&refs, h),
+    );
+    let pool = ScratchPool::for_graph(g);
+    let slot_nodes = vec![a.clone(), b.clone()];
+    let scalar = KernelPlan::scalar(g, &ma, &mb, h);
+    let bitset = KernelPlan {
+        use_bitset: true,
+        ..scalar
+    };
+    let multi = GroupKernelPlan {
+        graph: g,
+        slot_nodes: &slot_nodes,
+        translate: None,
+        h,
+        event_side: None,
+    };
+    let event = GroupKernelPlan {
+        event_side: Some(index),
+        ..multi
+    };
+    // `BfsKernel::Auto`, resolved the way the engine resolves it: one
+    // `choose_route` call per pass, then the route's executor.
+    let auto = || match choose_route(BfsKernel::Auto, g, Some(index), h, &refs, &[&a, &b]) {
+        Route::EventLanes => density_vectors_group_plan(&event, &pool, &refs, 1, GROUP),
+        Route::RefLanes => density_vectors_group_plan(&multi, &pool, &refs, 1, GROUP),
+        Route::PerNode if BfsKernel::Auto.use_bitset(g, h) => {
+            density_vectors_plan(&bitset, &pool, &refs, 1)
+        }
+        Route::PerNode => density_vectors_plan(&scalar, &pool, &refs, 1),
+    };
+    let baseline = density_vectors_plan(&scalar, &pool, &refs, 1);
+    assert!(
+        baseline == density_vectors_plan(&bitset, &pool, &refs, 1),
+        "{row}/bitset diverged from scalar"
+    );
+    for (label, plan) in [("multi", &multi), ("event", &event)] {
+        assert!(
+            baseline == density_vectors_group_plan(plan, &pool, &refs, 1, GROUP),
+            "{row}/{label} diverged from scalar"
+        );
+    }
+    assert!(baseline == auto(), "{row}/auto diverged from scalar");
+
+    let fixed = [
+        harness.bench(&format!("{row}/scalar"), || {
+            density_vectors_plan(&scalar, &pool, &refs, 1)
+        }),
+        harness.bench(&format!("{row}/bitset"), || {
+            density_vectors_plan(&bitset, &pool, &refs, 1)
+        }),
+        harness.bench(&format!("{row}/multi"), || {
+            density_vectors_group_plan(&multi, &pool, &refs, 1, GROUP)
+        }),
+        harness.bench(&format!("{row}/event"), || {
+            density_vectors_group_plan(&event, &pool, &refs, 1, GROUP)
+        }),
+    ];
+    let t_auto = harness.bench(&format!("{row}/auto"), auto);
+    let regret = t_auto / fixed.iter().copied().fold(f64::INFINITY, f64::min);
+    if regret.is_finite() {
+        harness.record_row(&format!("{row}/regret"), &[("regret_pct", regret * 100.0)]);
+    }
+    regret
+}
+
+/// The crossover sweep (see the module docs): event sizes × `h` on the
+/// Twitter-like graph and the DBLP-like parity point, with the
+/// Auto-regret gate.
+fn crossover_sweep(harness: &Harness) {
+    let mut regrets: Vec<(String, f64)> = Vec::new();
+    let tw = TwitterScenario::build(
+        TwitterConfig {
+            num_nodes: 100_000,
+            ..TwitterConfig::default()
+        },
+        &mut StdRng::seed_from_u64(42),
+    );
+    let index = VicinityIndex::build_parallel(&tw.graph, 2, threads());
+    let mut rng = StdRng::seed_from_u64(7);
+    for size in [40usize, 150, 400, 1000] {
+        let (va, vb) = tw.plant_background_pair(size, &mut rng);
+        for h in [1u32, 2] {
+            let row = format!("sweep/e{size}/h{h}");
+            let regret = sweep_point(harness, &row, &tw.graph, &index, (&va, &vb), h, 400);
+            regrets.push((row, regret));
+        }
+    }
+    let dblp = DblpScenario::build(
+        DblpConfig {
+            num_communities: 400,
+            community_size: 50,
+            ..DblpConfig::default()
+        },
+        &mut StdRng::seed_from_u64(42),
+    );
+    let index = VicinityIndex::build_parallel(&dblp.graph, 2, threads());
+    let (va, vb) = dblp.plant_positive_keyword_pair(40, 20, 0.25, &mut StdRng::seed_from_u64(7));
+    let row = "sweep/dblp2x1000/h2".to_string();
+    let regret = sweep_point(harness, &row, &dblp.graph, &index, (&va, &vb), 2, 300);
+    regrets.push((row, regret));
+
+    regrets.retain(|(_, r)| r.is_finite());
+    if regrets.is_empty() {
+        return;
+    }
+    println!("\nsweep point            auto / best fixed route");
+    for (row, regret) in &regrets {
+        println!("{row:<22} {regret:.2}");
+    }
+    // One-sample smoke runs (CI) keep the identity gates above; the
+    // ratio of two single timings is not a measurement.
+    if harness.samples() >= 5 {
+        for (row, regret) in &regrets {
+            assert!(*regret <= 1.1, "{row}: Auto regret {regret:.2} > 1.1");
         }
     }
 }

@@ -1,24 +1,35 @@
 //! Closed-loop load generator for the `tesc::serve` daemon: spawn an
 //! in-process [`Server`], fire concurrent keep-alive HTTP clients at
-//! `POST /test`, and report request-latency percentiles and
-//! throughput per (client count × cache budget) cell.
+//! it, and report request-latency percentiles and throughput per
+//! (endpoint × client count × cache budget) cell.
 //!
 //! Rows (`TESC_BENCH_JSON` records carry `p50_us`, `p99_us`, `rps`
 //! and `requests` instead of `ns_per_iter`):
 //!
-//! * `test/c{N}/budget=inf` — N closed-loop clients against an
-//!   unbounded density cache (the append-only baseline).
-//! * `test/c{N}/budget=48K` — the same request stream against a
+//! * `test/c{N}` — N closed-loop clients on `POST /test`. A served
+//!   one-pair test of small events resolves from the event side and
+//!   bypasses the density cache (`docs/PERFORMANCE.md` §9), so this
+//!   row has no budget axis: it is the plain served-path latency.
+//! * `rank/c{N}/budget=inf` — the same event pairs as one-candidate
+//!   `POST /rank` requests (the planner path, which fills the cache)
+//!   against an unbounded density cache (the append-only baseline).
+//! * `rank/c{N}/budget=48K` — the same request stream against a
 //!   48 KiB second-chance budget small enough that the workload's
 //!   eight distinct event pairs cannot all stay resident.
 //!
 //! **Identity gate** (like `density_kernel` / `rank_events`): every
-//! request is replayed with the same `(a, b, h, n, seed)` body in
-//! both budget cells, and each response's `z_bits` must match its
+//! `/rank` request is replayed with the same `(a, b, h, n, seed)` body
+//! in both budget cells, and each response's `z_bits` must match its
 //! unbounded twin exactly — eviction may change hit rates, never
 //! bits. The run also asserts zero 5xx responses and, for the
 //! bounded cell, that evictions actually happened (otherwise the
-//! budget row would silently measure the unbounded path).
+//! budget row would silently measure the unbounded path); the `/test`
+//! cell asserts the opposite, that its cache stayed empty.
+//!
+//! Each request goes out as **one** `write_all` on a `TCP_NODELAY`
+//! socket: head and body in two writes stall ≈ 40 ms on Nagle +
+//! delayed ACK, which is what the rows recorded before this fix
+//! measured instead of the server.
 //!
 //! The request count scales with `TESC_BENCH_SAMPLES`, so the CI
 //! smoke run (`TESC_BENCH_SAMPLES=1`) exercises the full
@@ -52,9 +63,36 @@ const PAIRS: usize = 8;
 /// steady-state demand, so the second-chance policy must evict.
 const TINY_BUDGET: usize = 48 * 1024;
 
-/// One `POST /test` body, deterministic in `(client, request index)`
-/// — identical across budget cells, so responses must be bit-equal.
-fn request_body(client: usize, req: usize) -> String {
+/// The endpoint a cell drives.
+#[derive(Clone, Copy, PartialEq)]
+enum Endpoint {
+    /// `POST /test` with explicit occurrence lists.
+    Test,
+    /// `POST /rank` with the same pair as its one candidate.
+    Rank,
+}
+
+impl Endpoint {
+    fn path(self) -> &'static str {
+        match self {
+            Endpoint::Test => "/test",
+            Endpoint::Rank => "/rank",
+        }
+    }
+
+    /// The `z_bits` string of a 200 response.
+    fn z_bits(self, json: &Json) -> Option<&str> {
+        let entry = match self {
+            Endpoint::Test => json,
+            Endpoint::Rank => json.get("ranked")?.as_array()?.first()?,
+        };
+        entry.get("result")?.get("z_bits")?.as_str()
+    }
+}
+
+/// One request body, deterministic in `(client, request index)` —
+/// identical across budget cells, so responses must be bit-equal.
+fn request_body(endpoint: Endpoint, client: usize, req: usize) -> String {
     let p = (client * 31 + req) % PAIRS;
     let a: Vec<NodeId> = (p as NodeId * 13..p as NodeId * 13 + 28).collect();
     let b: Vec<NodeId> = (p as NodeId * 13 + 14..p as NodeId * 13 + 42).collect();
@@ -62,12 +100,16 @@ fn request_body(client: usize, req: usize) -> String {
         let items: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
         items.join(",")
     };
-    format!(
-        "{{\"a\":[{}],\"b\":[{}],\"h\":2,\"n\":80,\"seed\":{}}}",
-        fmt(&a),
-        fmt(&b),
-        client * 100_000 + req,
-    )
+    let (a, b, seed) = (fmt(&a), fmt(&b), client * 100_000 + req);
+    match endpoint {
+        Endpoint::Test => {
+            format!("{{\"a\":[{a}],\"b\":[{b}],\"h\":2,\"n\":80,\"seed\":{seed}}}")
+        }
+        Endpoint::Rank => format!(
+            "{{\"pairs\":[{{\"label\":\"p\",\"a\":[{a}],\"b\":[{b}]}}],\
+             \"h\":2,\"n\":80,\"seed\":{seed}}}"
+        ),
+    }
 }
 
 /// Send one request on a keep-alive connection and parse the
@@ -79,12 +121,14 @@ fn roundtrip(
     path: &str,
     body: &str,
 ) -> (u16, Json) {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
+    // Head and body in ONE write: two small writes on a keep-alive
+    // connection stall ≈ 40 ms on Nagle + delayed ACK.
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
+    stream.write_all(request.as_bytes()).expect("write request");
     let mut status_line = String::new();
     reader.read_line(&mut status_line).expect("status line");
     let status: u16 = status_line
@@ -121,15 +165,25 @@ struct ClientTrace {
     z_bits: Vec<(usize, usize, String)>,
 }
 
+/// A keep-alive client connection with Nagle off.
+fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    (stream, reader)
+}
+
 /// Spawn a server over a fresh context with `budget`, run
-/// `clients × requests_per_client` closed-loop `POST /test`s, and
-/// return (per-request traces, wall seconds, evictions reported by
-/// `/stats`). Panics on any non-200 response or 5xx counter.
+/// `clients × requests_per_client` closed-loop requests at `endpoint`,
+/// and return (per-request traces, wall seconds, evictions and cache
+/// entries reported by `/stats`). Panics on any non-200 response or
+/// 5xx counter.
 fn run_cell(
+    endpoint: Endpoint,
     budget: Option<usize>,
     clients: usize,
     requests_per_client: usize,
-) -> (Vec<ClientTrace>, f64, i64) {
+) -> (Vec<ClientTrace>, f64, i64, i64) {
     let mut events = EventStore::new();
     events.add_event("probe", (0..40).collect());
     let ctx = TescContext::new(grid(24, 24), events, 2).with_cache_budget(budget);
@@ -148,23 +202,20 @@ fn run_cell(
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 scope.spawn(move || {
-                    let mut stream = TcpStream::connect(addr).expect("connect");
-                    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+                    let (mut stream, mut reader) = connect(addr);
                     let mut trace = ClientTrace {
                         latencies_us: Vec::with_capacity(requests_per_client),
                         z_bits: Vec::with_capacity(requests_per_client),
                     };
                     for q in 0..requests_per_client {
-                        let body = request_body(c, q);
+                        let body = request_body(endpoint, c, q);
                         let sent = Instant::now();
                         let (status, json) =
-                            roundtrip(&mut stream, &mut reader, "POST", "/test", &body);
+                            roundtrip(&mut stream, &mut reader, "POST", endpoint.path(), &body);
                         trace.latencies_us.push(sent.elapsed().as_secs_f64() * 1e6);
                         assert_eq!(status, 200, "client {c} request {q}: {json:?}");
-                        let bits = json
-                            .get("result")
-                            .and_then(|r| r.get("z_bits"))
-                            .and_then(Json::as_str)
+                        let bits = endpoint
+                            .z_bits(&json)
                             .expect("z_bits in response")
                             .to_string();
                         trace.z_bits.push((c, q, bits));
@@ -181,8 +232,7 @@ fn run_cell(
     let wall = start.elapsed().as_secs_f64();
 
     // Quiescent now: reconcile the server's own books before shutdown.
-    let mut stream = TcpStream::connect(addr).expect("connect stats");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let (mut stream, mut reader) = connect(addr);
     let (status, stats) = roundtrip(&mut stream, &mut reader, "GET", "/stats", "");
     assert_eq!(status, 200);
     for (endpoint, counters) in match stats.get("endpoints") {
@@ -192,15 +242,41 @@ fn run_cell(
         let fives = counters.get("server_errors").and_then(Json::as_i64);
         assert_eq!(fives, Some(0), "{endpoint}: 5xx under load");
     }
-    let evictions = stats
-        .get("cache")
-        .and_then(|c| c.get("evictions"))
-        .and_then(Json::as_i64)
-        .expect("cache.evictions in stats");
+    let cache_stat = |key: &str| {
+        stats
+            .get("cache")
+            .and_then(|c| c.get(key))
+            .and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("cache.{key} in stats"))
+    };
+    let (evictions, entries) = (cache_stat("evictions"), cache_stat("entries"));
     let (_, _) = roundtrip(&mut stream, &mut reader, "POST", "/shutdown", "");
     drop((stream, reader));
     server.join();
-    (traces, wall, evictions)
+    (traces, wall, evictions, entries)
+}
+
+/// Print one cell's row and append its JSON record.
+fn report(harness: &Harness, row: &str, traces: &[ClientTrace], wall: f64, evictions: i64) {
+    let mut lat: Vec<f64> = traces.iter().flat_map(|t| t.latencies_us.clone()).collect();
+    lat.sort_by(|a, b| a.total_cmp(b));
+    let pct = |p: f64| lat[((lat.len() - 1) as f64 * p) as usize];
+    let (p50, p99) = (pct(0.50), pct(0.99));
+    let requests = lat.len();
+    let rps = requests as f64 / wall;
+    println!(
+        "{row:<26} p50 {p50:>9.1} µs   p99 {p99:>9.1} µs   {rps:>8.1} req/s   \
+         ({requests} requests, {evictions} evictions)"
+    );
+    harness.record_row(
+        row,
+        &[
+            ("p50_us", p50),
+            ("p99_us", p99),
+            ("rps", rps),
+            ("requests", requests as f64),
+        ],
+    );
 }
 
 fn main() {
@@ -214,11 +290,28 @@ fn main() {
     );
 
     for &clients in &CLIENT_COUNTS {
+        // The served one-pair path: event side, cache bypassed.
+        let (traces, wall, evictions, entries) =
+            run_cell(Endpoint::Test, None, clients, requests_per_client);
+        assert_eq!(
+            (evictions, entries),
+            (0, 0),
+            "/test of small events must not touch the density cache"
+        );
+        report(
+            &harness,
+            &format!("test/c{clients}"),
+            &traces,
+            wall,
+            evictions,
+        );
+
         // The unbounded cell is the identity reference for this
         // client count; the bounded cell must reproduce it bit-wise.
         let mut reference: BTreeMap<(usize, usize), String> = BTreeMap::new();
         for budget in [None, Some(TINY_BUDGET)] {
-            let (traces, wall, evictions) = run_cell(budget, clients, requests_per_client);
+            let (traces, wall, evictions, _) =
+                run_cell(Endpoint::Rank, budget, clients, requests_per_client);
             let label = match budget {
                 None => "inf".to_string(),
                 Some(b) => format!("{}K", b / 1024),
@@ -244,27 +337,8 @@ fn main() {
                     "budget={label}: tiny budget must evict (cell measured nothing new)"
                 );
             }
-
-            let mut lat: Vec<f64> = traces.iter().flat_map(|t| t.latencies_us.clone()).collect();
-            lat.sort_by(|a, b| a.total_cmp(b));
-            let pct = |p: f64| lat[((lat.len() - 1) as f64 * p) as usize];
-            let (p50, p99) = (pct(0.50), pct(0.99));
-            let requests = lat.len();
-            let rps = requests as f64 / wall;
-            let row = format!("test/c{clients}/budget={label}");
-            println!(
-                "{row:<26} p50 {p50:>9.1} µs   p99 {p99:>9.1} µs   {rps:>8.1} req/s   \
-                 ({requests} requests, {evictions} evictions)"
-            );
-            harness.record_row(
-                &row,
-                &[
-                    ("p50_us", p50),
-                    ("p99_us", p99),
-                    ("rps", rps),
-                    ("requests", requests as f64),
-                ],
-            );
+            let row = format!("rank/c{clients}/budget={label}");
+            report(&harness, &row, &traces, wall, evictions);
         }
         println!(
             "identity: {} responses bit-identical across budget=inf and budget=48K",

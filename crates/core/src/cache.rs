@@ -34,6 +34,20 @@
 //! graph versions) and shares the warm cache across event-only
 //! versions, where every entry remains valid.
 //!
+//! **Who fills it.** Every cached density executor follows one
+//! protocol — probe first, traverse only for what missed, insert only
+//! counts from completed traversals — on every route of
+//! [`crate::density::choose_route`]: the per-node and reference-lane
+//! one-pair paths of [`TescEngine::test`](crate::TescEngine::test) and
+//! all three routes of the pair-set planner, whose warm repeat is
+//! therefore probes only. The exception is the **one-pair bypass
+//! rule**: a single `TescEngine::test` that resolves from the *event
+//! side* neither probes nor inserts, like the importance and intensity
+//! phases. Its entries could only skip work on an exact repeat of the
+//! same seeded sample, and that work is two cheap traversals — yet on
+//! a serving path those inserts are what fills the cache (measured:
+//! +19 % peak RSS with them, +5 % without; `docs/PERFORMANCE.md` §9).
+//!
 //! **Bounded memory.** By default the cache is append-only — correct
 //! for batch runs that die with the process, a leak for a long-lived
 //! server whose event stream never ends. [`DensityCache::for_graph_bounded`]

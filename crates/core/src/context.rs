@@ -71,7 +71,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 use tesc_events::{EventId, EventStore, EventStoreError};
 use tesc_graph::relabel::RelabeledGraph;
-use tesc_graph::{Adjacency, CsrGraph, EdgeError, NodeId, VicinityIndex};
+use tesc_graph::{Adjacency, CsrGraph, EdgeError, NodeId, ScratchPool, VicinityIndex};
 
 /// Failure modes of the ingestion API. All checks run before any
 /// state is built, so a failed ingest publishes nothing.
@@ -162,6 +162,11 @@ pub struct Snapshot {
     /// runs with relabeling on); like the cache it is rebuilt on graph
     /// changes and shared across event-only versions.
     relabel: Option<Arc<RelabeledGraph>>,
+    /// BFS scratches for every engine this snapshot makes. Carried
+    /// across **all** versions (ingestion never changes the node
+    /// count), so a served request starts on a warm scratch instead of
+    /// allocating and page-faulting a fresh one.
+    pool: Arc<ScratchPool>,
     version: u64,
     /// Memory accounting, computed on first request (the compressed
     /// figure costs an `O(E)` encoding pass, which ingestion publishes
@@ -179,7 +184,8 @@ impl Snapshot {
     /// [`TescContext::with_cache_budget`]). `relabel` follows the same
     /// rule: graph changes pass a freshly built substrate (or `None`
     /// when relabeling is off), event-only deltas clone the previous
-    /// snapshot's.
+    /// snapshot's. `pool` is the context's one scratch pool.
+    #[allow(clippy::too_many_arguments)] // the snapshot's parts, assembled in one place
     fn assemble(
         graph: Arc<CsrGraph>,
         vicinity: Arc<VicinityIndex>,
@@ -188,6 +194,7 @@ impl Snapshot {
         reuse_cache: Option<Arc<DensityCache>>,
         cache_budget: Option<usize>,
         relabel: Option<Arc<RelabeledGraph>>,
+        pool: Arc<ScratchPool>,
     ) -> Arc<Self> {
         let cache =
             reuse_cache.unwrap_or_else(|| Arc::new(DensityCache::new(&*graph, cache_budget)));
@@ -197,6 +204,7 @@ impl Snapshot {
             events,
             cache,
             relabel,
+            pool,
             version,
             memory: std::sync::OnceLock::new(),
         })
@@ -271,11 +279,13 @@ impl Snapshot {
     /// A fully wired engine over this snapshot: vicinity-index-backed
     /// (all samplers available) with the snapshot's density cache —
     /// and, when the context relabels, the shared relabeled substrate —
-    /// attached. The engine borrows the snapshot, so keep the
-    /// `Arc<Snapshot>` alive for the engine's lifetime.
+    /// attached. Every engine draws its BFS scratches from the
+    /// snapshot's shared pool. The engine borrows the snapshot, so keep
+    /// the `Arc<Snapshot>` alive for the engine's lifetime.
     pub fn engine(&self) -> TescEngine<'_> {
         let mut engine = TescEngine::with_vicinity_arc(&*self.graph, self.vicinity.clone())
-            .with_density_cache(self.cache.clone());
+            .with_density_cache(self.cache.clone())
+            .with_scratch_pool(self.pool.clone());
         if let Some(r) = &self.relabel {
             engine = engine.with_relabeled_arc(r.clone());
         }
@@ -389,6 +399,7 @@ impl TescContext {
             check_nodes(graph.num_nodes(), nodes)?;
         }
         let vicinity = VicinityIndex::build_parallel(&graph, max_level, threads);
+        let pool = Arc::new(ScratchPool::for_graph(&graph));
         Ok(TescContext {
             current: RwLock::new(Snapshot::assemble(
                 Arc::new(graph),
@@ -398,6 +409,7 @@ impl TescContext {
                 None,
                 None,
                 None,
+                pool,
             )),
             writer: Mutex::new(()),
             max_level,
@@ -429,6 +441,7 @@ impl TescContext {
             None, // fresh cache under the new budget
             bytes,
             base.relabel.clone(),
+            base.pool.clone(),
         );
         *ctx.current.write().expect("context lock poisoned") = next;
         ctx
@@ -461,6 +474,7 @@ impl TescContext {
             Some(base.cache.clone()),
             self.cache_budget,
             relabel,
+            base.pool.clone(),
         );
         *self.current.write().expect("context lock poisoned") = next;
         self
@@ -574,6 +588,7 @@ impl TescContext {
             None, // the graph changed: memoized counts are stale
             self.cache_budget,
             relabel,
+            base.pool.clone(),
         ));
         self.maybe_checkpoint(&next);
         Ok(next)
@@ -602,6 +617,7 @@ impl TescContext {
             Some(base.cache.clone()),
             self.cache_budget,
             base.relabel.clone(),
+            base.pool.clone(),
         ));
         self.maybe_checkpoint(&next);
         Ok((id, next))
@@ -638,6 +654,7 @@ impl TescContext {
             Some(base.cache.clone()),
             self.cache_budget,
             base.relabel.clone(),
+            base.pool.clone(),
         ));
         self.maybe_checkpoint(&next);
         Ok(next)
@@ -937,6 +954,32 @@ mod tests {
     }
 
     #[test]
+    fn engines_share_the_snapshot_scratch_pool_across_versions() {
+        let (ctx, a, b) = ctx();
+        let s1 = ctx.snapshot();
+        assert_eq!(s1.engine().pool().idle(), 0, "nothing warmed yet");
+        let cfg = TescConfig::new(2).with_sample_size(30);
+        s1.engine()
+            .test(
+                s1.events().nodes(a),
+                s1.events().nodes(b),
+                &cfg,
+                &mut StdRng::seed_from_u64(1),
+            )
+            .unwrap();
+        // The scratch that request warmed is waiting for the next
+        // engine — of this version, of an event-only successor and of
+        // a graph-changing one (the node count never changes).
+        assert_eq!(s1.engine().pool().idle(), 1);
+        let s2 = ctx.add_event_occurrences(b, &[100]).unwrap();
+        let s3 = ctx.add_edges(&[(0, 143)]).unwrap();
+        for s in [&s2, &s3] {
+            assert!(Arc::ptr_eq(&s1.pool, &s.pool), "v{}", s.version());
+            assert_eq!(s.engine().pool().idle(), 1, "v{}", s.version());
+        }
+    }
+
+    #[test]
     fn event_pair_and_run_batch_helpers() {
         let (ctx, a, b) = ctx();
         let snap = ctx.snapshot();
@@ -944,10 +987,23 @@ mod tests {
         assert_eq!(pair.label, "a×b");
         let req = BatchRequest::new(TescConfig::new(1).with_sample_size(40))
             .with_seed(11)
-            .with_pair(pair);
+            .with_pair(pair.clone());
         let report = snap.run_batch(&req);
         assert_eq!(report.outcomes.len(), 1);
         assert!(report.outcomes[0].result.is_ok());
+        // One pair of small events resolves from the event side, which
+        // bypasses the cache; a planner pass (a list long enough to fan
+        // out) fills it.
+        assert!(snap.density_cache().is_empty(), "one-pair event pass");
+        let long = BatchRequest::new(TescConfig::new(1).with_sample_size(40))
+            .with_seed(11)
+            .with_threads(2)
+            .with_pairs((0..crate::batch::PARALLEL_MIN_PAIRS).map(|_| pair.clone()));
+        assert!(snap
+            .run_batch(&long)
+            .outcomes
+            .iter()
+            .all(|o| o.result.is_ok()));
         assert!(snap.density_cache().bfs_invocations() > 0, "cache engaged");
     }
 

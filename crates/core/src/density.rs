@@ -15,11 +15,11 @@
 
 use crate::cache::{CachedCount, DensityCache, EventKey, ProbeGovernor};
 use tesc_events::NodeMask;
-use tesc_graph::bfs::{BfsScratch, MsBfsScratch};
+use tesc_graph::bfs::{BfsKernel, BfsScratch, MsBfsScratch};
 use tesc_graph::budget::{Budget, Interrupted};
 use tesc_graph::csr::CsrGraph;
 use tesc_graph::relabel::Relabeling;
-use tesc_graph::{Adjacency, NodeId, ScratchPool};
+use tesc_graph::{Adjacency, NodeId, ScratchPool, VicinityIndex, MAX_GROUP_SOURCES};
 
 /// All per-reference-node counts gathered in a single BFS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,21 +308,35 @@ impl<G: Adjacency> MultiKernelPlan<'_, G> {
 
 /// The **source-grouped** generalization of [`MultiKernelPlan`]: one
 /// density execution plan that batches up to
-/// [`tesc_graph::MAX_GROUP_SOURCES`] reference nodes into a single
-/// multi-source traversal ([`MsBfsScratch::visit_h_vicinity_multi`]),
-/// one bit-lane per node, so one edge scan serves every grouped
-/// source — the data-movement lever the per-source kernels cannot
-/// reach (see `docs/PERFORMANCE.md`).
+/// [`tesc_graph::MAX_GROUP_SOURCES`] sources into a single multi-source
+/// traversal ([`MsBfsScratch::visit_h_vicinity_multi`]), one bit-lane
+/// per source, so one edge scan serves every grouped source — the
+/// data-movement lever the per-source kernels cannot reach (see
+/// `docs/PERFORMANCE.md`).
+///
+/// The plan runs in one of two **directions** over that one kernel:
+///
+/// * **reference lanes** (`event_side: None`) — the lanes are reference
+///   nodes; per-lane scoring reads only an event's members
+///   ([`MsBfsScratch::lane_member_counts`]), `O(|V_e|)` per (event,
+///   group), and `|V^h_r|` is a positional popcount of the lane words.
+/// * **event lanes** (`event_side: Some(index)`) — the lanes are an
+///   event's occurrence nodes, ≤ 64 per traversal. On an undirected
+///   graph `r ∈ V^h_v ⇔ v ∈ V^h_r`, so `|V_e ∩ V^h_r|` is the number of
+///   event lanes that reached `r`:
+///   [`MsBfsScratch::reached_lanes`]`(r).count_ones()`, summed over the
+///   event's chunks. `|V^h_r|` is read from the index, which must
+///   [`cover`](VicinityIndex::covers) `h`. The cost is `⌈|V_e|/64⌉`
+///   traversals per event however many reference nodes ask — the
+///   smaller side of the reachability join drives it.
 ///
 /// Composition mirrors the other plans exactly: the substrate may be
 /// the original graph or its locality-relabeled twin (slot node lists
 /// then live in substrate id space; reference nodes are translated at
-/// the group boundary). Events are carried as **occurrence node
-/// lists** rather than masks, because per-lane scoring reads only the
-/// event's members ([`MsBfsScratch::lane_member_counts`]) — `O(|V_e|)`
-/// per (event, group), independent of vicinity size. Every recovered
-/// integer equals what independent single-source searches produce, so
-/// grouped densities are bit-identical to every other configuration.
+/// the boundary, the index is always read in original ids). Every
+/// recovered integer equals what independent single-source searches
+/// produce, so grouped densities are bit-identical to every other
+/// configuration, in either direction.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupKernelPlan<'a, G = CsrGraph> {
     /// The BFS substrate (the original graph, or its relabeled twin).
@@ -335,62 +349,42 @@ pub struct GroupKernelPlan<'a, G = CsrGraph> {
     pub translate: Option<&'a Relabeling>,
     /// Vicinity level `h`.
     pub h: u32,
+    /// `Some(index)` drives the pass from the event side (see the type
+    /// docs); the index is in original id space and must cover `h`.
+    pub event_side: Option<&'a VicinityIndex>,
 }
 
 impl<G: Adjacency> GroupKernelPlan<'_, G> {
-    /// Score one group of up to 64 original-space reference nodes with
-    /// a single multi-source traversal. `slot_lists[i]` names the
-    /// event slots node `nodes[i]` must be scored against (**sorted
-    /// ascending**); on return `sizes[i]` holds `|V^h_{nodes[i]}|` and
-    /// `counts[i][j]` holds `|V_{slot_lists[i][j]} ∩ V^h_{nodes[i]}|`.
-    ///
-    /// Each distinct slot of the group is scored **once** against all
-    /// lanes and scattered to the members that asked for it.
-    pub fn counts_for_group(
-        &self,
-        scratch: &mut MsBfsScratch,
-        nodes: &[NodeId],
-        slot_lists: &[&[u32]],
-        sizes: &mut [u32],
-        counts: &mut [Vec<u32>],
-    ) {
-        self.counts_for_group_budgeted(
-            scratch,
-            nodes,
-            slot_lists,
-            sizes,
-            counts,
-            &Budget::unlimited(),
-        )
-        .expect("unlimited budget cannot exhaust")
+    #[inline]
+    fn to_substrate(&self, r: NodeId) -> NodeId {
+        self.translate.map_or(r, |m| m.to_new(r))
     }
 
-    /// [`GroupKernelPlan::counts_for_group`] under a [`Budget`]: the
+    /// Score one group of up to 64 original-space reference nodes with
+    /// a single multi-source traversal (the reference-lane direction).
+    /// `slot_lists[i]` names the event slots node `nodes[i]` must be
+    /// scored against (**sorted ascending**); returns the per-lane
+    /// `|V^h_{nodes[i]}|` and the lane-major flat counts (lane `i`'s
+    /// `slot_lists[i].len()` cells, in slot order).
+    ///
+    /// Each distinct slot of the group is scored **once** against all
+    /// lanes and scattered to the members that asked for it. The
     /// traversal checks the budget per frontier level; an interrupted
-    /// group returns the typed error and its outputs must be
-    /// discarded.
-    pub fn counts_for_group_budgeted(
+    /// group returns the typed error.
+    fn counts_for_group(
         &self,
         scratch: &mut MsBfsScratch,
         nodes: &[NodeId],
         slot_lists: &[&[u32]],
-        sizes: &mut [u32],
-        counts: &mut [Vec<u32>],
         budget: &Budget,
-    ) -> Result<(), Interrupted> {
+    ) -> Result<(Vec<u32>, Vec<u32>), Interrupted> {
         debug_assert_eq!(nodes.len(), slot_lists.len());
-        debug_assert_eq!(nodes.len(), sizes.len());
-        debug_assert_eq!(nodes.len(), counts.len());
-        let substrate: Vec<NodeId> = match self.translate {
-            Some(m) => nodes.iter().map(|&r| m.to_new(r)).collect(),
-            None => nodes.to_vec(),
-        };
+        let substrate: Vec<NodeId> = nodes.iter().map(|&r| self.to_substrate(r)).collect();
         scratch.visit_h_vicinity_multi_budgeted(self.graph, &substrate, self.h, budget)?;
-        scratch.lane_sizes(sizes);
-        for (slots, c) in slot_lists.iter().zip(counts.iter_mut()) {
-            c.clear();
-            c.resize(slots.len(), 0);
-        }
+        let mut sizes = vec![0u32; nodes.len()];
+        scratch.lane_sizes(&mut sizes);
+        let lane_start = GroupSlots::PerNode(slot_lists).cell_starts(nodes.len());
+        let mut counts = vec![0u32; lane_start[nodes.len()]];
         // Distinct slots of the whole group, each scored once.
         let mut group_slots: Vec<u32> = slot_lists.iter().flat_map(|s| s.iter().copied()).collect();
         group_slots.sort_unstable();
@@ -400,11 +394,96 @@ impl<G: Adjacency> GroupKernelPlan<'_, G> {
             scratch.lane_member_counts(&self.slot_nodes[slot as usize], &mut lane_counts);
             for (lane, slots) in slot_lists.iter().enumerate() {
                 if let Ok(j) = slots.binary_search(&slot) {
-                    counts[lane][j] = lane_counts[lane];
+                    counts[lane_start[lane] + j] = lane_counts[lane];
                 }
             }
         }
-        Ok(())
+        Ok((sizes, counts))
+    }
+}
+
+/// How a density pass resolves its `(reference node, event)` counts.
+/// Chosen once per pass by [`choose_route`]; every route produces the
+/// identical integers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// One single-source BFS per reference node
+    /// ([`KernelPlan`] / [`MultiKernelPlan`]).
+    PerNode,
+    /// [`GroupKernelPlan`] with reference nodes as lanes.
+    RefLanes,
+    /// [`GroupKernelPlan`] with event nodes as lanes.
+    EventLanes,
+}
+
+/// Event-lane cost: nanoseconds per graph node per ≤ 64-lane chunk (the
+/// traversal's `O(|V|)` lane-word reset).
+const EVENT_CHUNK_NS_PER_NODE: f64 = 0.16;
+/// Event-lane cost: nanoseconds per (event node, visited node)
+/// incidence, `Σ_{v ∈ V_e} |V^h_v|`.
+const EVENT_VISIT_NS: f64 = 2.0;
+/// Reference-side cost: fixed nanoseconds per reference-node search.
+const REF_FIXED_NS: f64 = 20.0;
+/// Reference-side cost: nanoseconds per (reference node, visited node)
+/// incidence, `Σ_r |V^h_r|`.
+const REF_VISIT_NS: f64 = 5.0;
+/// The event side is taken only when its estimate is below this
+/// fraction of the reference side's: at parity (the DBLP-like
+/// 2×1000-node pair against 300 reference nodes) the pass stays where
+/// the cache and the multi-source sharing heuristic already work, and
+/// what staying can cost — `1 / 0.92 ≈ 1.09` for an exact estimate —
+/// is inside the bench's Auto-regret gate of 1.1.
+const EVENT_MARGIN: f64 = 0.92;
+
+/// The one route decision of a density pass: which executor resolves
+/// `|V_e ∩ V^h_r|` for `refs` × `events` (original-space occurrence
+/// lists of every event slot the pass scores).
+///
+/// Explicit kernels force the reference side — `Scalar`/`Bitset` the
+/// per-node executors, `Multi` reference lanes — so they stay the
+/// oracles every other route is compared against. `Auto` takes the
+/// **event side** when the index covers `h` and the cost estimate says
+/// so with margin: `⌈|V_e|/64⌉·|V|` lane words reset plus
+/// `Σ_{v∈V_e} |V^h_v|` lane visits per event, against one search plus
+/// `|V^h_r|` visits per reference node — both sums read off the index
+/// ([`VicinityIndex::sum_over`]), so the decision is a pure function
+/// of its arguments (identical at any thread count). Otherwise the
+/// reference side's own sharing heuristic
+/// ([`BfsKernel::use_multi_source`]) picks lanes or per-node. The
+/// constants are calibrated by the `density_kernel` bench's crossover
+/// sweep (`docs/PERFORMANCE.md` §9).
+pub fn choose_route<G: Adjacency>(
+    kernel: BfsKernel,
+    g: &G,
+    index: Option<&VicinityIndex>,
+    h: u32,
+    refs: &[NodeId],
+    events: &[&[NodeId]],
+) -> Route {
+    match kernel {
+        BfsKernel::Scalar | BfsKernel::Bitset => return Route::PerNode,
+        BfsKernel::Multi => return Route::RefLanes,
+        BfsKernel::Auto => {}
+    }
+    if let Some(index) = index.filter(|i| i.covers(h)) {
+        let reset_ns = g.num_nodes() as f64 * EVENT_CHUNK_NS_PER_NODE;
+        let event_ns: f64 = events
+            .iter()
+            .map(|e| {
+                e.len().div_ceil(MAX_GROUP_SOURCES) as f64 * reset_ns
+                    + index.sum_over(e, h) as f64 * EVENT_VISIT_NS
+            })
+            .sum();
+        let ref_ns =
+            refs.len() as f64 * REF_FIXED_NS + index.sum_over(refs, h) as f64 * REF_VISIT_NS;
+        if event_ns < EVENT_MARGIN * ref_ns {
+            return Route::EventLanes;
+        }
+    }
+    if kernel.use_multi_source(g, h, refs.len()) {
+        Route::RefLanes
+    } else {
+        Route::PerNode
     }
 }
 
@@ -426,6 +505,32 @@ impl GroupSlots<'_> {
             GroupSlots::PerNode(lists) => lists[i],
         }
     }
+
+    /// Node-major cell layout of `n` nodes: node `i`'s counts occupy
+    /// `starts[i]..starts[i + 1]`, one cell per slot in slot order.
+    fn cell_starts(&self, n: usize) -> Vec<usize> {
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut cells = 0usize;
+        for i in 0..n {
+            starts.push(cells);
+            cells += self.get(i).len();
+        }
+        starts.push(cells);
+        starts
+    }
+}
+
+/// Output of [`run_grouped`], positionally aligned with its `nodes`.
+pub(crate) struct GroupedCounts {
+    /// `|V^h_r|` per node.
+    pub sizes: Vec<u32>,
+    /// Node-major flat counts: node `i`'s cells follow node `i − 1`'s,
+    /// one per slot of its slot list, in slot order.
+    pub counts: Vec<u32>,
+    /// Multi-source traversals physically executed: source groups on
+    /// the reference-lane direction, event chunks on the event-lane
+    /// direction.
+    pub traversals: u64,
 }
 
 /// Apply `f(scratch, group_index)` to every source group, fanned out
@@ -503,19 +608,28 @@ where
     out
 }
 
-/// Grouped density executor: partition `nodes` into source groups of
-/// at most `group_size`, run one multi-source traversal per group
-/// (parallel over groups), and return the per-node
-/// `(|V^h_r|, per-slot counts)` — positionally aligned with `nodes`
-/// and deterministic at any thread count.
+/// Grouped density executor — where every grouped caller ends (the
+/// planner's stage (b) and the engine's uniform, cached and importance
+/// group paths). Returns per-node `|V^h_r|` and the per-(node, slot)
+/// counts, positionally aligned with `nodes` and deterministic at any
+/// thread count, in the direction the plan names
+/// ([`GroupKernelPlan::event_side`]).
 ///
-/// Nodes are grouped in **substrate-id order** (a stable argsort; the
-/// output order is unchanged): nearby ids share vicinities — by
-/// construction under locality relabeling, and strongly in practice on
-/// generated and real graphs — so sorting maximizes the per-group lane
-/// overlap the shared edge scan amortizes over. Grouping order cannot
-/// affect any count (each lane is an independent traversal), so this
-/// is purely a locality optimization.
+/// **Reference lanes.** `nodes` are partitioned into source groups of
+/// at most `group_size`, one multi-source traversal per group (parallel
+/// over groups). Nodes are grouped in **substrate-id order** (a stable
+/// argsort; the output order is unchanged): nearby ids share vicinities
+/// — by construction under locality relabeling, and strongly in
+/// practice on generated and real graphs — so sorting maximizes the
+/// per-group lane overlap the shared edge scan amortizes over. Grouping
+/// order cannot affect any count (each lane is an independent
+/// traversal), so this is purely a locality optimization.
+///
+/// **Event lanes.** Per wanted slot (parallel over slots), the slot's
+/// occurrence nodes traverse in chunks of ≤ 64 lanes and every chunk
+/// adds `reached_lanes(r).count_ones()` into the slot's one
+/// accumulator. Temporaries are flat and `O(cells)`: a slot-major
+/// inversion of the node-major cell layout, one accumulator per slot.
 pub(crate) fn run_grouped<G: Adjacency>(
     plan: &GroupKernelPlan<'_, G>,
     pool: &ScratchPool,
@@ -524,16 +638,32 @@ pub(crate) fn run_grouped<G: Adjacency>(
     threads: usize,
     group_size: usize,
     budget: &Budget,
-) -> Result<(Vec<u32>, Vec<Vec<u32>>), Interrupted> {
+) -> Result<GroupedCounts, Interrupted> {
     if nodes.is_empty() {
-        return Ok((Vec::new(), Vec::new()));
+        return Ok(GroupedCounts {
+            sizes: Vec::new(),
+            counts: Vec::new(),
+            traversals: 0,
+        });
     }
-    let group_size = group_size.clamp(1, tesc_graph::MAX_GROUP_SOURCES);
+    match plan.event_side {
+        Some(index) => run_event_lanes(plan, index, pool, nodes, slots, threads, budget),
+        None => run_ref_lanes(plan, pool, nodes, slots, threads, group_size, budget),
+    }
+}
+
+fn run_ref_lanes<G: Adjacency>(
+    plan: &GroupKernelPlan<'_, G>,
+    pool: &ScratchPool,
+    nodes: &[NodeId],
+    slots: &GroupSlots<'_>,
+    threads: usize,
+    group_size: usize,
+    budget: &Budget,
+) -> Result<GroupedCounts, Interrupted> {
+    let group_size = group_size.clamp(1, MAX_GROUP_SOURCES);
     let mut order: Vec<usize> = (0..nodes.len()).collect();
-    match plan.translate {
-        Some(m) => order.sort_by_key(|&i| m.to_new(nodes[i])),
-        None => order.sort_by_key(|&i| nodes[i]),
-    }
+    order.sort_by_key(|&i| plan.to_substrate(nodes[i]));
     let num_groups = nodes.len().div_ceil(group_size);
     let per_group = map_groups_pooled(
         pool,
@@ -552,40 +682,115 @@ pub(crate) fn run_grouped<G: Adjacency>(
             let idx = &order[start..end];
             let group: Vec<NodeId> = idx.iter().map(|&i| nodes[i]).collect();
             let slot_lists: Vec<&[u32]> = idx.iter().map(|&i| slots.get(i)).collect();
-            let mut sizes = vec![0u32; group.len()];
-            let mut counts: Vec<Vec<u32>> = vec![Vec::new(); group.len()];
-            match plan.counts_for_group_budgeted(
-                scratch,
-                &group,
-                &slot_lists,
-                &mut sizes,
-                &mut counts,
-                budget,
-            ) {
-                Ok(()) => (sizes, counts),
-                Err(_) => (Vec::new(), Vec::new()),
-            }
+            plan.counts_for_group(scratch, &group, &slot_lists, budget)
+                .unwrap_or_default()
         },
     );
     budget.check()?;
+    let starts = slots.cell_starts(nodes.len());
     let mut sizes = vec![0u32; nodes.len()];
-    let mut counts: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
+    let mut counts = vec![0u32; starts[nodes.len()]];
     for (gi, (group_sizes, group_counts)) in per_group.into_iter().enumerate() {
-        for (off, (s, c)) in group_sizes.into_iter().zip(group_counts).enumerate() {
+        let mut lane_start = 0usize;
+        for (off, s) in group_sizes.into_iter().enumerate() {
             let i = order[gi * group_size + off];
             sizes[i] = s;
-            counts[i] = c;
+            let cells = starts[i + 1] - starts[i];
+            counts[starts[i]..starts[i + 1]]
+                .copy_from_slice(&group_counts[lane_start..lane_start + cells]);
+            lane_start += cells;
         }
     }
-    Ok((sizes, counts))
+    Ok(GroupedCounts {
+        sizes,
+        counts,
+        traversals: num_groups as u64,
+    })
+}
+
+fn run_event_lanes<G: Adjacency>(
+    plan: &GroupKernelPlan<'_, G>,
+    index: &VicinityIndex,
+    pool: &ScratchPool,
+    nodes: &[NodeId],
+    slots: &GroupSlots<'_>,
+    threads: usize,
+    budget: &Budget,
+) -> Result<GroupedCounts, Interrupted> {
+    let h = plan.h;
+    assert!(
+        index.covers(h),
+        "event-side density needs an index covering h = {h}"
+    );
+    let starts = slots.cell_starts(nodes.len());
+    let cells = starts[nodes.len()];
+    // Slot-major inversion of the node-major cell layout (a counting
+    // sort): slot `s` owns `by_slot[slot_start[s]..slot_start[s + 1]]`,
+    // each entry a (substrate reference node, node-major cell) pair.
+    let num_slots = plan.slot_nodes.len();
+    let mut slot_start = vec![0usize; num_slots + 1];
+    for i in 0..nodes.len() {
+        for &s in slots.get(i) {
+            slot_start[s as usize + 1] += 1;
+        }
+    }
+    for s in 0..num_slots {
+        slot_start[s + 1] += slot_start[s];
+    }
+    let mut cursor = slot_start.clone();
+    let mut by_slot = vec![(0 as NodeId, 0u32); cells];
+    for (i, &r) in nodes.iter().enumerate() {
+        let r = plan.to_substrate(r);
+        for (j, &s) in slots.get(i).iter().enumerate() {
+            by_slot[cursor[s as usize]] = (r, (starts[i] + j) as u32);
+            cursor[s as usize] += 1;
+        }
+    }
+    let wanted: Vec<usize> = (0..num_slots)
+        .filter(|&s| slot_start[s + 1] > slot_start[s])
+        .collect();
+    let per_slot = map_groups_pooled(pool, wanted.len(), threads, Vec::new(), |scratch, wi| {
+        let s = wanted[wi];
+        let cells = &by_slot[slot_start[s]..slot_start[s + 1]];
+        let mut acc = vec![0u32; cells.len()];
+        for chunk in plan.slot_nodes[s].chunks(MAX_GROUP_SOURCES) {
+            // An interrupted (or skipped: exhaustion is sticky) chunk
+            // leaves partial sums that the post-map check discards.
+            if budget.is_exhausted()
+                || scratch
+                    .visit_h_vicinity_multi_budgeted(plan.graph, chunk, h, budget)
+                    .is_err()
+            {
+                break;
+            }
+            for (a, &(r, _)) in acc.iter_mut().zip(cells) {
+                *a += scratch.reached_lanes(r).count_ones();
+            }
+        }
+        acc
+    });
+    budget.check()?;
+    let mut counts = vec![0u32; cells];
+    let mut traversals = 0u64;
+    for (&s, acc) in wanted.iter().zip(per_slot) {
+        traversals += plan.slot_nodes[s].len().div_ceil(MAX_GROUP_SOURCES) as u64;
+        for (&(_, cell), c) in by_slot[slot_start[s]..].iter().zip(acc) {
+            counts[cell as usize] = c;
+        }
+    }
+    Ok(GroupedCounts {
+        sizes: nodes.iter().map(|&r| index.size(r, h) as u32).collect(),
+        counts,
+        traversals,
+    })
 }
 
 /// Parallel density vectors through the **source-grouped multi-source
-/// kernel**: `plan.slot_nodes` must hold exactly `[V_a, V_b]`, and the
-/// returned vectors are bit-identical to [`density_vectors_plan`] on
-/// the corresponding two-mask plan (same integers, same `count as f64
-/// / size as f64` arithmetic) — asserted in `tests/kernels.rs` and per
-/// `density_kernel` bench row.
+/// kernel**, in the plan's direction: `plan.slot_nodes` must hold
+/// exactly `[V_a, V_b]`, and the returned vectors are bit-identical to
+/// [`density_vectors_plan`] on the corresponding two-mask plan (same
+/// integers, same `count as f64 / size as f64` arithmetic) — asserted
+/// in `tests/kernels.rs` and per `density_kernel` bench row.
 pub fn density_vectors_group_plan<G: Adjacency>(
     plan: &GroupKernelPlan<'_, G>,
     pool: &ScratchPool,
@@ -608,7 +813,7 @@ pub fn density_vectors_group_plan_budgeted<G: Adjacency>(
     budget: &Budget,
 ) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
     assert_eq!(plan.slot_nodes.len(), 2, "expects the [a, b] slot pair");
-    let (sizes, counts) = run_grouped(
+    let g = run_grouped(
         plan,
         pool,
         refs,
@@ -617,9 +822,9 @@ pub fn density_vectors_group_plan_budgeted<G: Adjacency>(
         group_size,
         budget,
     )?;
-    Ok(sizes
+    Ok(g.sizes
         .iter()
-        .zip(&counts)
+        .zip(g.counts.chunks_exact(2))
         .map(|(&size, c)| (c[0] as f64 / size as f64, c[1] as f64 / size as f64))
         .unzip())
 }
@@ -649,7 +854,7 @@ pub fn density_counts_group_plan_budgeted<G: Adjacency>(
     budget: &Budget,
 ) -> Result<Vec<DensityCounts>, Interrupted> {
     assert_eq!(plan.slot_nodes.len(), 3, "expects [a, b, union] slots");
-    let (sizes, counts) = run_grouped(
+    let g = run_grouped(
         plan,
         pool,
         refs,
@@ -658,9 +863,9 @@ pub fn density_counts_group_plan_budgeted<G: Adjacency>(
         group_size,
         budget,
     )?;
-    Ok(sizes
+    Ok(g.sizes
         .iter()
-        .zip(&counts)
+        .zip(g.counts.chunks_exact(3))
         .map(|(&size, c)| DensityCounts {
             vicinity_size: size as usize,
             count_a: c[0] as usize,
@@ -752,7 +957,7 @@ pub fn density_vectors_cached_group_plan_budgeted<G: Adjacency>(
         }
     }
     let nodes: Vec<NodeId> = pending.iter().map(|&i| refs[i]).collect();
-    let (sizes, counts) = run_grouped(
+    let g = run_grouped(
         plan,
         pool,
         &nodes,
@@ -767,7 +972,7 @@ pub fn density_vectors_cached_group_plan_budgeted<G: Adjacency>(
     for (((&i, &r), (&size, c)), &(hit_a, hit_b)) in pending
         .iter()
         .zip(&nodes)
-        .zip(sizes.iter().zip(&counts))
+        .zip(g.sizes.iter().zip(g.counts.chunks_exact(2)))
         .zip(&hits)
     {
         let fresh_a = CachedCount {
@@ -1475,6 +1680,7 @@ mod tests {
             slot_nodes: &slot_nodes,
             translate: None,
             h: 2,
+            event_side: None,
         };
         let rel = RelabeledGraph::build(&g);
         let translated = vec![rel.map().map_to_new(&a), rel.map().map_to_new(&b)];
@@ -1483,6 +1689,7 @@ mod tests {
             slot_nodes: &translated,
             translate: Some(rel.map()),
             h: 2,
+            event_side: None,
         };
         for group_size in [1usize, 7, 63, 64, 200] {
             for threads in [1usize, 3] {
@@ -1513,6 +1720,7 @@ mod tests {
             slot_nodes: &slot_nodes,
             translate: None,
             h: 2,
+            event_side: None,
         };
         let grouped = density_counts_group_plan(&plan, &pool, &refs, 1, 4);
         for (&r, got) in refs.iter().zip(&grouped) {
@@ -1553,6 +1761,7 @@ mod tests {
             slot_nodes: &slot_nodes,
             translate: None,
             h: 2,
+            event_side: None,
         };
         // Pre-memoize event a at a few nodes (partially-memoized
         // group: some lanes hit one slot, none hit both).
@@ -1578,6 +1787,210 @@ mod tests {
         let warm = density_vectors_cached_group_plan(&plan, &pool, &refs, &ka, &kb, 2, 4, &cache);
         assert_eq!(serial, warm);
         assert_eq!(cache.bfs_invocations(), 10, "warm grouped pass ran no BFS");
+    }
+
+    /// One seeded event-direction case: a sparse random graph (isolated
+    /// nodes guaranteed), perturbed on odd seeds, five events straddling
+    /// the 64-lane chunk edges plus a random one, reference nodes that
+    /// overlap the events, repeat and include isolated nodes, and
+    /// per-node slot lists mixing a shared slot with private ones.
+    /// Every `(node, slot)` count and every `|V^h_r|` must equal the
+    /// scalar single-source search, on the plain and the relabeled
+    /// substrate, at 1 and 3 threads.
+    fn event_lanes_case(seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tesc_graph::generators::erdos_renyi_gnm;
+        use tesc_graph::perturb::{add_random_edges, remove_random_edges};
+        use tesc_graph::relabel::RelabeledGraph;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(230usize..300);
+        let mut g = erdos_renyi_gnm(n - 6, rng.gen_range(0..3 * n), &mut rng);
+        if seed % 2 == 1 && g.num_edges() > 8 {
+            g = remove_random_edges(&g, 4, &mut rng).0;
+            g = add_random_edges(&g, 7, &mut rng).0;
+        }
+        // Six trailing nodes with no edges at all.
+        let g = from_edges(n, &g.edges().collect::<Vec<_>>());
+        let depth = rng.gen_range(1u32..4);
+        let index = VicinityIndex::build(&g, depth);
+        // h ∈ {0, 1, 2} and the index depth itself.
+        let h = [0, 1, 2, depth][(seed % 4) as usize].min(depth);
+
+        let mut events: Vec<Vec<NodeId>> = [1usize, 63, 64, 65, 200, rng.gen_range(0..40)]
+            .iter()
+            .map(|&size| {
+                // Raw occurrence lists repeat nodes; the plan's lists
+                // are normalized, like every caller's.
+                let raw: Vec<NodeId> = (0..size + size / 3)
+                    .map(|_| rng.gen_range(0..n as NodeId))
+                    .collect();
+                let mut e = crate::engine::normalize(&raw);
+                e.truncate(size);
+                e
+            })
+            .collect();
+        events[0] = vec![(n - 1) as NodeId]; // an isolated one-node event
+        let masks: Vec<NodeMask> = events.iter().map(|e| NodeMask::from_nodes(n, e)).collect();
+
+        let mut nodes: Vec<NodeId> = (0..rng.gen_range(1usize..90))
+            .map(|_| rng.gen_range(0..n as NodeId))
+            .collect();
+        nodes.extend_from_slice(&events[1][..5]); // overlap an event
+        nodes.push((n - 2) as NodeId); // isolated
+        nodes.push(nodes[0]); // repeated
+        let slot_lists: Vec<Vec<u32>> = (0..nodes.len())
+            .map(|i| match i % 4 {
+                0 => vec![4],                 // shared only
+                1 => vec![(i % 4) as u32, 4], // shared + private
+                2 => vec![0, 2, 3, 4, 5],     // many
+                _ => vec![(i % 6) as u32],    // private only
+            })
+            .collect();
+        let slot_refs: Vec<&[u32]> = slot_lists.iter().map(Vec::as_slice).collect();
+
+        let mut scratch = BfsScratch::new(n);
+        let mut want_sizes = Vec::new();
+        let mut want_counts = Vec::new();
+        for (&r, slots) in nodes.iter().zip(&slot_lists) {
+            for &s in slots {
+                let c = density_counts(&g, &mut scratch, r, h, &masks[s as usize], &masks[0]);
+                want_counts.push(c.count_a as u32);
+            }
+            want_sizes.push(scratch.vicinity_size(&g, r, h) as u32);
+        }
+
+        let pool = ScratchPool::for_graph(&g);
+        let rel = RelabeledGraph::build(&g);
+        let translated: Vec<Vec<NodeId>> = events.iter().map(|e| rel.map().map_to_new(e)).collect();
+        let plain = GroupKernelPlan {
+            graph: &g,
+            slot_nodes: &events,
+            translate: None,
+            h,
+            event_side: Some(&index),
+        };
+        let relabeled = GroupKernelPlan {
+            graph: rel.graph(),
+            slot_nodes: &translated,
+            translate: Some(rel.map()),
+            h,
+            event_side: Some(&index),
+        };
+        let chunks = |wanted: &[u32]| -> u64 {
+            wanted
+                .iter()
+                .map(|&s| events[s as usize].len().div_ceil(MAX_GROUP_SOURCES) as u64)
+                .sum()
+        };
+        for (label, plan) in [("plain", &plain), ("relabeled", &relabeled)] {
+            for threads in [1usize, 3] {
+                let got = run_grouped(
+                    plan,
+                    &pool,
+                    &nodes,
+                    &GroupSlots::PerNode(&slot_refs),
+                    threads,
+                    MAX_GROUP_SOURCES,
+                    &Budget::unlimited(),
+                )
+                .expect("unlimited budget");
+                let ctx = format!("seed {seed} {label} h={h} threads={threads}");
+                assert_eq!(got.sizes, want_sizes, "{ctx}: sizes");
+                assert_eq!(got.counts, want_counts, "{ctx}: counts");
+                assert_eq!(got.traversals, chunks(&[0, 1, 2, 3, 4, 5]), "{ctx}");
+            }
+        }
+        // Same slots for every node (the one-pair shape): only the
+        // wanted slots traverse.
+        let got = run_grouped(
+            &plain,
+            &pool,
+            &nodes,
+            &GroupSlots::Same(&[1, 4]),
+            1,
+            MAX_GROUP_SOURCES,
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget");
+        assert_eq!(got.traversals, chunks(&[1, 4]), "seed {seed}: pair chunks");
+        for (i, &r) in nodes.iter().enumerate() {
+            let c = density_counts(&g, &mut scratch, r, h, &masks[1], &masks[4]);
+            let cell = &got.counts[2 * i..2 * i + 2];
+            assert_eq!(cell, [c.count_a as u32, c.count_b as u32], "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn event_lanes_equal_scalar_counts_on_128_seeded_graphs() {
+        for seed in 0..128 {
+            event_lanes_case(70_000 + seed);
+        }
+    }
+
+    #[test]
+    fn interrupted_event_lanes_return_no_counts() {
+        let g = tesc_graph::generators::grid(12, 12);
+        let index = VicinityIndex::build(&g, 2);
+        let events = vec![(0..70).collect::<Vec<NodeId>>(), vec![100, 101]];
+        let plan = GroupKernelPlan {
+            graph: &g,
+            slot_nodes: &events,
+            translate: None,
+            h: 2,
+            event_side: Some(&index),
+        };
+        let pool = ScratchPool::for_graph(&g);
+        let nodes: Vec<NodeId> = (0..144).collect();
+        let run = |budget: &Budget| {
+            run_grouped(
+                &plan,
+                &pool,
+                &nodes,
+                &GroupSlots::Same(&[0, 1]),
+                2,
+                MAX_GROUP_SOURCES,
+                budget,
+            )
+        };
+        let cancelled = Budget::cancellable();
+        cancelled.cancel();
+        assert!(run(&cancelled).is_err(), "cancelled pass publishes nothing");
+        let done = run(&Budget::unlimited()).expect("unlimited budget");
+        assert_eq!(done.traversals, 3, "⌈70/64⌉ + ⌈2/64⌉ chunks");
+        assert_eq!(
+            done.counts,
+            run(&Budget::unlimited()).expect("rerun").counts,
+            "the pooled scratch stays reusable after an interruption"
+        );
+    }
+
+    #[test]
+    fn route_is_event_side_only_under_auto_with_a_covering_index() {
+        let g = tesc_graph::generators::grid(40, 40);
+        let index = VicinityIndex::build(&g, 2);
+        let refs: Vec<NodeId> = (0..400).collect();
+        let (a, b): (Vec<NodeId>, Vec<NodeId>) = ((0..20).collect(), (800..820).collect());
+        let events: [&[NodeId]; 2] = [&a, &b];
+        let route = |kernel, index, h| choose_route(kernel, &g, index, h, &refs, &events);
+        assert_eq!(route(BfsKernel::Auto, Some(&index), 2), Route::EventLanes);
+        // No index, an index shallower than h, or a partial one: the
+        // reference side.
+        assert_ne!(route(BfsKernel::Auto, None, 2), Route::EventLanes);
+        assert_ne!(route(BfsKernel::Auto, Some(&index), 3), Route::EventLanes);
+        let partial = VicinityIndex::build_for_nodes(&g, &a, 2);
+        assert_ne!(route(BfsKernel::Auto, Some(&partial), 2), Route::EventLanes);
+        // Explicit kernels are the oracles: always the reference side.
+        assert_eq!(route(BfsKernel::Scalar, Some(&index), 2), Route::PerNode);
+        assert_eq!(route(BfsKernel::Bitset, Some(&index), 2), Route::PerNode);
+        assert_eq!(route(BfsKernel::Multi, Some(&index), 2), Route::RefLanes);
+        // Events as large as the sample's vicinities: no event side.
+        let big: Vec<NodeId> = (0..1600).collect();
+        assert_ne!(
+            choose_route(BfsKernel::Auto, &g, Some(&index), 2, &refs[..20], &[&big]),
+            Route::EventLanes
+        );
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! randomness.
 
 use crate::cache::{DensityCache, EventKey};
-use crate::density::{translate_mask, DensityCounts, GroupKernelPlan, KernelPlan};
+use crate::density::{
+    choose_route, translate_mask, DensityCounts, GroupKernelPlan, KernelPlan, Route,
+};
 use crate::sampler::{
     batch_bfs_sample, importance_sample, rejection_sample, whole_graph_sample, SamplerKind,
     UniformSample,
@@ -245,7 +247,7 @@ impl VicinityRef<'_> {
 pub struct TescEngine<'a, G = CsrGraph> {
     graph: &'a G,
     vicinity: Option<VicinityRef<'a>>,
-    pool: ScratchPool,
+    pool: Arc<ScratchPool>,
     density_threads: usize,
     cache: Option<Arc<DensityCache>>,
     kernel: BfsKernel,
@@ -261,7 +263,7 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         TescEngine {
             graph,
             vicinity: None,
-            pool: ScratchPool::for_graph(graph),
+            pool: Arc::new(ScratchPool::for_graph(graph)),
             density_threads: 1,
             cache: None,
             kernel: BfsKernel::Auto,
@@ -308,6 +310,23 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
     }
 
+    /// Draw scratches from a shared pool instead of the engine's own —
+    /// the snapshot flow, where one pool outlives the per-request
+    /// engines so no request starts on a cold, page-faulting scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool was sized for a different node count.
+    pub(crate) fn with_scratch_pool(mut self, pool: Arc<ScratchPool>) -> Self {
+        assert_eq!(
+            pool.num_nodes(),
+            self.graph.num_nodes(),
+            "scratch pool sized for a different graph"
+        );
+        self.pool = pool;
+        self
+    }
+
     /// Build the `|V^h_v|` index for levels `1..=max_level` in place,
     /// honoring [`TescEngine::with_density_threads`] by routing
     /// through [`VicinityIndex::build_parallel`] — call
@@ -331,8 +350,12 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
 
     /// Attach a cross-pair [`DensityCache`]. Uniform-sampler density
     /// phases consult it; importance-sampling and intensity phases
-    /// bypass it (their per-node quantities are pair-specific).
-    /// Results are bit-identical with or without a cache.
+    /// bypass it (their per-node quantities are pair-specific), and so
+    /// does a one-pair [`TescEngine::test`] that resolves from the
+    /// event side (two cheap traversals; its entries would only serve
+    /// an exact repeat — planner passes over pair sets fill and read
+    /// the cache on every route). Results are bit-identical with or
+    /// without a cache.
     ///
     /// # Panics
     ///
@@ -542,25 +565,39 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
     }
 
-    /// Resolve this engine's grouped density execution plan. Shared
+    /// The one route decision of a density pass over `refs` × `events`
+    /// (original-space occurrence lists) — see [`choose_route`]. Shared
     /// with the planner's fused stage (b).
+    pub(crate) fn route(&self, h: u32, refs: &[NodeId], events: &[&[NodeId]]) -> Route {
+        choose_route(
+            self.kernel,
+            self.graph,
+            self.vicinity_index(),
+            h,
+            refs,
+            events,
+        )
+    }
+
+    /// Resolve this engine's grouped density execution plan for a
+    /// grouped `route` (event lanes read `|V^h_r|` off the engine's
+    /// index, which [`TescEngine::route`] has checked covers `h`).
+    /// Shared with the planner's fused stage (b).
     pub(crate) fn group_plan<'p>(
         &'p self,
         slot_nodes: &'p [Vec<NodeId>],
         h: u32,
+        route: Route,
     ) -> GroupKernelPlan<'p, G> {
-        match self.relabel.as_deref() {
-            Some(r) => GroupKernelPlan {
-                graph: r.graph(),
-                slot_nodes,
-                translate: Some(r.map()),
-                h,
-            },
-            None => GroupKernelPlan {
-                graph: self.graph,
-                slot_nodes,
-                translate: None,
-                h,
+        let relabel = self.relabel.as_deref();
+        GroupKernelPlan {
+            graph: relabel.map_or(self.graph, |r| r.graph()),
+            slot_nodes,
+            translate: relabel.map(|r| r.map()),
+            h,
+            event_side: match route {
+                Route::EventLanes => self.vicinity_index(),
+                _ => None,
             },
         }
     }
@@ -694,11 +731,11 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
 
     /// Uniform-sampler path: sample → densities → `t` (Eq. 4) → z.
     /// With an attached [`DensityCache`] (and `keys` present), the
-    /// density phase memoizes per-`(event, node, h)` counts. When the
-    /// kernel policy engages source grouping
-    /// ([`BfsKernel::use_multi_source`]), the sampled reference nodes
-    /// are batched into 64-way multi-source traversals instead of one
-    /// BFS each; every configuration is bit-identical.
+    /// density phase memoizes per-`(event, node, h)` counts. The
+    /// route ([`TescEngine::route`]) picks one BFS per sampled node,
+    /// the nodes batched into 64-way multi-source traversals, or the
+    /// two events' occurrence nodes traversing as lanes; every
+    /// configuration is bit-identical.
     #[allow(clippy::too_many_arguments)] // internal fan-in of one test's resolved pieces
     fn test_uniform(
         &self,
@@ -715,14 +752,17 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
             let mut scratch = self.pool.acquire();
             self.draw_uniform_sample(&mut scratch, union, cfg, rng)?
         };
-        if self
-            .kernel
-            .use_multi_source(self.graph, cfg.h, sample.nodes.len())
-        {
+        let route = self.route(cfg.h, &sample.nodes, &[a_nodes, b_nodes]);
+        if route != Route::PerNode {
             let slot_nodes = self.group_slot_nodes(&[a_nodes, b_nodes]);
-            let gplan = self.group_plan(&slot_nodes, cfg.h);
-            let (sa, sb) = match (self.cache.as_deref(), keys) {
-                (Some(cache), Some((key_a, key_b))) => {
+            let gplan = self.group_plan(&slot_nodes, cfg.h, route);
+            // A one-pair pass resolved from the event side bypasses the
+            // cache, like the importance and intensity phases: its
+            // entries could only ever skip work on an exact repeat of
+            // this seeded sample (two traversals), yet they are what
+            // fills a serving cache (docs/PERFORMANCE.md §9).
+            let (sa, sb) = match (self.cache.as_deref(), keys, route) {
+                (Some(cache), Some((key_a, key_b)), Route::RefLanes) => {
                     crate::density::density_vectors_cached_group_plan_budgeted(
                         &gplan,
                         &self.pool,
@@ -944,9 +984,10 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         // and runs through the same kernel/relabeling plan. Source
         // grouping fuses the union set as a third slot, so one
         // multi-source traversal still yields all four integers.
-        let counts: Vec<DensityCounts> = if self.kernel.use_multi_source(self.graph, cfg.h, n) {
+        let route = self.route(cfg.h, &sample.nodes, &[a_nodes, b_nodes, union]);
+        let counts: Vec<DensityCounts> = if route != Route::PerNode {
             let slot_nodes = self.group_slot_nodes(&[a_nodes, b_nodes, union]);
-            let gplan = self.group_plan(&slot_nodes, cfg.h);
+            let gplan = self.group_plan(&slot_nodes, cfg.h, route);
             crate::density::density_counts_group_plan_budgeted(
                 &gplan,
                 &self.pool,
@@ -1023,12 +1064,10 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 found: population.len(),
             });
         }
-        let (sa, sb) = if self
-            .kernel
-            .use_multi_source(self.graph, h, population.len())
-        {
+        let route = self.route(h, &population, &[&a_sorted, &b_sorted]);
+        let (sa, sb) = if route != Route::PerNode {
             let slot_nodes = self.group_slot_nodes(&[&a_sorted, &b_sorted]);
-            let gplan = self.group_plan(&slot_nodes, h);
+            let gplan = self.group_plan(&slot_nodes, h, route);
             crate::density::density_vectors_group_plan(
                 &gplan,
                 &self.pool,

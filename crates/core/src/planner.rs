@@ -24,16 +24,30 @@
 //!   ([`EventKey`]-keyed, so two pairs naming the same node set share
 //!   one slot), and derive the deduplicated reference-node **workset**:
 //!   each distinct node, tagged with the event slots that touch it.
-//! * **fused density (stage b).** ONE `h`-hop BFS per distinct
-//!   reference node, scored against *all* its events in a single
-//!   word sweep over the visited bitmap
-//!   ([`crate::density::MultiKernelPlan`], the M-event generalization
-//!   of `density_counts_bitset`). Kernel × relabeling × cache all
-//!   compose exactly as in the per-pair path: the BFS runs on the
-//!   engine's substrate with the engine's kernel, and an attached
-//!   [`DensityCache`] is consulted first via its multi-event probe
+//! * **fused density (stage b).** Every `(distinct reference node,
+//!   event)` count of the set, resolved once by one of three
+//!   **routes** — chosen once per pass by the engine's one route
+//!   decision ([`crate::density::choose_route`], a pure function of
+//!   the plan and the vicinity index):
+//!   *per-node*, ONE `h`-hop BFS per distinct reference node scored
+//!   against *all* its events in a single word sweep over the visited
+//!   bitmap ([`crate::density::MultiKernelPlan`], the M-event
+//!   generalization of `density_counts_bitset`); *reference lanes*,
+//!   those nodes batched 64 to a multi-source traversal; or *event
+//!   lanes*, the same multi-source kernel driven from the smaller side
+//!   of the join — each event's occurrence nodes traverse as lanes,
+//!   `⌈|V_e|/64⌉` traversals per event however many nodes ask, with
+//!   `|V^h_r|` read from the index
+//!   ([`crate::density::GroupKernelPlan`]). Kernel × relabeling × cache
+//!   all compose exactly as in the per-pair path: traversals run on
+//!   the engine's substrate, and an attached [`DensityCache`] is
+//!   consulted first via its multi-event probe
 //!   ([`DensityCache::lookup_many`]) — a node whose every slot is
-//!   memoized skips its BFS entirely.
+//!   memoized is not traversed for, on any route, and completed
+//!   passes insert what they measured (so a warm repeat is probes
+//!   only). [`FusedDensities::bfs_run`] counts nodes resolved by
+//!   traversal; [`FusedDensities::traversals`] counts what physically
+//!   ran (nodes, source groups or event chunks).
 //! * **scatter + correlate (stage c).** The per-(event, node) counts
 //!   are scattered back into each pair's density vectors (in that
 //!   pair's own sample order) and the existing correlate/significance
@@ -51,8 +65,9 @@
 //!
 //! **Why it is faster.** With `P` pairs sharing events, the per-pair
 //! path (even fully cached) runs one BFS per *(pair, reference node)*
-//! whose slots are not both memoized; the planner runs one BFS per
-//! *distinct* reference node of the whole set. The
+//! whose slots are not both memoized; the planner runs at most one BFS
+//! per *distinct* reference node of the whole set — and `⌈|V_e|/64⌉`
+//! traversals per distinct *event* where that is the smaller side. The
 //! `fused/allpairs` rows of the `rank_events` bench measure the ratio
 //! (`Σ_i n_i` sampled vs [`PairSetPlan::distinct_refs`] distinct).
 //!
@@ -61,7 +76,9 @@
 
 use crate::batch::{EventPair, PairOutcome};
 use crate::cache::{CachedCount, DensityCache, EventKey, ProbeGovernor};
-use crate::density::{map_refs_pooled, run_grouped, translate_mask, GroupSlots, MultiKernelPlan};
+use crate::density::{
+    map_refs_pooled, run_grouped, translate_mask, GroupSlots, MultiKernelPlan, Route,
+};
 use crate::engine::{normalize, Statistic, TescConfig, TescEngine, TescError, TescResult};
 use crate::sampler::{importance_sample, SamplerKind, UniformSample, WeightedSample};
 use rand::rngs::StdRng;
@@ -121,32 +138,35 @@ struct NodeDensity {
 
 /// The materialized output of [`PairSetPlan::run_density`]: per
 /// distinct reference node, `|V^h_r|` and one intersection count per
-/// event slot touching that node (aligned with the plan's slot lists).
+/// event slot touching that node (flat, aligned with the plan's slot
+/// lists).
 #[derive(Debug, Clone)]
 pub struct FusedDensities {
     sizes: Vec<u32>,
-    counts: Vec<Vec<u32>>,
+    counts: Vec<u32>,
     bfs_run: u64,
     traversals: u64,
 }
 
 impl FusedDensities {
-    /// How many reference nodes the fused pass actually measured by
-    /// BFS (nodes whose every slot hit an attached cache are skipped).
+    /// How many reference nodes the fused pass resolved by traversal
+    /// (nodes whose every slot hit an attached cache are skipped).
     /// Counted per **node**, not per traversal, so cache accounting is
-    /// identical whether those nodes ran one single-source search each
-    /// or were batched 64 to a multi-source traversal — see
-    /// [`FusedDensities::traversals`] for the physical count.
+    /// identical whether those nodes ran one single-source search
+    /// each, were batched 64 to a multi-source traversal, or were
+    /// reached by event lanes — see [`FusedDensities::traversals`] for
+    /// the physical count.
     #[inline]
     pub fn bfs_run(&self) -> u64 {
         self.bfs_run
     }
 
     /// How many graph traversals the fused pass physically executed:
-    /// equals [`FusedDensities::bfs_run`] on the per-node path, and the
-    /// number of source groups (`⌈bfs_run / group_size⌉`) when the
-    /// engine's kernel engaged multi-source batching —
-    /// `bfs_run / traversals` is the edge-scan amortization factor.
+    /// equals [`FusedDensities::bfs_run`] on the per-node route, the
+    /// number of source groups (`⌈bfs_run / group_size⌉`) on the
+    /// reference-lane route, and the number of event chunks
+    /// (`Σ ⌈|V_e|/64⌉` over the events with an unresolved count) on the
+    /// event-lane route.
     #[inline]
     pub fn traversals(&self) -> u64 {
         self.traversals
@@ -170,9 +190,11 @@ pub struct PairSetPlan<'e, 'g, G = CsrGraph> {
     substrate_masks: Option<Vec<NodeMask>>,
     /// Distinct reference-node workset, ascending.
     nodes: Vec<NodeId>,
-    /// `slot_lists[i]` = sorted distinct event slots node `nodes[i]`
-    /// must be scored against.
-    slot_lists: Vec<Vec<u32>>,
+    /// The sorted distinct event slots node `nodes[i]` must be scored
+    /// against are `slot_flat[slot_starts[i]..slot_starts[i + 1]]`
+    /// (see [`PairSetPlan::slots_of`]); fused counts share the layout.
+    slot_starts: Vec<u32>,
+    slot_flat: Vec<u32>,
     sampled_refs: usize,
 }
 
@@ -235,40 +257,50 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             });
         }
 
-        // Deduplicated reference workset: distinct node → slots.
-        let mut node_slots: HashMap<NodeId, Vec<u32>> = HashMap::new();
+        // Deduplicated reference workset: every (node, slot) incidence
+        // packed into one word, sorted and deduplicated — distinct
+        // nodes ascending, each with its sorted distinct slots, flat.
+        let mut cells: Vec<u64> = Vec::new();
         let mut sampled_refs = 0usize;
         for p in &planned {
-            let (nodes, slots): (&[NodeId], Vec<u32>) = match &p.state {
+            let (sample_nodes, slots): (&[NodeId], [Option<u32>; 3]) = match &p.state {
                 Err(_) => continue,
                 Ok(PlannedState::Uniform {
                     sample,
                     slot_a,
                     slot_b,
-                }) => (&sample.nodes, vec![*slot_a, *slot_b]),
+                }) => (&sample.nodes, [Some(*slot_a), Some(*slot_b), None]),
                 Ok(PlannedState::Weighted {
                     sample,
                     slot_a,
                     slot_b,
                     slot_union,
-                }) => (&sample.nodes, vec![*slot_a, *slot_b, *slot_union]),
+                }) => (
+                    &sample.nodes,
+                    [Some(*slot_a), Some(*slot_b), Some(*slot_union)],
+                ),
             };
-            sampled_refs += nodes.len();
-            for &r in nodes {
-                node_slots.entry(r).or_default().extend_from_slice(&slots);
+            sampled_refs += sample_nodes.len();
+            for &r in sample_nodes {
+                for slot in slots.into_iter().flatten() {
+                    cells.push((r as u64) << 32 | slot as u64);
+                }
             }
         }
-        let mut nodes: Vec<NodeId> = node_slots.keys().copied().collect();
-        nodes.sort_unstable();
-        let slot_lists: Vec<Vec<u32>> = nodes
-            .iter()
-            .map(|r| {
-                let mut v = node_slots.remove(r).expect("workset node");
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        let mut nodes: Vec<NodeId> = Vec::new();
+        let mut slot_starts: Vec<u32> = Vec::new();
+        let mut slot_flat: Vec<u32> = Vec::with_capacity(cells.len());
+        for cell in cells {
+            let r = (cell >> 32) as NodeId;
+            if nodes.last() != Some(&r) {
+                nodes.push(r);
+                slot_starts.push(slot_flat.len() as u32);
+            }
+            slot_flat.push(cell as u32);
+        }
+        slot_starts.push(slot_flat.len() as u32);
 
         let substrate_masks = engine
             .relabeled()
@@ -282,9 +314,23 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             masks,
             substrate_masks,
             nodes,
-            slot_lists,
+            slot_starts,
+            slot_flat,
             sampled_refs,
         }
+    }
+
+    /// Range of node `i`'s cells in the flat slot/count layout.
+    #[inline]
+    fn cells_of(&self, i: usize) -> std::ops::Range<usize> {
+        self.slot_starts[i] as usize..self.slot_starts[i + 1] as usize
+    }
+
+    /// The sorted distinct event slots workset node `i` is scored
+    /// against.
+    #[inline]
+    fn slots_of(&self, i: usize) -> &[u32] {
+        &self.slot_flat[self.cells_of(i)]
     }
 
     /// Number of pairs in the plan (request order is preserved
@@ -349,18 +395,28 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// proceed to BFS; fresh counts fill the missing slots per lane.
     /// Output is positionally deterministic at any thread count.
     ///
-    /// Two executors, chosen by the engine's kernel policy
-    /// ([`BfsKernel::use_multi_source`](tesc_graph::BfsKernel::use_multi_source)),
-    /// both bit-identical:
+    /// Three routes, chosen once per pass by the engine's one route
+    /// decision ([`crate::density::choose_route`], a pure function of
+    /// the plan and the engine's vicinity index), all bit-identical:
     ///
     /// * **per-node** — one `h`-hop BFS per pending node
     ///   ([`MultiKernelPlan`], a single visited-bitmap word sweep per
     ///   node);
-    /// * **source-grouped** — pending nodes batched up to 64 per
-    ///   multi-source traversal ([`crate::density::GroupKernelPlan`]), one bit-lane
-    ///   each, so adjacent workset nodes stop re-streaming the same
-    ///   edge lists (the `fused` rows of the `rank_events` bench
-    ///   measure the effect).
+    /// * **reference lanes** — pending nodes batched up to 64 per
+    ///   multi-source traversal ([`crate::density::GroupKernelPlan`]),
+    ///   one bit-lane each, so adjacent workset nodes stop re-streaming
+    ///   the same edge lists (the `fused` rows of the `rank_events`
+    ///   bench measure the effect);
+    /// * **event lanes** — the same kernel driven from the smaller side
+    ///   of the join: each event's occurrence nodes traverse as lanes,
+    ///   `⌈|V_e|/64⌉` traversals per event however many reference nodes
+    ///   ask, and `|V^h_r|` is read from the vicinity index
+    ///   (`Auto` only, when the index covers `h` and the cost estimate
+    ///   says so with margin — `docs/PERFORMANCE.md` §9).
+    ///
+    /// The cache rule is the same on both grouped routes: probe first,
+    /// traverse only for the pending nodes, insert only after the pass
+    /// completed — so a warm repeat runs zero traversals.
     pub fn run_density(&self, threads: usize) -> FusedDensities {
         self.run_density_budgeted(threads, &Budget::unlimited())
             .expect("unlimited budget cannot exhaust")
@@ -375,27 +431,21 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         threads: usize,
         budget: &Budget,
     ) -> Result<FusedDensities, Interrupted> {
-        match self.group_size() {
-            Some(group_size) => self.run_density_grouped(threads, group_size, budget),
-            None => self.run_density_per_node(threads, budget),
+        let key_sets: Vec<&[NodeId]> = self.keys.iter().map(|k| k.nodes()).collect();
+        match self.engine.route(self.cfg.h, &self.nodes, &key_sets) {
+            Route::PerNode => self.run_density_per_node(threads, budget),
+            route => self.run_density_grouped(threads, route, &key_sets, budget),
         }
     }
 
-    /// Group size for stage (b), when the engine's kernel policy
-    /// engages multi-source batching for this workset.
-    fn group_size(&self) -> Option<usize> {
-        self.engine
-            .density_kernel()
-            .use_multi_source(self.engine.graph(), self.cfg.h, self.nodes.len())
-            .then(|| self.engine.source_group_size())
-    }
-
     /// Stage (b), grouped executor: cache probe per node, then the
-    /// pending workset partitioned into consecutive source groups.
+    /// pending workset resolved by multi-source traversals in the
+    /// route's direction.
     fn run_density_grouped(
         &self,
         threads: usize,
-        group_size: usize,
+        route: Route,
+        key_sets: &[&[NodeId]],
         budget: &Budget,
     ) -> Result<FusedDensities, Interrupted> {
         let h = self.cfg.h;
@@ -403,125 +453,129 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         // distinct event — via the engine's own grouped-plan helpers,
         // so substrate resolution cannot drift between the per-pair
         // and fused paths.
-        let key_sets: Vec<&[NodeId]> = self.keys.iter().map(|k| k.nodes()).collect();
-        let slot_nodes = self.engine.group_slot_nodes(&key_sets);
-        let gplan = self.engine.group_plan(&slot_nodes, h);
-        let cache: Option<&DensityCache> = self.engine.density_cache().map(|c| c.as_ref());
+        let slot_nodes = self.engine.group_slot_nodes(key_sets);
+        let gplan = self.engine.group_plan(&slot_nodes, h, route);
+        // `run_grouped` re-checks the budget after the traversals, so
+        // its `Ok` means every count is from a completed search — safe
+        // to publish and to memoize.
+        let run = |nodes: &[NodeId], slot_refs: &[&[u32]]| {
+            run_grouped(
+                &gplan,
+                self.engine.pool(),
+                nodes,
+                &GroupSlots::PerNode(slot_refs),
+                threads,
+                self.engine.source_group_size(),
+                budget,
+            )
+        };
         let n = self.nodes.len();
-        let mut sizes = vec![0u32; n];
-        let mut counts: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let Some(cache) = self.engine.density_cache() else {
+            // No cache: the whole workset is pending, in workset order,
+            // so the grouped result *is* the fused result.
+            let slot_refs: Vec<&[u32]> = (0..n).map(|i| self.slots_of(i)).collect();
+            let fresh = run(&self.nodes, &slot_refs)?;
+            return Ok(FusedDensities {
+                sizes: fresh.sizes,
+                counts: fresh.counts,
+                bfs_run: n as u64,
+                traversals: fresh.traversals,
+            });
+        };
 
         // Cache-probe stage: fully-memoized nodes resolve without a
-        // BFS; the rest join the grouped traversals with their hit
-        // vectors kept for the per-lane fill.
-        let mut pending: Vec<usize> = Vec::new();
-        // Per pending node: its probe outcome (all-`None` when the
+        // traversal; the rest stay pending with their hit vectors kept
+        // for the per-cell fill (empty when every slot missed or the
         // pass's governor dropped the probe — the node is treated as a
-        // full miss and its fresh counts still warm the cache).
-        let mut pending_hits: Vec<Vec<Option<CachedCount>>> = Vec::new();
-        if let Some(cache) = cache {
-            // Probe stage, parallel (crate::density::map_indexed): on a
-            // warm cache the whole pass is nothing but probes, so they
-            // fan out like the BFS stage does.
-            let governor = ProbeGovernor::new();
-            let probes = crate::density::map_indexed(n, threads, Vec::new(), |i| {
-                let mut hits: Vec<Option<CachedCount>> = Vec::new();
-                if governor.engaged() {
-                    let all = cache.lookup_many(
-                        self.slot_lists[i].iter().map(|&s| &self.keys[s as usize]),
-                        self.nodes[i],
-                        h,
-                        &mut hits,
-                    );
-                    governor.record(all);
-                } else {
-                    hits.resize(self.slot_lists[i].len(), None);
-                }
-                hits
-            });
-            for (i, hits) in probes.into_iter().enumerate() {
-                if hits.iter().all(Option::is_some) {
-                    let size = hits[0].expect("all slots hit").vicinity_size;
-                    debug_assert!(
-                        hits.iter().all(|c| c.expect("hit").vicinity_size == size),
-                        "inconsistent cache"
-                    );
-                    sizes[i] = size;
-                    counts[i] = hits.iter().map(|c| c.expect("hit").count).collect();
-                } else {
-                    pending.push(i);
-                    pending_hits.push(hits);
+        // full miss and its fresh counts still warm the cache). Probes
+        // run in parallel (crate::density::map_indexed): on a warm
+        // cache the whole pass is nothing but probes, so they fan out
+        // like the BFS stage does.
+        let governor = ProbeGovernor::new();
+        let probes = crate::density::map_indexed(n, threads, Vec::new(), |i| {
+            let mut hits: Vec<Option<CachedCount>> = Vec::new();
+            if governor.engaged() {
+                let all = cache.lookup_many(
+                    self.slots_of(i).iter().map(|&s| &self.keys[s as usize]),
+                    self.nodes[i],
+                    h,
+                    &mut hits,
+                );
+                governor.record(all);
+                if hits.iter().all(Option::is_none) {
+                    hits = Vec::new();
                 }
             }
-        } else {
-            pending = (0..n).collect();
+            hits
+        });
+        let mut sizes = vec![0u32; n];
+        let mut counts = vec![0u32; self.slot_flat.len()];
+        let mut pending: Vec<usize> = Vec::new();
+        let mut pending_hits: Vec<Vec<Option<CachedCount>>> = Vec::new();
+        for (i, hits) in probes.into_iter().enumerate() {
+            if !hits.is_empty() && hits.iter().all(Option::is_some) {
+                let size = hits[0].expect("all slots hit").vicinity_size;
+                debug_assert!(
+                    hits.iter().all(|c| c.expect("hit").vicinity_size == size),
+                    "inconsistent cache"
+                );
+                sizes[i] = size;
+                for (cell, hit) in counts[self.cells_of(i)].iter_mut().zip(&hits) {
+                    *cell = hit.expect("hit").count;
+                }
+            } else {
+                pending.push(i);
+                pending_hits.push(hits);
+            }
         }
 
         let nodes: Vec<NodeId> = pending.iter().map(|&i| self.nodes[i]).collect();
-        let slot_refs: Vec<&[u32]> = pending
-            .iter()
-            .map(|&i| self.slot_lists[i].as_slice())
-            .collect();
-        let group_size = group_size.clamp(1, tesc_graph::MAX_GROUP_SOURCES);
-        // `run_grouped` re-checks the budget after the traversals, so
-        // reaching the scatter below means every fresh count is from a
-        // completed search — the bulk cache insertion stays safe.
-        let (fresh_sizes, fresh_counts) = run_grouped(
-            &gplan,
-            self.engine.pool(),
-            &nodes,
-            &GroupSlots::PerNode(&slot_refs),
-            threads,
-            group_size,
-            budget,
-        )?;
+        let slot_refs: Vec<&[u32]> = pending.iter().map(|&i| self.slots_of(i)).collect();
+        let fresh = run(&nodes, &slot_refs)?;
 
-        // Scatter + cache fill, per lane: prefer the memoized integer
+        // Scatter + cache fill, per cell: prefer the memoized integer
         // where a slot hit (same value, same policy as the per-node
-        // path); the fresh ones accumulate into one bulk insertion —
-        // one lock per shard for the whole pass, not one per node.
-        let mut bulk: Vec<(NodeId, &EventKey, CachedCount)> = Vec::new();
-        for (k, (&i, fresh)) in pending.iter().zip(fresh_counts).enumerate() {
-            let r = self.nodes[i];
-            let size = fresh_sizes[k];
+        // path); the fresh ones go to the cache in bounded batches —
+        // one lock per shard per batch, not one per node, and never a
+        // pass-wide staging vector.
+        const FILL_BATCH: usize = 4096;
+        let mut batch: Vec<(NodeId, &EventKey, CachedCount)> = Vec::new();
+        let mut fresh_counts = fresh.counts.iter();
+        for ((&i, hits), &size) in pending.iter().zip(&pending_hits).zip(&fresh.sizes) {
             sizes[i] = size;
-            if cache.is_some() {
-                let slots = &self.slot_lists[i];
-                let hits = &pending_hits[k];
-                counts[i] = slots
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &s)| match hits[j] {
-                        Some(c) => {
-                            debug_assert_eq!(c.vicinity_size, size, "inconsistent cache");
-                            c.count
-                        }
-                        None => {
-                            bulk.push((
-                                r,
-                                &self.keys[s as usize],
-                                CachedCount {
-                                    vicinity_size: size,
-                                    count: fresh[j],
-                                },
-                            ));
-                            fresh[j]
-                        }
-                    })
-                    .collect();
-            } else {
-                counts[i] = fresh;
+            let cells = self.cells_of(i);
+            for (j, cell) in counts[cells.clone()].iter_mut().enumerate() {
+                let count = *fresh_counts.next().expect("one fresh count per cell");
+                *cell = match hits.get(j).copied().flatten() {
+                    Some(c) => {
+                        debug_assert_eq!(c.vicinity_size, size, "inconsistent cache");
+                        c.count
+                    }
+                    None => {
+                        let slot = self.slot_flat[cells.start + j];
+                        batch.push((
+                            self.nodes[i],
+                            &self.keys[slot as usize],
+                            CachedCount {
+                                vicinity_size: size,
+                                count,
+                            },
+                        ));
+                        count
+                    }
+                };
+            }
+            if batch.len() >= FILL_BATCH {
+                cache.insert_bulk(h, batch.drain(..));
             }
         }
-        if let Some(cache) = cache {
-            cache.record_bfs_n(pending.len() as u64);
-            cache.insert_bulk(h, bulk);
-        }
+        cache.record_bfs_n(pending.len() as u64);
+        cache.insert_bulk(h, batch);
         Ok(FusedDensities {
             sizes,
             counts,
             bfs_run: pending.len() as u64,
-            traversals: nodes.len().div_ceil(group_size) as u64,
+            traversals: fresh.traversals,
         })
     }
 
@@ -561,7 +615,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                     return skipped();
                 }
                 let i = self.nodes.binary_search(&r).expect("workset node");
-                let slots = &self.slot_lists[i];
+                let slots = self.slots_of(i);
                 let Some(cache) = cache else {
                     let mut counts = Vec::new();
                     let Ok(size) =
@@ -648,7 +702,8 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         );
         budget.check()?;
         let bfs_run = per_node.iter().filter(|d| d.did_bfs).count() as u64;
-        let (sizes, counts) = per_node.into_iter().map(|d| (d.size, d.counts)).unzip();
+        let sizes = per_node.iter().map(|d| d.size).collect();
+        let counts = per_node.into_iter().flat_map(|d| d.counts).collect();
         Ok(FusedDensities {
             sizes,
             counts,
@@ -705,10 +760,14 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             .nodes
             .binary_search(&r)
             .expect("sampled node in workset");
-        let j = self.slot_lists[i]
+        let j = self
+            .slots_of(i)
             .binary_search(&slot)
             .expect("pair slot registered for node");
-        (fused.sizes[i], fused.counts[i][j])
+        (
+            fused.sizes[i],
+            fused.counts[self.slot_starts[i] as usize + j],
+        )
     }
 
     /// Scatter one pair's density vectors (and ω weights for

@@ -110,10 +110,20 @@ impl Json {
             }
             Json::Num(x) => {
                 if x.is_finite() {
-                    // Rust's f64 Display is shortest-round-trip: the
-                    // printed decimal parses back to the same bits.
+                    // Rust's f64 Display and LowerExp are both
+                    // shortest-round-trip: the printed decimal parses
+                    // back to the same bits. Display never uses an
+                    // exponent, so outside the window where positional
+                    // notation is readable (ECMAScript's: 1e-6 ≤ |x| <
+                    // 1e21) a p-value of 1e-200 would be 200 digits
+                    // long — switch to exponent notation there.
                     let start = out.len();
-                    let _ = write!(out, "{x}");
+                    let magnitude = x.abs();
+                    if *x == 0.0 || (1e-6..1e21).contains(&magnitude) {
+                        let _ = write!(out, "{x}");
+                    } else {
+                        let _ = write!(out, "{x:e}");
+                    }
                     if !out[start..].contains(['.', 'e']) {
                         // Whole-valued floats print as "2" — keep them
                         // in the float lane across a round trip.
@@ -442,6 +452,46 @@ mod tests {
     fn whole_valued_floats_stay_floats() {
         assert_eq!(Json::Num(2.0).encode(), "2.0");
         assert_eq!(Json::parse("2.0").unwrap(), Json::Num(2.0));
+    }
+
+    #[test]
+    fn extreme_magnitudes_use_exponent_notation_and_round_trip() {
+        // Outside 1e-6 ≤ |x| < 1e21 the encoding is exponent notation,
+        // short, and parses back to the same bits in the float lane.
+        for (x, text) in [
+            (1e-200, "1e-200"),
+            (-1e-200, "-1e-200"),
+            (1e300, "1e300"),
+            (1e21, "1e21"),
+            (9.99e-7, "9.99e-7"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+            (f64::MAX, "1.7976931348623157e308"),
+            (5e-324, "5e-324"),
+        ] {
+            let encoded = Json::Num(x).encode();
+            assert_eq!(encoded, text);
+            assert_eq!(Json::parse(&encoded).unwrap(), Json::Num(x), "{encoded}");
+            match Json::parse(&encoded).unwrap() {
+                Json::Num(y) => assert_eq!(x.to_bits(), y.to_bits(), "{encoded}"),
+                other => panic!("{encoded} left the float lane: {other:?}"),
+            }
+        }
+        // Inside the window nothing changes, whole values keep `.0`.
+        for (x, text) in [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (0.000001, "0.000001"),
+            (123456789.0, "123456789.0"),
+            (1e20, "100000000000000000000.0"),
+            (-2.5, "-2.5"),
+        ] {
+            let encoded = Json::Num(x).encode();
+            assert_eq!(encoded, text);
+            match Json::parse(&encoded).unwrap() {
+                Json::Num(y) => assert_eq!(x.to_bits(), y.to_bits(), "{encoded}"),
+                other => panic!("{encoded} left the float lane: {other:?}"),
+            }
+        }
     }
 
     #[test]

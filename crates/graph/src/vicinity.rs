@@ -19,6 +19,8 @@ pub struct VicinityIndex {
     max_level: u32,
     /// `levels[h-1][v]` = |V^h_v| ; `|V^0_v|` = 1 is implicit.
     levels: Vec<Vec<u32>>,
+    /// Every node has an entry (false for [`VicinityIndex::build_for_nodes`]).
+    complete: bool,
 }
 
 impl VicinityIndex {
@@ -50,7 +52,11 @@ impl VicinityIndex {
                 use_bitset,
             );
         }
-        VicinityIndex { max_level, levels }
+        VicinityIndex {
+            max_level,
+            levels,
+            complete: true,
+        }
     }
 
     /// Build the index with `threads` worker threads (scoped std
@@ -109,7 +115,11 @@ impl VicinityIndex {
                 }
             });
         }
-        VicinityIndex { max_level, levels }
+        VicinityIndex {
+            max_level,
+            levels,
+            complete: true,
+        }
     }
 
     /// Build the index *only for the given nodes* (sizes of all other
@@ -138,7 +148,11 @@ impl VicinityIndex {
                 use_bitset,
             );
         }
-        VicinityIndex { max_level, levels }
+        VicinityIndex {
+            max_level,
+            levels,
+            complete: false,
+        }
     }
 
     #[allow(clippy::too_many_arguments)] // internal fill helper
@@ -163,6 +177,16 @@ impl VicinityIndex {
     #[inline]
     pub fn max_level(&self) -> u32 {
         self.max_level
+    }
+
+    /// Does the index hold `|V^h_v|` for **every** node and every level
+    /// `0..=h`? False for an index shallower than `h` and for one built
+    /// by [`VicinityIndex::build_for_nodes`], whose unqueried nodes read
+    /// 0 — callers that look up arbitrary reference nodes (the
+    /// event-side density route in `tesc`) must check this first.
+    #[inline]
+    pub fn covers(&self, h: u32) -> bool {
+        self.complete && h <= self.max_level
     }
 
     /// `|V^h_v|`. `h = 0` returns 1.
@@ -421,6 +445,9 @@ mod tests {
         }
         // Unqueried nodes read 0 (documented sentinel).
         assert_eq!(sparse.size(0, 1), 0);
+        // ...which is why only the full build covers arbitrary nodes.
+        assert!(full.covers(0) && full.covers(2) && !full.covers(3));
+        assert!(!sparse.covers(1));
     }
 
     #[test]

@@ -313,3 +313,78 @@ fn anytime_speedup_mechanics_on_allpairs() {
         );
     }
 }
+
+/// The anytime tiers on a candidate list `Auto` resolves from the
+/// **event side** (private 20-node events on a preferential-attachment
+/// graph, index to depth 2): every tier's density pass takes that
+/// route, and the reports — ranking, decided-at sizes, round count —
+/// must equal the `Scalar` engine's bit for bit, for every sampler,
+/// with the cache cold and warm, plain and relabeled, at 1 and 4
+/// threads.
+#[test]
+fn event_side_tiers_bit_identical_to_scalar_engine() {
+    use rand::Rng;
+    let g = tesc_graph::generators::barabasi_albert(3000, 3, &mut rng(120));
+    let idx = VicinityIndex::build(&g, 2);
+    let mut r = rng(121);
+    let mut event =
+        |base: u32| -> Vec<NodeId> { (0..20).map(|_| base + r.gen_range(0..300u32)).collect() };
+    let pairs: Vec<EventPair> = (0..8u32)
+        .map(|i| EventPair::new(format!("p{i}"), event(300 * i), event(300 * i + 150)))
+        .collect();
+    // The route of a full-size pass, pinned through the traversal
+    // count: one ≤ 64-lane chunk per event.
+    {
+        use tesc::planner::PairSetPlan;
+        let cfg = TescConfig::new(2).with_sample_size(240);
+        let seeds: Vec<u64> = pairs.iter().map(|p| content_seed(4, &p.a, &p.b)).collect();
+        let engine = TescEngine::with_vicinity_index(&g, &idx);
+        let plan = PairSetPlan::build(&engine, &pairs, &cfg, &seeds, 1);
+        assert_eq!(plan.run_density(1).traversals(), plan.num_events() as u64);
+    }
+    for sampler in [
+        SamplerKind::BatchBfs,
+        SamplerKind::Rejection,
+        SamplerKind::Importance { batch_size: 3 },
+        SamplerKind::WholeGraph,
+    ] {
+        let cfg = TescConfig::new(2)
+            .with_sample_size(240)
+            .with_tail(Tail::Upper)
+            .with_sampler(sampler);
+        let req = RankRequest::new(cfg)
+            .with_seed(4)
+            .with_top_k(3)
+            .with_pairs(pairs.clone());
+        let scalar =
+            TescEngine::with_vicinity_index(&g, &idx).with_density_kernel(BfsKernel::Scalar);
+        let exact = fingerprint(&rank_pairs(&scalar, &req));
+        for eps in [0.0, 0.2] {
+            let anytime = req.clone().with_mode(RankMode::anytime(eps));
+            let want = rank_pairs(&scalar, &anytime);
+            if eps == 0.0 {
+                assert_eq!(exact, fingerprint(&want), "{sampler}: anytime(0) = exact");
+            }
+            for relabel in [false, true] {
+                let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
+                for round in ["cold", "warm"] {
+                    for threads in [1usize, 4] {
+                        let engine = TescEngine::with_vicinity_index(&g, &idx)
+                            .with_relabeling(relabel)
+                            .with_density_cache(cache.clone());
+                        let got = rank_pairs(&engine, &anytime.clone().with_threads(threads));
+                        let ctx = format!(
+                            "{sampler}: eps={eps} relabel={relabel} cache {round} @ {threads}t"
+                        );
+                        assert_eq!(fingerprint(&want), fingerprint(&got), "{ctx}");
+                        assert_eq!(want.rounds, got.rounds, "{ctx}: rounds");
+                        let decided = |rep: &tesc::RankReport| -> Vec<usize> {
+                            rep.ranked.iter().map(|e| e.decided_at_n).collect()
+                        };
+                        assert_eq!(decided(&want), decided(&got), "{ctx}: decided_at_n");
+                    }
+                }
+            }
+        }
+    }
+}

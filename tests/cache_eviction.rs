@@ -15,7 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tesc::cache::SLOT_BYTES;
 use tesc::context::TescContext;
-use tesc::{DensityCache, EventStore, SamplerKind, TescConfig, TescEngine};
+use tesc::planner::PairSetPlan;
+use tesc::{DensityCache, EventPair, EventStore, SamplerKind, TescConfig, TescEngine};
 use tesc_graph::generators::grid;
 use tesc_graph::{BfsKernel, NodeId, RelabeledGraph, VicinityIndex};
 
@@ -32,21 +33,61 @@ fn pairs() -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
         .collect()
 }
 
-/// Run every pair twice back to back — the repeat hits the slabs the
-/// first run just populated (even under a tiny budget), while moving
-/// across pairs forces evictions — and return the z-bit trace.
-fn run_workload(engine: &TescEngine<'_>, cfg: &TescConfig) -> Vec<u64> {
+/// Run every pair twice back to back through `test(a, b, seed)` — the
+/// repeat hits the slabs the first run just populated (even under a
+/// tiny budget), while moving across pairs forces evictions — and
+/// return the z-bit trace.
+fn trace_workload(mut test: impl FnMut(&[NodeId], &[NodeId], u64) -> u64) -> Vec<u64> {
     let mut trace = Vec::new();
     for (i, (a, b)) in pairs().iter().enumerate() {
         for round in 0..2 {
-            let seed = (round * 100 + i) as u64;
-            let r = engine
-                .test(a, b, cfg, &mut StdRng::seed_from_u64(seed))
-                .expect("test");
-            trace.push(r.z().to_bits());
+            trace.push(test(a, b, (round * 100 + i) as u64));
         }
     }
     trace
+}
+
+/// The workload through one-pair [`TescEngine::test`] calls.
+fn run_workload(engine: &TescEngine<'_>, cfg: &TescConfig) -> Vec<u64> {
+    trace_workload(|a, b, seed| {
+        let r = engine
+            .test(a, b, cfg, &mut StdRng::seed_from_u64(seed))
+            .expect("test");
+        r.z().to_bits()
+    })
+}
+
+/// One seeded test through the **planner** (a one-pair plan): the same
+/// sample and the same bits as `engine.test` with that seed, but a
+/// planner pass fills the cache on every route — where a one-pair
+/// `engine.test` that `Auto` resolves from the event side bypasses it.
+fn planned_z_bits(
+    engine: &TescEngine<'_>,
+    a: &[NodeId],
+    b: &[NodeId],
+    cfg: &TescConfig,
+    seed: u64,
+) -> u64 {
+    let pair = EventPair::new("pair", a.to_vec(), b.to_vec());
+    let plan = PairSetPlan::build(engine, &[pair], cfg, &[seed], 1);
+    let fused = plan.run_density(1);
+    let outcome = plan.finish(&fused).remove(0);
+    outcome.result.expect("test").z().to_bits()
+}
+
+/// The workload through [`planned_z_bits`].
+fn run_workload_planned(engine: &TescEngine<'_>, cfg: &TescConfig) -> Vec<u64> {
+    trace_workload(|a, b, seed| planned_z_bits(engine, a, b, cfg, seed))
+}
+
+/// `(len, resident_bytes, hits, misses)` of a cache.
+fn cache_state(cache: &DensityCache) -> (usize, usize, u64, u64) {
+    (
+        cache.len(),
+        cache.resident_bytes(),
+        cache.hits(),
+        cache.misses(),
+    )
 }
 
 /// A budget small enough to force evictions under the workload above
@@ -87,6 +128,16 @@ fn evicted_then_recomputed_results_are_bit_identical_across_kernel_x_relabel() {
                 "kernel {kernel:?}, relabel {relabel}: eviction changed results"
             );
             assert_eq!(unbounded.evictions(), 0);
+            if kernel == BfsKernel::Auto {
+                // `Auto` resolves these small one-pair tests from the
+                // event side, which bypasses the cache entirely; the
+                // planner path fills it on the same route, so the
+                // eviction half of the row is driven through that.
+                assert_eq!(cache_state(&unbounded), (0, 0, 0, 0), "relabel {relabel}");
+                assert_eq!(cache_state(&bounded), (0, 0, 0, 0), "relabel {relabel}");
+                let planned = run_workload_planned(&build(bounded.clone()), &cfg);
+                assert_eq!(baseline, planned, "relabel {relabel}: planner path");
+            }
             assert!(
                 bounded.evictions() > 0,
                 "kernel {kernel:?}, relabel {relabel}: the tiny budget must actually evict \
@@ -104,7 +155,17 @@ fn eviction_counters_reconcile_and_respect_the_budget() {
     let cfg = TescConfig::new(2).with_sample_size(120);
     let cache = Arc::new(DensityCache::for_graph_bounded(&g, TINY_BUDGET));
     let engine = TescEngine::with_vicinity_arc(&g, vicinity).with_density_cache(cache.clone());
-    run_workload(&engine, &cfg);
+    // One-pair `Auto` passes run from the event side and leave the
+    // cache alone...
+    let bypassing = run_workload(&engine, &cfg);
+    assert_eq!(
+        cache_state(&cache),
+        (0, 0, 0, 0),
+        "event-side one-pair passes"
+    );
+    // ...so the fills whose books are reconciled below come from the
+    // planner path (same route, same bits).
+    assert_eq!(bypassing, run_workload_planned(&engine, &cfg));
 
     assert!(cache.evictions() > 0, "workload must trigger eviction");
     assert!(cache.hits() > 0, "surviving entries must still serve hits");
@@ -192,8 +253,33 @@ fn stream_replay_stays_under_budget_across_100_plus_commits() {
             .expect("control ingest");
         assert_eq!(sb.version(), sc.version());
 
+        // The replay's tests go through the planner, whose passes fill
+        // the cache on every route.
         let seed = i as u64;
-        let rb = sb
+        let rb = planned_z_bits(
+            &sb.engine(),
+            sb.events().nodes(probe_b),
+            sb.events().nodes(grow_b),
+            &cfg,
+            seed,
+        );
+        let rc = planned_z_bits(
+            &sc.engine(),
+            sc.events().nodes(probe_c),
+            sc.events().nodes(grow_c),
+            &cfg,
+            seed,
+        );
+        assert_eq!(
+            rb, rc,
+            "commit {i}: bounded replay diverged from unbounded control"
+        );
+        // A served one-pair test of the same events: same bits, and —
+        // while `grow` is still small enough for the event side to be
+        // the cheaper one (the route is chosen by cost) — the cache is
+        // left exactly as it was: entries, bytes, hits and misses.
+        let before = cache_state(sb.density_cache());
+        let direct = sb
             .engine()
             .test(
                 sb.events().nodes(probe_b),
@@ -202,20 +288,14 @@ fn stream_replay_stays_under_budget_across_100_plus_commits() {
                 &mut StdRng::seed_from_u64(seed),
             )
             .expect("bounded test");
-        let rc = sc
-            .engine()
-            .test(
-                sc.events().nodes(probe_c),
-                sc.events().nodes(grow_c),
-                &cfg,
-                &mut StdRng::seed_from_u64(seed),
-            )
-            .expect("control test");
-        assert_eq!(
-            rb.z().to_bits(),
-            rc.z().to_bits(),
-            "commit {i}: bounded replay diverged from unbounded control"
-        );
+        assert_eq!(direct.z().to_bits(), rb, "commit {i}: one-pair path");
+        if i < 32 {
+            assert_eq!(
+                cache_state(sb.density_cache()),
+                before,
+                "commit {i}: bypass"
+            );
+        }
 
         assert!(
             sb.density_cache().resident_bytes() <= BUDGET,

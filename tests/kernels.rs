@@ -11,8 +11,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tesc::density::{
-    density_counts, density_counts_bitset, density_vectors, density_vectors_group_plan,
-    density_vectors_plan, translate_mask, GroupKernelPlan, KernelPlan,
+    choose_route, density_counts, density_counts_bitset, density_vectors,
+    density_vectors_group_plan, density_vectors_plan, translate_mask, GroupKernelPlan, KernelPlan,
+    Route,
 };
 use tesc::{
     BfsKernel, DensityCache, NodeMask, SamplerKind, Tail, TescConfig, TescEngine, TescResult,
@@ -451,6 +452,7 @@ fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
         slot_nodes: &slot_nodes,
         translate: None,
         h: 2,
+        event_side: None,
     };
     let rel = RelabeledGraph::build(g);
     let translated = vec![rel.map().map_to_new(&a), rel.map().map_to_new(&b)];
@@ -459,6 +461,7 @@ fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
         slot_nodes: &translated,
         translate: Some(rel.map()),
         h: 2,
+        event_side: None,
     };
     let mut r = rng(92);
     for workset in [1usize, 63, 64, 65, 127] {
@@ -537,4 +540,333 @@ fn vicinity_index_identical_across_kernels_on_random_graphs() {
         let bitset = VicinityIndex::build_with_kernel(&g, 3, BfsKernel::Bitset);
         assert_eq!(scalar, bitset, "case {case}");
     }
+}
+
+/// A fixture on which `Auto` provably resolves from the **event
+/// side**: a 3000-node preferential-attachment graph, two 15-node
+/// events (one 64-lane chunk each), an index to depth 2, 200 reference
+/// nodes at `h = 2` — thousands of reference-side visits against two
+/// cheap traversals.
+struct EventSideFixture {
+    graph: CsrGraph,
+    index: VicinityIndex,
+    va: Vec<NodeId>,
+    vb: Vec<NodeId>,
+}
+
+impl EventSideFixture {
+    fn build(seed: u64) -> Self {
+        let graph = tesc_graph::generators::barabasi_albert(3000, 3, &mut rng(seed));
+        let index = VicinityIndex::build(&graph, 2);
+        let mut r = rng(seed + 1);
+        let mut draw = |base: u32| -> Vec<NodeId> {
+            // Raw lists repeat a node: normalization is the engine's job.
+            let mut v: Vec<NodeId> = (0..15).map(|_| base + r.gen_range(0..400u32)).collect();
+            v.push(v[0]);
+            v
+        };
+        let (va, vb) = (draw(100), draw(300));
+        EventSideFixture {
+            graph,
+            index,
+            va,
+            vb,
+        }
+    }
+
+    fn cfg(sampler: SamplerKind) -> TescConfig {
+        TescConfig::new(2)
+            .with_sample_size(200)
+            .with_tail(Tail::Upper)
+            .with_sampler(sampler)
+    }
+
+    fn pair(&self) -> tesc::EventPair {
+        tesc::EventPair::new("ab", self.va.clone(), self.vb.clone())
+    }
+}
+
+/// `⌈|V_e|/64⌉` summed over the given occurrence lists (after
+/// normalization) — what `FusedDensities::traversals()` must read when
+/// the pass ran from the event side.
+fn event_chunks(events: &[&[NodeId]]) -> u64 {
+    events
+        .iter()
+        .map(|e| {
+            let mut v = e.to_vec();
+            v.sort_unstable();
+            v.dedup();
+            v.len().div_ceil(64) as u64
+        })
+        .sum()
+}
+
+/// The event-side matrix: sampler × relabel × cache cold/warm ×
+/// density threads, every `z` bit equal to the `Scalar` engine, with
+/// the route pinned through the planner's traversal count (identical
+/// at 1 and 4 threads) and, on the one-pair path, through the cache
+/// bypass.
+#[test]
+fn auto_event_side_bit_identical_to_scalar_across_relabel_cache_threads_samplers() {
+    use tesc::planner::PairSetPlan;
+    let f = EventSideFixture::build(300);
+    let pair = f.pair();
+    let union: Vec<NodeId> = f.va.iter().chain(&f.vb).copied().collect();
+    for sampler in all_samplers() {
+        let cfg = EventSideFixture::cfg(sampler);
+        let weighted = matches!(sampler, SamplerKind::Importance { .. });
+        let want_chunks = if weighted {
+            event_chunks(&[&f.va, &f.vb, &union])
+        } else {
+            event_chunks(&[&f.va, &f.vb])
+        };
+        let reference = TescEngine::with_vicinity_index(&f.graph, &f.index)
+            .with_density_kernel(BfsKernel::Scalar)
+            .test(&f.va, &f.vb, &cfg, &mut rng(7))
+            .unwrap();
+        for relabel in [false, true] {
+            for threads in [1usize, 4] {
+                let ctx = format!("{sampler}: relabel={relabel} threads={threads}");
+                let cache = std::sync::Arc::new(DensityCache::for_graph(&f.graph));
+                let engine = TescEngine::with_vicinity_index(&f.graph, &f.index)
+                    .with_relabeling(relabel)
+                    .with_density_threads(threads)
+                    .with_density_cache(cache.clone());
+                // One-pair path, twice (the repeat would be "warm").
+                for round in ["cold", "repeat"] {
+                    let got = engine.test(&f.va, &f.vb, &cfg, &mut rng(7)).unwrap();
+                    assert_eq!(reference, got, "{ctx} {round}");
+                    assert_eq!(reference.z().to_bits(), got.z().to_bits(), "{ctx} {round}");
+                }
+                // An event-side one-pair pass bypasses the cache.
+                assert_eq!(
+                    (
+                        cache.len(),
+                        cache.resident_bytes(),
+                        cache.hits(),
+                        cache.misses()
+                    ),
+                    (0, 0, 0, 0),
+                    "{ctx}: one-pair event pass must leave the cache untouched"
+                );
+                // Planner path: the traversal count is the event chunk
+                // count, the cache fills with exactly the pending
+                // cells, and the warm repeat runs zero traversals.
+                let plan =
+                    PairSetPlan::build(&engine, std::slice::from_ref(&pair), &cfg, &[7], threads);
+                let cold = plan.run_density(threads);
+                assert_eq!(cold.traversals(), want_chunks, "{ctx}: event side chosen");
+                assert_eq!(cold.bfs_run(), plan.distinct_refs() as u64, "{ctx}");
+                let slots = if weighted { 3 } else { 2 };
+                assert_eq!(cache.len(), slots * plan.distinct_refs(), "{ctx}: fill");
+                let outcome = plan.finish(&cold).remove(0).result.unwrap();
+                assert_eq!(
+                    reference.z().to_bits(),
+                    outcome.z().to_bits(),
+                    "{ctx}: plan"
+                );
+                let warm = plan.run_density(threads);
+                assert_eq!((warm.traversals(), warm.bfs_run()), (0, 0), "{ctx}: warm");
+                let outcome = plan.finish(&warm).remove(0).result.unwrap();
+                assert_eq!(
+                    reference.z().to_bits(),
+                    outcome.z().to_bits(),
+                    "{ctx}: warm"
+                );
+            }
+        }
+    }
+}
+
+/// From-the-definitions oracle for the event direction: plain BFS
+/// sets over an adjacency list built here, `|V_e ∩ V^h_r| / |V^h_r|`
+/// by set intersection.
+#[test]
+fn event_side_densities_equal_set_intersection_oracle() {
+    use std::collections::BTreeSet;
+    for case in 0..CASES / 4 {
+        let mut r = rng(27_000 + case);
+        let (n, g) = random_graph(&mut r);
+        let h = r.gen_range(0u32..3);
+        let mut adj = vec![Vec::new(); n];
+        for (u, v) in g.edges() {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        let ball = |src: NodeId| -> BTreeSet<NodeId> {
+            let mut seen = BTreeSet::from([src]);
+            let mut frontier = vec![src];
+            for _ in 0..h {
+                let mut next = Vec::new();
+                for &u in &frontier {
+                    for &v in &adj[u as usize] {
+                        if seen.insert(v) {
+                            next.push(v);
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            seen
+        };
+        let events: Vec<Vec<NodeId>> = (0..2).map(|_| random_mask(&mut r, n).to_nodes()).collect();
+        let sets: Vec<BTreeSet<NodeId>> =
+            events.iter().map(|e| e.iter().copied().collect()).collect();
+        let refs: Vec<NodeId> = (0..n as u32).step_by(2).collect();
+        let index = VicinityIndex::build(&g, 2);
+        let plan = GroupKernelPlan {
+            graph: &g,
+            slot_nodes: &events,
+            translate: None,
+            h,
+            event_side: Some(&index),
+        };
+        let pool = ScratchPool::for_graph(&g);
+        let (sa, sb) = density_vectors_group_plan(&plan, &pool, &refs, 2, 64);
+        for (i, &v) in refs.iter().enumerate() {
+            let vicinity = ball(v);
+            let density = |e: &BTreeSet<NodeId>| {
+                vicinity.intersection(e).count() as f64 / vicinity.len() as f64
+            };
+            assert_eq!(
+                sa[i].to_bits(),
+                density(&sets[0]).to_bits(),
+                "case {case} r={v}"
+            );
+            assert_eq!(
+                sb[i].to_bits(),
+                density(&sets[1]).to_bits(),
+                "case {case} r={v}"
+            );
+        }
+    }
+}
+
+/// Where the event side is not available — no index, an index
+/// shallower than `h`, an index built for the event nodes only, or
+/// intensity densities — `Auto` stays on the reference side (the cache
+/// of a one-pair engine fills) and still matches the scalar engine.
+#[test]
+fn fallback_cases_take_the_reference_side_and_still_match() {
+    use tesc::planner::PairSetPlan;
+    let f = EventSideFixture::build(310);
+    let cfg = EventSideFixture::cfg(SamplerKind::BatchBfs);
+    let shallow = VicinityIndex::build(&f.graph, 1);
+    let union: Vec<NodeId> = f.va.iter().chain(&f.vb).copied().collect();
+    let partial = VicinityIndex::build_for_nodes(&f.graph, &union, 2);
+    let reference = TescEngine::new(&f.graph)
+        .with_density_kernel(BfsKernel::Scalar)
+        .test(&f.va, &f.vb, &cfg, &mut rng(3))
+        .unwrap();
+    let engines: Vec<(&str, TescEngine<'_>)> = vec![
+        ("no index", TescEngine::new(&f.graph)),
+        (
+            "h beyond the index depth",
+            TescEngine::with_vicinity_index(&f.graph, &shallow),
+        ),
+        (
+            "event-nodes-only index",
+            TescEngine::with_vicinity_index(&f.graph, &partial),
+        ),
+    ];
+    for (label, engine) in engines {
+        let cache = std::sync::Arc::new(DensityCache::for_graph(&f.graph));
+        let engine = engine.with_density_cache(cache.clone());
+        let got = engine.test(&f.va, &f.vb, &cfg, &mut rng(3)).unwrap();
+        assert_eq!(reference.z().to_bits(), got.z().to_bits(), "{label}");
+        assert!(
+            !cache.is_empty(),
+            "{label}: the reference side fills the cache"
+        );
+        let plan = PairSetPlan::build(&engine, &[f.pair()], &cfg, &[3], 1);
+        let fused = plan.run_density(1);
+        assert_eq!(
+            fused.bfs_run(),
+            0,
+            "{label}: the one-pair pass filled every cell"
+        );
+    }
+    // Intensity densities sum f64 mass in BFS order: always per-node.
+    let n = f.graph.num_nodes();
+    let weights = |nodes: &[NodeId]| {
+        let mut v = nodes.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        let pairs: Vec<(NodeId, f64)> = v
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| (x, 1.0 + i as f64 * 0.25))
+            .collect();
+        tesc::intensity::Intensities::from_pairs(n, &pairs)
+    };
+    let (ia, ib) = (weights(&f.va), weights(&f.vb));
+    let scalar = TescEngine::with_vicinity_index(&f.graph, &f.index)
+        .with_density_kernel(BfsKernel::Scalar)
+        .test_intensity(&ia, &ib, &cfg, &mut rng(4))
+        .unwrap();
+    let auto = TescEngine::with_vicinity_index(&f.graph, &f.index)
+        .test_intensity(&ia, &ib, &cfg, &mut rng(4))
+        .unwrap();
+    assert_eq!(scalar.z().to_bits(), auto.z().to_bits(), "intensity");
+}
+
+/// After `add_edges` the snapshot's incrementally refreshed index
+/// feeds the event side; it must agree with a context built from
+/// scratch on the grown graph, and with the scalar engine.
+#[test]
+fn event_side_after_add_edges_equals_a_freshly_built_context() {
+    use tesc::context::TescContext;
+    use tesc::EventStore;
+    let f = EventSideFixture::build(320);
+    let cfg = EventSideFixture::cfg(SamplerKind::Rejection);
+    let mut events = EventStore::new();
+    events.add_event("a", f.va.clone());
+    events.add_event("b", f.vb.clone());
+    let ctx = TescContext::new(f.graph.clone(), events.clone(), 2);
+    // New edges inside and around the events' neighbourhoods.
+    let delta: Vec<(NodeId, NodeId)> = (0..12u32)
+        .map(|i| (f.va[i as usize % f.va.len()], 1500 + 7 * i))
+        .filter(|&(u, v)| u != v && !f.graph.has_edge(u, v))
+        .collect();
+    let grown = ctx.add_edges(&delta).unwrap();
+    assert_eq!(grown.version(), 2);
+    let fresh = TescContext::new(grown.graph().clone(), events, 2);
+    assert_eq!(
+        grown.vicinity(),
+        fresh.snapshot().vicinity(),
+        "refreshed index"
+    );
+    let run = |engine: &TescEngine<'_>| {
+        engine
+            .test(&f.va, &f.vb, &cfg, &mut rng(5))
+            .unwrap()
+            .z()
+            .to_bits()
+    };
+    let scalar = TescEngine::with_vicinity_index(grown.graph(), grown.vicinity())
+        .with_density_kernel(BfsKernel::Scalar);
+    let incremental = grown.engine();
+    assert_eq!(run(&incremental), run(&scalar), "incremental vs scalar");
+    assert_eq!(
+        run(&incremental),
+        run(&fresh.snapshot().engine()),
+        "vs fresh"
+    );
+    assert!(
+        grown.density_cache().is_empty(),
+        "the served one-pair pass ran from the event side"
+    );
+    // The decision itself reads the refreshed index.
+    let refs: Vec<NodeId> = (0..200).collect();
+    assert_eq!(
+        choose_route(
+            BfsKernel::Auto,
+            grown.graph(),
+            Some(grown.vicinity()),
+            2,
+            &refs,
+            &[&f.va, &f.vb]
+        ),
+        Route::EventLanes
+    );
 }

@@ -388,3 +388,145 @@ fn unlimited_budget_rankings_never_degrade() {
         assert_eq!(report.ranked.len(), 3);
     }
 }
+
+/// Candidate list on which `Auto` provably ranks from the **event
+/// side**: a preferential-attachment graph, private 20-node events
+/// (one shared by two pairs), 150 reference nodes per pair at `h = 2`.
+fn private_event_pairs(num_nodes: u32, seed: u64) -> Vec<EventPair> {
+    let mut r = rng(seed);
+    let mut event = |base: u32| -> Vec<u32> {
+        (0..20)
+            .map(|_| (base + r.gen_range(0..300u32)) % num_nodes)
+            .collect()
+    };
+    let shared = event(50);
+    let mut pairs: Vec<EventPair> = (0..5u32)
+        .map(|i| EventPair::new(format!("p{i}"), event(400 * i), event(400 * i + 200)))
+        .collect();
+    pairs.push(EventPair::new(
+        "shared×p0",
+        shared.clone(),
+        pairs[0].b.clone(),
+    ));
+    pairs.push(EventPair::new("shared×p1", shared, pairs[1].a.clone()));
+    pairs
+}
+
+fn normalized_len(nodes: &[u32]) -> usize {
+    let mut v = nodes.to_vec();
+    v.sort_unstable();
+    v.dedup();
+    v.len()
+}
+
+#[test]
+fn event_side_ranking_bit_identical_to_scalar_across_relabel_cache_threads_samplers() {
+    use tesc::planner::PairSetPlan;
+    let g = tesc_graph::generators::barabasi_albert(3000, 3, &mut rng(90));
+    let idx = VicinityIndex::build(&g, 2);
+    let pairs = private_event_pairs(3000, 91);
+    for sampler in all_samplers() {
+        let cfg = TescConfig::new(2)
+            .with_sample_size(150)
+            .with_tail(Tail::Upper)
+            .with_sampler(sampler);
+        let req = RankRequest::new(cfg)
+            .with_seed(17)
+            .with_pairs(pairs.clone());
+        let scalar =
+            TescEngine::with_vicinity_index(&g, &idx).with_density_kernel(BfsKernel::Scalar);
+        let reference = fingerprint(&rank_pairs(&scalar, &req.clone().with_threads(1)));
+        assert_eq!(reference.len(), pairs.len(), "{sampler}: every pair ranks");
+
+        // The route, pinned through the traversal count: one chunk per
+        // distinct event (plus the union sets of importance pairs),
+        // identical at 1 and 4 threads.
+        let seeds: Vec<u64> = pairs.iter().map(|p| content_seed(17, &p.a, &p.b)).collect();
+        let auto = TescEngine::with_vicinity_index(&g, &idx);
+        let mut traversals = Vec::new();
+        for threads in [1usize, 4] {
+            let plan = PairSetPlan::build(&auto, &pairs, &cfg, &seeds, threads);
+            let fused = plan.run_density(threads);
+            assert_eq!(fused.bfs_run(), plan.distinct_refs() as u64, "{sampler}");
+            assert_eq!(
+                fused.traversals(),
+                plan.num_events() as u64,
+                "{sampler} @ {threads}t: one ≤ 64-lane chunk per registered event"
+            );
+            traversals.push(fused.traversals());
+        }
+        assert_eq!(
+            traversals[0], traversals[1],
+            "{sampler}: route differs by threads"
+        );
+        assert!(pairs.iter().all(|p| normalized_len(&p.a) <= 64));
+
+        for relabel in [false, true] {
+            let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
+            for round in ["cold", "warm"] {
+                for threads in [1usize, 4] {
+                    let engine = TescEngine::with_vicinity_index(&g, &idx)
+                        .with_relabeling(relabel)
+                        .with_density_cache(cache.clone());
+                    let got = fingerprint(&rank_pairs(&engine, &req.clone().with_threads(threads)));
+                    assert_eq!(
+                        reference, got,
+                        "{sampler}: relabel={relabel} cache {round} @ {threads}t"
+                    );
+                }
+            }
+            assert!(cache.hits() > 0, "{sampler}: the warm rounds were probes");
+        }
+    }
+}
+
+#[test]
+fn interrupted_event_side_pass_inserts_nothing_and_the_rerun_is_bit_identical() {
+    use std::time::Duration;
+    use tesc::planner::PairSetPlan;
+    use tesc::Budget;
+    let g = tesc_graph::generators::barabasi_albert(3000, 3, &mut rng(95));
+    let idx = VicinityIndex::build(&g, 2);
+    let pairs = private_event_pairs(3000, 96);
+    let cfg = TescConfig::new(2)
+        .with_sample_size(150)
+        .with_tail(Tail::Upper);
+    let seeds: Vec<u64> = pairs.iter().map(|p| content_seed(23, &p.a, &p.b)).collect();
+    let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
+    let engine = TescEngine::with_vicinity_index(&g, &idx).with_density_cache(cache.clone());
+    let plan = PairSetPlan::build(&engine, &pairs, &cfg, &seeds, 2);
+
+    let cancelled = Budget::cancellable();
+    cancelled.cancel();
+    let expired = Budget::with_deadline(Duration::ZERO);
+    for (label, budget) in [("cancelled", &cancelled), ("deadline-cut", &expired)] {
+        for threads in [1usize, 4] {
+            assert!(
+                plan.run_density_budgeted(threads, budget).is_err(),
+                "{label} @ {threads}t must interrupt"
+            );
+            assert_eq!(
+                (cache.len(), cache.resident_bytes(), cache.bfs_invocations()),
+                (0, 0, 0),
+                "{label} @ {threads}t: an interrupted pass publishes nothing"
+            );
+        }
+    }
+    let z_bits = |plan: &PairSetPlan<'_, '_>, fused| -> Vec<u64> {
+        plan.finish(&fused)
+            .into_iter()
+            .map(|o| o.result.unwrap().z().to_bits())
+            .collect()
+    };
+    let rerun = plan.run_density(2);
+    assert_eq!(rerun.traversals(), plan.num_events() as u64, "event side");
+    let clean_engine =
+        TescEngine::with_vicinity_index(&g, &idx).with_density_kernel(BfsKernel::Scalar);
+    let clean_plan = PairSetPlan::build(&clean_engine, &pairs, &cfg, &seeds, 1);
+    assert_eq!(
+        z_bits(&plan, rerun),
+        z_bits(&clean_plan, clean_plan.run_density(1)),
+        "rerun after the interruptions is bit-identical to a clean scalar engine"
+    );
+    assert_eq!(cache.bfs_invocations(), plan.distinct_refs() as u64);
+}
