@@ -15,8 +15,9 @@
 //!            ┌────────────────────────────────────────────────┐
 //!            │ round m = n₀, 2n₀, 4n₀, …                      │
 //!            │                                                │
-//!  undecided │  PairSetPlan::build(undecided, cfg@m)          │
-//!  pairs ───►│  → fused density pass (ONE BFS / distinct ref) │
+//!  undecided │  PairSetPlan::build(undecided, cfg@m) — reach  │
+//!  pairs ───►│    sets from the request's memo, 1 BFS / event │
+//!            │  → fused density pass (ONE BFS / distinct ref) │
 //!            │  → score_m, budget c_m per pair                │
 //!            │  → CI: ê = score_m/c_m, project to scale(n),   │
 //!            │        half-width z₁₋ε/₂·√(2/m)·scale(n)       │
@@ -40,7 +41,10 @@
 //! unchanged, and every uniform sampler draws a sample whose first
 //! `m` nodes are a bit-identical prefix of the full-`n` stream —
 //! Batch BFS because a partial Fisher–Yates never revisits settled
-//! positions, rejection and whole-graph sampling because the
+//! positions (and its population, a bitmap in ascending node id, is
+//! the same at every tier: the per-event reach sets are memoized once
+//! per request and shared by all tiers), rejection and whole-graph
+//! sampling because the
 //! accept/reject transcript up to the `m`-th accept is the same
 //! regardless of the target size (asserted in `tests/anytime.rs` and
 //! the unit tests below). Importance sampling is the exception — its
@@ -63,7 +67,7 @@ use crate::batch::{EventPair, PairOutcome};
 use crate::engine::{Statistic, TescEngine, TescResult};
 use crate::planner::PairSetPlan;
 use crate::rank::{content_seed, direction_score, score_bound, RankEntry, RankReport, RankRequest};
-use crate::sampler::SamplerKind;
+use crate::sampler::{ReachMemo, SamplerKind};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 use tesc_graph::{Adjacency, Interrupted};
@@ -158,6 +162,9 @@ pub(crate) fn rank_pairs_anytime<G: Adjacency>(
     let mut last_tier_wall = Duration::ZERO;
     let mut degraded = false;
     let budget = engine.budget();
+    // One reach memo for the whole request: every tier re-plans its
+    // undecided pairs, but each distinct event is traversed once.
+    let mut reach = ReachMemo::new(req.cfg.h);
     // Something rankable exists once any tier decided or estimated a
     // pair — the gate between degrading (Ok) and failing (Err).
     macro_rules! has_decided {
@@ -194,7 +201,14 @@ pub(crate) fn rank_pairs_anytime<G: Adjacency>(
         let sub_pairs: Vec<EventPair> = undecided.iter().map(|&i| req.pairs[i].clone()).collect();
         let sub_seeds: Vec<u64> = undecided.iter().map(|&i| seeds[i]).collect();
         let sub_threads = threads.clamp(1, sub_pairs.len());
-        let plan = PairSetPlan::build(engine, &sub_pairs, &cfg_m, &sub_seeds, sub_threads);
+        let plan = PairSetPlan::build_with_memo(
+            engine,
+            &sub_pairs,
+            &cfg_m,
+            &sub_seeds,
+            sub_threads,
+            &mut reach,
+        );
         let fused = match plan.run_density_budgeted(sub_threads, budget) {
             Ok(fused) => fused,
             Err(i) => {
@@ -423,12 +437,12 @@ mod tests {
     use super::*;
     use crate::engine::TescConfig;
     use crate::rank::{rank_pairs, RankMode};
-    use crate::sampler::{batch_bfs_sample, rejection_sample, whole_graph_sample};
+    use crate::sampler::{mask_sample, reach_mask, rejection_sample, whole_graph_sample};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tesc_events::NodeMask;
     use tesc_graph::generators::barabasi_albert;
-    use tesc_graph::{BfsScratch, VicinityIndex};
+    use tesc_graph::{BfsScratch, Budget, VicinityIndex};
     use tesc_stats::Tail;
 
     #[test]
@@ -461,24 +475,11 @@ mod tests {
         let events: Vec<u32> = (0..40u32).collect();
         let mask = NodeMask::from_nodes(g.num_nodes(), &events);
         let mut scratch = BfsScratch::new(g.num_nodes());
+        let population = reach_mask(&g, &mut scratch, &events, 2, &Budget::unlimited()).unwrap();
         for seed in 0..5u64 {
             for (m, full) in [(50usize, 100usize), (75, 300), (100, 400)] {
-                let small = batch_bfs_sample(
-                    &g,
-                    &mut scratch,
-                    &events,
-                    2,
-                    m,
-                    &mut StdRng::seed_from_u64(seed),
-                );
-                let big = batch_bfs_sample(
-                    &g,
-                    &mut scratch,
-                    &events,
-                    2,
-                    full,
-                    &mut StdRng::seed_from_u64(seed),
-                );
+                let small = mask_sample(&population, m, &mut StdRng::seed_from_u64(seed));
+                let big = mask_sample(&population, full, &mut StdRng::seed_from_u64(seed));
                 assert_eq!(
                     small.nodes[..],
                     big.nodes[..m],
@@ -513,22 +514,8 @@ mod tests {
                     "rejection seed {seed} m {m}"
                 );
 
-                let small = whole_graph_sample(
-                    &g,
-                    &mut scratch,
-                    &mask,
-                    2,
-                    m,
-                    &mut StdRng::seed_from_u64(seed),
-                );
-                let big = whole_graph_sample(
-                    &g,
-                    &mut scratch,
-                    &mask,
-                    2,
-                    full,
-                    &mut StdRng::seed_from_u64(seed),
-                );
+                let small = whole_graph_sample(&population, m, &mut StdRng::seed_from_u64(seed));
+                let big = whole_graph_sample(&population, full, &mut StdRng::seed_from_u64(seed));
                 assert_eq!(
                     small.nodes[..],
                     big.nodes[..m],

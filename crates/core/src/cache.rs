@@ -154,7 +154,7 @@ impl ProbeGovernor {
 /// batch-bench regression this replaces). HashDoS resistance is
 /// irrelevant for an internal memo table keyed by measured data.
 #[derive(Default)]
-struct MixHasher(u64);
+pub(crate) struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     #[inline]
@@ -190,7 +190,7 @@ impl Hasher for MixHasher {
     }
 }
 
-type MixBuild = BuildHasherDefault<MixHasher>;
+pub(crate) type MixBuild = BuildHasherDefault<MixHasher>;
 
 /// Content-addressed identity of an event's occurrence set.
 ///

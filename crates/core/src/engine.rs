@@ -18,13 +18,13 @@ use crate::density::{
     choose_route, translate_mask, DensityCounts, GroupKernelPlan, KernelPlan, Route,
 };
 use crate::sampler::{
-    batch_bfs_sample, importance_sample, rejection_sample, whole_graph_sample, SamplerKind,
+    importance_sample, mask_sample, rejection_sample, whole_graph_sample, ReachMemo, SamplerKind,
     UniformSample,
 };
 use rand::Rng;
 use std::sync::Arc;
 use tesc_events::{store::merge_union, NodeMask};
-use tesc_graph::bfs::{BfsKernel, BfsScratch};
+use tesc_graph::bfs::BfsKernel;
 use tesc_graph::csr::CsrGraph;
 use tesc_graph::relabel::RelabeledGraph;
 use tesc_graph::Adjacency;
@@ -530,25 +530,12 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 )
             }
             _ => {
-                // Content-addressed cache keys from the normalized
-                // occurrence sets — only worth hashing when a cache is
-                // attached.
-                let keys = self.cache.is_some().then(|| {
-                    (
-                        EventKey::from_normalized(a_sorted.clone()),
-                        EventKey::from_normalized(b_sorted.clone()),
-                    )
-                });
-                self.test_uniform(
-                    &union,
-                    &a_sorted,
-                    &b_sorted,
-                    &mask_a,
-                    &mask_b,
-                    keys.as_ref(),
-                    cfg,
-                    rng,
-                )
+                // Content-addressed keys from the normalized occurrence
+                // sets: they address the reach memo and, when one is
+                // attached, the density cache.
+                let key_a = EventKey::from_normalized(a_sorted);
+                let key_b = EventKey::from_normalized(b_sorted);
+                self.test_uniform(&union, &key_a, &key_b, &mask_a, &mask_b, cfg, rng)
             }
         }
     }
@@ -646,46 +633,54 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
     }
 
-    /// Draw a uniform reference-node sample with the configured
-    /// (non-importance) strategy. Shared with the pair-set planner
-    /// (`crate::planner`), which must replicate the engine's sampling
-    /// bit-for-bit.
+    /// Resolve the reach sets `V^h_e` of `events` into the request's
+    /// memo — one budgeted bitset BFS per event not yet memoized, on
+    /// the original graph, whatever the density kernel or route.
+    /// Shared with the pair-set planner (`crate::planner`).
+    pub(crate) fn fill_reach(&self, memo: &mut ReachMemo, events: &[EventKey], threads: usize) {
+        memo.fill(self.graph, &self.pool, &self.budget, events, threads);
+    }
+
+    /// Draw a uniform reference-node sample for events `a`, `b` with
+    /// the configured (non-importance) strategy. Batch BFS and
+    /// whole-graph sampling read the pair's population
+    /// `V^h_a ∪ V^h_b` off `memo`, which [`TescEngine::fill_reach`]
+    /// must have been asked to fill for both events first. Shared with
+    /// the pair-set planner, so one test and a planned pair sample
+    /// bit-identically by construction.
     pub(crate) fn draw_uniform_sample(
         &self,
-        scratch: &mut BfsScratch,
+        memo: &ReachMemo,
+        a: &EventKey,
+        b: &EventKey,
         union: &[NodeId],
         cfg: &TescConfig,
         rng: &mut impl Rng,
     ) -> Result<UniformSample, TescError> {
+        // Also what turns an interrupted reach pass into this pair's
+        // error: exhaustion is sticky, so past this check the memo
+        // holds both sets.
         self.budget.check()?;
-        let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
+        let population = || {
+            memo.population(a, b)
+                .expect("reach sets filled before the draw")
+        };
         let sample = match cfg.sampler {
-            SamplerKind::BatchBfs => {
-                batch_bfs_sample(self.graph, scratch, union, cfg.h, cfg.sample_size, rng)
-            }
+            SamplerKind::BatchBfs => mask_sample(&population(), cfg.sample_size, rng),
+            SamplerKind::WholeGraph => whole_graph_sample(&population(), cfg.sample_size, rng),
             SamplerKind::Rejection => {
                 let vic = self.require_vicinity(cfg.h)?;
                 let union_mask = NodeMask::from_nodes(self.graph.num_nodes(), union);
+                let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
                 rejection_sample(
                     self.graph,
-                    scratch,
+                    &mut self.pool.acquire(),
                     union,
                     &union_mask,
                     vic,
                     cfg.h,
                     cfg.sample_size,
                     max_draws,
-                    rng,
-                )
-            }
-            SamplerKind::WholeGraph => {
-                let union_mask = NodeMask::from_nodes(self.graph.num_nodes(), union);
-                whole_graph_sample(
-                    self.graph,
-                    scratch,
-                    &union_mask,
-                    cfg.h,
-                    cfg.sample_size,
                     rng,
                 )
             }
@@ -697,6 +692,23 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
             });
         }
         Ok(sample)
+    }
+
+    /// [`TescEngine::fill_reach`] + [`TescEngine::draw_uniform_sample`]
+    /// for one test: the request is one pair, its memo two entries.
+    fn sample_uniform(
+        &self,
+        a: &EventKey,
+        b: &EventKey,
+        union: &[NodeId],
+        cfg: &TescConfig,
+        rng: &mut impl Rng,
+    ) -> Result<UniformSample, TescError> {
+        let mut memo = ReachMemo::new(cfg.h);
+        if cfg.sampler.draws_from_reach() {
+            self.fill_reach(&mut memo, &[a.clone(), b.clone()], self.density_threads);
+        }
+        self.draw_uniform_sample(&memo, a, b, union, cfg, rng)
     }
 
     /// Turn paired density vectors + a uniform sample into a result.
@@ -740,18 +752,15 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
     fn test_uniform(
         &self,
         union: &[NodeId],
-        a_nodes: &[NodeId],
-        b_nodes: &[NodeId],
+        key_a: &EventKey,
+        key_b: &EventKey,
         mask_a: &NodeMask,
         mask_b: &NodeMask,
-        keys: Option<&(EventKey, EventKey)>,
         cfg: &TescConfig,
         rng: &mut impl Rng,
     ) -> Result<TescResult, TescError> {
-        let sample = {
-            let mut scratch = self.pool.acquire();
-            self.draw_uniform_sample(&mut scratch, union, cfg, rng)?
-        };
+        let sample = self.sample_uniform(key_a, key_b, union, cfg, rng)?;
+        let (a_nodes, b_nodes) = (key_a.nodes(), key_b.nodes());
         let route = self.route(cfg.h, &sample.nodes, &[a_nodes, b_nodes]);
         if route != Route::PerNode {
             let slot_nodes = self.group_slot_nodes(&[a_nodes, b_nodes]);
@@ -761,8 +770,8 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
             // entries could only ever skip work on an exact repeat of
             // this seeded sample (two traversals), yet they are what
             // fills a serving cache (docs/PERFORMANCE.md §9).
-            let (sa, sb) = match (self.cache.as_deref(), keys, route) {
-                (Some(cache), Some((key_a, key_b)), Route::RefLanes) => {
+            let (sa, sb) = match (self.cache.as_deref(), route) {
+                (Some(cache), Route::RefLanes) => {
                     crate::density::density_vectors_cached_group_plan_budgeted(
                         &gplan,
                         &self.pool,
@@ -788,20 +797,18 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
         let translated = self.substrate_masks(mask_a, mask_b);
         let plan = self.density_plan(mask_a, mask_b, &translated, cfg.h);
-        let (sa, sb) = match (self.cache.as_deref(), keys) {
-            (Some(cache), Some((key_a, key_b))) => {
-                crate::density::density_vectors_cached_plan_budgeted(
-                    &plan,
-                    &self.pool,
-                    &sample.nodes,
-                    key_a,
-                    key_b,
-                    self.density_threads,
-                    cache,
-                    &self.budget,
-                )?
-            }
-            _ => crate::density::density_vectors_plan_budgeted(
+        let (sa, sb) = match self.cache.as_deref() {
+            Some(cache) => crate::density::density_vectors_cached_plan_budgeted(
+                &plan,
+                &self.pool,
+                &sample.nodes,
+                key_a,
+                key_b,
+                self.density_threads,
+                cache,
+                &self.budget,
+            )?,
+            None => crate::density::density_vectors_plan_budgeted(
                 &plan,
                 &self.pool,
                 &sample.nodes,
@@ -834,7 +841,6 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         if union.is_empty() {
             return Err(TescError::NoEventNodes);
         }
-        let mut scratch = self.pool.acquire();
         match cfg.sampler {
             SamplerKind::Importance { batch_size } => {
                 if cfg.statistic != Statistic::KendallTau {
@@ -844,7 +850,7 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
                 let sample = importance_sample(
                     self.graph,
-                    &mut scratch,
+                    &mut self.pool.acquire(),
                     &union,
                     vic,
                     cfg.h,
@@ -857,7 +863,6 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 if n < 3 {
                     return Err(TescError::TooFewReferenceNodes { found: n });
                 }
-                drop(scratch);
                 let counts = self.intensity_counts_for(&sample.nodes, cfg.h, a, b)?;
                 let mut sa = Vec::with_capacity(n);
                 let mut sb = Vec::with_capacity(n);
@@ -871,8 +876,9 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 Ok(Self::finish_weighted(&sa, &sb, &omega, &sample, cfg))
             }
             _ => {
-                let sample = self.draw_uniform_sample(&mut scratch, &union, cfg, rng)?;
-                drop(scratch);
+                let key_a = EventKey::from_normalized(a.support().to_vec());
+                let key_b = EventKey::from_normalized(b.support().to_vec());
+                let sample = self.sample_uniform(&key_a, &key_b, &union, cfg, rng)?;
                 let counts = self.intensity_counts_for(&sample.nodes, cfg.h, a, b)?;
                 let (sa, sb) = counts
                     .iter()
@@ -1111,6 +1117,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tesc_events::simulate::{independent_pair, negative_pair, positive_pair};
+    use tesc_graph::bfs::BfsScratch;
     use tesc_graph::generators::{barabasi_albert, grid, planted_partition};
     use tesc_stats::significance::Verdict;
 

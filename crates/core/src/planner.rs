@@ -16,14 +16,20 @@
 //!            (a)        (a)          (b)             (c)          (c)
 //! ```
 //!
-//! * **plan + sample (stage a).** Normalize every pair's occurrence
-//!   sets, draw each pair's reference sample with its own seeded RNG
-//!   stream (bit-identical to [`TescEngine::test`] — the planner calls
-//!   the *same* sampler code with the *same* stream), deduplicate the
-//!   distinct events into a content-addressed registry
-//!   ([`EventKey`]-keyed, so two pairs naming the same node set share
-//!   one slot), and derive the deduplicated reference-node **workset**:
-//!   each distinct node, tagged with the event slots that touch it.
+//! * **plan + sample (stage a).** In this order: normalize every
+//!   pair's occurrence sets; deduplicate the distinct events into a
+//!   content-addressed registry ([`EventKey`]-keyed, so two pairs
+//!   naming the same node set share one slot); resolve one **reach
+//!   set** `V^h_e` per registered event (one budgeted bitset BFS each,
+//!   parallel over slots, held as bitmaps in the request's reach memo —
+//!   see [`crate::sampler`]); draw each pair's reference sample with
+//!   its own seeded RNG stream from `V^h_a ∪ V^h_b` (bit-identical to
+//!   [`TescEngine::test`] — the planner calls the *same* two functions
+//!   with the *same* stream); and derive the deduplicated
+//!   reference-node **workset**: each distinct node, tagged with the
+//!   event slots that touch it. A pair's population is never
+//!   enumerated: 276 pairs over 24 events cost 24 traversals and 276
+//!   draws.
 //! * **fused density (stage b).** Every `(distinct reference node,
 //!   event)` count of the set, resolved once by one of three
 //!   **routes** — chosen once per pass by the engine's one route
@@ -77,24 +83,26 @@
 use crate::batch::{EventPair, PairOutcome};
 use crate::cache::{CachedCount, DensityCache, EventKey, ProbeGovernor};
 use crate::density::{
-    map_refs_pooled, run_grouped, translate_mask, GroupSlots, MultiKernelPlan, Route,
+    map_indexed, map_refs_pooled, run_grouped, translate_mask, GroupSlots, MultiKernelPlan, Route,
 };
 use crate::engine::{normalize, Statistic, TescConfig, TescEngine, TescError, TescResult};
-use crate::sampler::{importance_sample, SamplerKind, UniformSample, WeightedSample};
+use crate::sampler::{importance_sample, ReachMemo, SamplerKind, UniformSample, WeightedSample};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use tesc_events::{store::merge_union, NodeMask};
 use tesc_graph::{Adjacency, Budget, CsrGraph, Interrupted, NodeId};
 
-/// Sampling outcome of one pair, before event registration.
-struct Sampled {
-    a: Vec<NodeId>,
-    b: Vec<NodeId>,
+/// One pair normalized and validated, before any sampling: the
+/// content keys of its two events and their merged occurrence set.
+#[derive(Clone)]
+struct Prepared {
+    a: EventKey,
+    b: EventKey,
     union: Vec<NodeId>,
-    kind: Result<SampledKind, TescError>,
 }
 
+#[derive(Clone)]
 enum SampledKind {
     Uniform(UniformSample),
     Weighted(WeightedSample),
@@ -199,13 +207,15 @@ pub struct PairSetPlan<'e, 'g, G = CsrGraph> {
 }
 
 impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
-    /// Stage (a): sample every pair (pair `i` draws from
+    /// Stage (a): normalize every pair, register the distinct events,
+    /// resolve each registered event's reach set `V^h_e` once, then
+    /// sample every pair (pair `i` draws from
     /// `StdRng::seed_from_u64(seeds[i])`, exactly like
-    /// [`TescEngine::test`] would with that RNG), register the
-    /// distinct events, and derive the deduplicated reference
-    /// workset. Sampling fans out over `threads` scoped workers with
-    /// indexed output slots, so the plan is independent of thread
-    /// count and schedule.
+    /// [`TescEngine::test`] would with that RNG) and derive the
+    /// deduplicated reference workset. Every step fans out over
+    /// `threads` scoped workers with indexed output slots, so the plan
+    /// is independent of thread count and schedule. The reach memo is
+    /// dropped when this returns.
     ///
     /// # Panics
     ///
@@ -217,8 +227,32 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         seeds: &[u64],
         threads: usize,
     ) -> Self {
+        Self::build_with_memo(
+            engine,
+            pairs,
+            cfg,
+            seeds,
+            threads,
+            &mut ReachMemo::new(cfg.h),
+        )
+    }
+
+    /// [`PairSetPlan::build`] borrowing the request's reach memo, so a
+    /// request that plans more than once (the anytime tiers) traverses
+    /// each distinct event once in total.
+    pub(crate) fn build_with_memo(
+        engine: &'e TescEngine<'g, G>,
+        pairs: &[EventPair],
+        cfg: &TescConfig,
+        seeds: &[u64],
+        threads: usize,
+        memo: &mut ReachMemo,
+    ) -> Self {
         assert_eq!(pairs.len(), seeds.len(), "one seed per pair");
-        let sampled = sample_stage(engine, cfg, pairs, seeds, threads);
+        assert_eq!(memo.h(), cfg.h, "reach memo traversed to another level");
+        let prepared = map_indexed(pairs.len(), threads, Err(TescError::NoEventNodes), |i| {
+            prepare(engine, cfg, &pairs[i])
+        });
 
         // Content-addressed event registration (serial: deterministic
         // slot numbering in first-appearance order).
@@ -226,36 +260,63 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         let mut keys: Vec<EventKey> = Vec::new();
         let mut masks: Vec<NodeMask> = Vec::new();
         let mut slot_of: HashMap<EventKey, u32> = HashMap::new();
-        let mut register = |nodes: Vec<NodeId>| -> u32 {
-            let key = EventKey::from_normalized(nodes);
+        let mut register = |key: &EventKey| -> u32 {
             *slot_of.entry(key.clone()).or_insert_with(|| {
                 let slot = keys.len() as u32;
                 masks.push(NodeMask::from_nodes(num_nodes, key.nodes()));
-                keys.push(key);
+                keys.push(key.clone());
                 slot
             })
         };
-        let mut planned = Vec::with_capacity(pairs.len());
-        for (pair, s) in pairs.iter().zip(sampled) {
-            let state = match s.kind {
-                Err(e) => Err(e),
-                Ok(SampledKind::Uniform(sample)) => Ok(PlannedState::Uniform {
-                    sample,
-                    slot_a: register(s.a),
-                    slot_b: register(s.b),
-                }),
-                Ok(SampledKind::Weighted(sample)) => Ok(PlannedState::Weighted {
-                    sample,
-                    slot_a: register(s.a),
-                    slot_b: register(s.b),
-                    slot_union: register(s.union),
-                }),
-            };
-            planned.push(PlannedPair {
-                label: pair.label.clone(),
-                state,
-            });
+        let weighted = matches!(cfg.sampler, SamplerKind::Importance { .. });
+        let slots: Vec<[u32; 3]> = prepared
+            .iter()
+            .map(|p| match p {
+                Err(_) => [0; 3],
+                Ok(p) => {
+                    let (slot_a, slot_b) = (register(&p.a), register(&p.b));
+                    // The union set fuses as a third "event" so the ω
+                    // weights ride the same density pass.
+                    let slot_union = if weighted {
+                        register(&EventKey::from_normalized(p.union.clone()))
+                    } else {
+                        0
+                    };
+                    [slot_a, slot_b, slot_union]
+                }
+            })
+            .collect();
+
+        if cfg.sampler.draws_from_reach() {
+            engine.fill_reach(memo, &keys, threads);
         }
+        let memo = &*memo;
+        let sampled = map_indexed(pairs.len(), threads, Err(TescError::NoEventNodes), |i| {
+            let p = prepared[i].as_ref().map_err(Clone::clone)?;
+            sample_one(engine, cfg, p, seeds[i], memo)
+        });
+
+        let planned: Vec<PlannedPair> = pairs
+            .iter()
+            .zip(sampled)
+            .zip(slots)
+            .map(|((pair, kind), [slot_a, slot_b, slot_union])| PlannedPair {
+                label: pair.label.clone(),
+                state: kind.map(|kind| match kind {
+                    SampledKind::Uniform(sample) => PlannedState::Uniform {
+                        sample,
+                        slot_a,
+                        slot_b,
+                    },
+                    SampledKind::Weighted(sample) => PlannedState::Weighted {
+                        sample,
+                        slot_a,
+                        slot_b,
+                        slot_union,
+                    },
+                }),
+            })
+            .collect();
 
         // Deduplicated reference workset: every (node, slot) incidence
         // packed into one word, sorted and deduplicated — distinct
@@ -492,7 +553,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         // cache the whole pass is nothing but probes, so they fan out
         // like the BFS stage does.
         let governor = ProbeGovernor::new();
-        let probes = crate::density::map_indexed(n, threads, Vec::new(), |i| {
+        let probes = map_indexed(n, threads, Vec::new(), |i| {
             let mut hits: Vec<Option<CachedCount>> = Vec::new();
             if governor.engaged() {
                 let all = cache.lookup_many(
@@ -833,114 +894,74 @@ pub(crate) enum PairVectors {
     },
 }
 
-/// Stage (a) fan-out: sample every pair into indexed slots.
-fn sample_stage<G: Adjacency>(
-    engine: &TescEngine<'_, G>,
-    cfg: &TescConfig,
-    pairs: &[EventPair],
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<Sampled> {
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let mut out: Vec<Option<Sampled>> = (0..pairs.len()).map(|_| None).collect();
-    if threads == 1 || pairs.len() < 2 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = Some(sample_one(engine, cfg, &pairs[i], seeds[i]));
-        }
-    } else {
-        let chunk = pairs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for ((pair_c, seed_c), out_c) in pairs
-                .chunks(chunk)
-                .zip(seeds.chunks(chunk))
-                .zip(out.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for ((pair, &seed), slot) in pair_c.iter().zip(seed_c).zip(out_c.iter_mut()) {
-                        *slot = Some(sample_one(engine, cfg, pair, seed));
-                    }
-                });
-            }
-        });
-    }
-    out.into_iter()
-        .map(|s| s.expect("every pair sampled exactly once"))
-        .collect()
-}
-
-/// Sample one pair, replicating [`TescEngine::test`]'s normalization,
-/// validation and RNG consumption exactly (same sampler code, same
-/// stream ⇒ same sample, bit for bit).
-fn sample_one<G: Adjacency>(
+/// Normalize and validate one pair exactly like [`TescEngine::test`]
+/// does, before anything is traversed or drawn.
+fn prepare<G: Adjacency>(
     engine: &TescEngine<'_, G>,
     cfg: &TescConfig,
     pair: &EventPair,
-    seed: u64,
-) -> Sampled {
-    // Per-pair budget check: once the engine's budget exhausts, the
-    // remaining pairs sample nothing. The caller's own sticky check
-    // then fails the whole request, so these per-pair sentinels never
-    // surface as outcomes.
-    if let Err(e) = engine.budget().check() {
-        return Sampled {
-            a: Vec::new(),
-            b: Vec::new(),
-            union: Vec::new(),
-            kind: Err(e.into()),
-        };
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
+) -> Result<Prepared, TescError> {
     let a = normalize(&pair.a);
     let b = normalize(&pair.b);
     let union = merge_union(&a, &b);
     if union.is_empty() {
-        return Sampled {
-            a,
-            b,
-            union,
-            kind: Err(TescError::NoEventNodes),
-        };
+        return Err(TescError::NoEventNodes);
     }
-    let kind = match cfg.sampler {
+    if matches!(cfg.sampler, SamplerKind::Importance { .. }) {
+        if cfg.statistic != Statistic::KendallTau {
+            return Err(TescError::StatisticUnsupportedBySampler);
+        }
+        engine.require_vicinity(cfg.h)?;
+    }
+    Ok(Prepared {
+        a: EventKey::from_normalized(a),
+        b: EventKey::from_normalized(b),
+        union,
+    })
+}
+
+/// Sample one prepared pair, replicating [`TescEngine::test`]'s RNG
+/// consumption exactly (same sampler code, same stream ⇒ same sample,
+/// bit for bit).
+fn sample_one<G: Adjacency>(
+    engine: &TescEngine<'_, G>,
+    cfg: &TescConfig,
+    pair: &Prepared,
+    seed: u64,
+    memo: &ReachMemo,
+) -> Result<SampledKind, TescError> {
+    // Per-pair budget check: once the engine's budget exhausts, the
+    // remaining pairs sample nothing. The caller's own sticky check
+    // then fails the whole request, so these per-pair sentinels never
+    // surface as outcomes.
+    engine.budget().check()?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    match cfg.sampler {
         SamplerKind::Importance { batch_size } => {
-            if cfg.statistic != Statistic::KendallTau {
-                Err(TescError::StatisticUnsupportedBySampler)
-            } else {
-                match engine.require_vicinity(cfg.h) {
-                    Err(e) => Err(e),
-                    Ok(vic) => {
-                        let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
-                        let mut scratch = engine.pool().acquire();
-                        let sample = importance_sample(
-                            engine.graph(),
-                            &mut scratch,
-                            &union,
-                            vic,
-                            cfg.h,
-                            cfg.sample_size,
-                            batch_size,
-                            max_draws,
-                            &mut rng,
-                        );
-                        if sample.nodes.len() < 3 {
-                            Err(TescError::TooFewReferenceNodes {
-                                found: sample.nodes.len(),
-                            })
-                        } else {
-                            Ok(SampledKind::Weighted(sample))
-                        }
-                    }
-                }
+            let vic = engine.require_vicinity(cfg.h)?;
+            let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
+            let sample = importance_sample(
+                engine.graph(),
+                &mut engine.pool().acquire(),
+                &pair.union,
+                vic,
+                cfg.h,
+                cfg.sample_size,
+                batch_size,
+                max_draws,
+                &mut rng,
+            );
+            if sample.nodes.len() < 3 {
+                return Err(TescError::TooFewReferenceNodes {
+                    found: sample.nodes.len(),
+                });
             }
+            Ok(SampledKind::Weighted(sample))
         }
-        _ => {
-            let mut scratch = engine.pool().acquire();
-            engine
-                .draw_uniform_sample(&mut scratch, &union, cfg, &mut rng)
-                .map(SampledKind::Uniform)
-        }
-    };
-    Sampled { a, b, union, kind }
+        _ => engine
+            .draw_uniform_sample(memo, &pair.a, &pair.b, &pair.union, cfg, &mut rng)
+            .map(SampledKind::Uniform),
+    }
 }
 
 #[cfg(test)]
@@ -1110,6 +1131,61 @@ mod tests {
                     ref_outcomes, outcomes,
                     "group size {group_size} at {threads} threads"
                 );
+            }
+        }
+    }
+
+    /// Stage (a) through the reach memo: a plan's outcomes depend on
+    /// neither the worker count nor the order pairs were listed in,
+    /// and equal one-pair [`TescEngine::test`] runs — including a pair
+    /// with `a = b`, one whose population is too small, and an empty
+    /// one.
+    #[test]
+    fn stage_a_independent_of_threads_and_pair_order() {
+        use crate::rank::content_seed;
+        // Preferential attachment plus two isolated nodes.
+        let ba = barabasi_albert(1500, 3, &mut StdRng::seed_from_u64(11));
+        let edges: Vec<(NodeId, NodeId)> = (0..1500)
+            .flat_map(|u| ba.neighbors(u).iter().map(move |&v| (u, v)))
+            .filter(|(u, v)| u < v)
+            .collect();
+        let g = tesc_graph::csr::from_edges(1502, &edges);
+        let engine = TescEngine::new(&g);
+        let mut pairs = pairs_sharing_events(1500, 12);
+        let shared = pairs[0].a.clone();
+        pairs.push(EventPair::new("self", shared.clone(), shared));
+        pairs.push(EventPair::new("lonely", vec![1500], vec![1501]));
+        let reversed: Vec<EventPair> = pairs.iter().rev().cloned().collect();
+        for sampler in [SamplerKind::BatchBfs, SamplerKind::WholeGraph] {
+            let cfg = TescConfig::new(2)
+                .with_sample_size(120)
+                .with_sampler(sampler);
+            let want: HashMap<&str, Result<TescResult, TescError>> = pairs
+                .iter()
+                .map(|p| {
+                    let mut rng = StdRng::seed_from_u64(content_seed(5, &p.a, &p.b));
+                    (p.label.as_str(), engine.test(&p.a, &p.b, &cfg, &mut rng))
+                })
+                .collect();
+            assert_eq!(
+                want["lonely"],
+                Err(TescError::TooFewReferenceNodes { found: 2 })
+            );
+            assert_eq!(want["empty"], Err(TescError::NoEventNodes));
+            assert!(want["self"].is_ok());
+            for (order, list) in [("listed", &pairs), ("reversed", &reversed)] {
+                let seeds: Vec<u64> = list.iter().map(|p| content_seed(5, &p.a, &p.b)).collect();
+                for threads in [1usize, 4] {
+                    let plan = PairSetPlan::build(&engine, list, &cfg, &seeds, threads);
+                    for o in plan.finish(&plan.run_density(threads)) {
+                        assert_eq!(
+                            o.result,
+                            want[o.label.as_str()],
+                            "{sampler}: {} {order} @ {threads}t",
+                            o.label
+                        );
+                    }
+                }
             }
         }
     }

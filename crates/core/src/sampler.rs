@@ -3,9 +3,12 @@
 //! The test needs `n` reference nodes drawn uniformly from
 //! `V^h_{a∪b}`, but only `V_{a∪b}` is in hand. Four strategies:
 //!
-//! * [`batch_bfs_sample`] — materialize `V^h_{a∪b}` with the
-//!   multi-source Batch BFS of Algorithm 1 (`O(|V^h_{a∪b}| +
-//!   |E^h_{a∪b}|)`), then subsample uniformly.
+//! * **Batch BFS** (Algorithm 1) — enumerate `V^h_{a∪b}`, then
+//!   subsample uniformly. [`batch_bfs_sample`] is the paper-faithful
+//!   form (one multi-source scalar BFS per pair, `O(|V^h_{a∪b}| +
+//!   |E^h_{a∪b}|)`) and the oracle; the engine and the planner run
+//!   [`mask_sample`], which draws the *same* sample from a bitmap of
+//!   the population (see below).
 //! * [`rejection_sample`] — Procedure *RejectSamp*: provably uniform
 //!   (Prop. 1) without enumeration, but pays `2n/p_succ` BFS searches
 //!   where `p_succ = N/N_sum` collapses under heavy vicinity overlap.
@@ -17,12 +20,34 @@
 //! * [`whole_graph_sample`] — Algorithm 3: uniform over `V`, keep the
 //!   hits; `E(n_f) = n|V|/N − n` wasted eligibility checks, worthwhile
 //!   only when `V^h_{a∪b}` covers most of the graph.
+//!
+//! # The reference population is a bitmap
+//!
+//! `V^h_{a∪b} = V^h_a ∪ V^h_b`, so a request over `P` pairs naming `E`
+//! distinct events needs `E` reach sets, not `P` enumerations.
+//! [`reach_mask`] computes one `V^h_e` as a [`NodeMask`] (one bitset-
+//! kernel BFS, `|V|/8` bytes); a request-scoped `ReachMemo` holds them
+//! by event content; a pair's population is the word-wise OR of two
+//! of them, `N` its popcount. [`mask_sample`] then runs the partial
+//! Fisher–Yates of Batch BFS over *ranks* `0..N` — storing only the
+//! displaced positions — and resolves each drawn rank by select
+//! ([`tesc_events::MaskSelect`]), and [`whole_graph_sample`]'s
+//! eligibility check `r ∈ V^h_{a∪b}` is one bit test.
+//!
+//! **Population-order contract.** The Batch BFS population is ordered
+//! by **ascending node id** — in the oracle (which sorts its
+//! enumeration) and in the mask draw (whose rank `r` *is* the `r`-th
+//! smallest member). Both consume the identical `gen_range(i..N)`
+//! transcript, so they return the same nodes in the same order for
+//! the same RNG, and the first `m` draws for target `m` are a prefix
+//! of the draws for any larger target (the anytime tiers rely on it).
 
+use crate::cache::{EventKey, MixBuild};
 use rand::Rng;
 use std::collections::HashMap;
 use tesc_events::NodeMask;
 use tesc_graph::bfs::BfsScratch;
-use tesc_graph::{Adjacency, NodeId, VicinityIndex};
+use tesc_graph::{Adjacency, Budget, Interrupted, NodeId, ScratchPool, VicinityIndex};
 
 /// Which sampling strategy the engine should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +65,14 @@ pub enum SamplerKind {
     },
     /// Whole-graph sampling (Algorithm 3).
     WholeGraph,
+}
+
+impl SamplerKind {
+    /// Does this strategy draw from the population bitmap — and hence
+    /// need the pair's reach sets memoized before the draw?
+    pub(crate) fn draws_from_reach(self) -> bool {
+        matches!(self, SamplerKind::BatchBfs | SamplerKind::WholeGraph)
+    }
 }
 
 impl std::fmt::Display for SamplerKind {
@@ -89,8 +122,11 @@ fn choose_distinct(pool: &mut [NodeId], k: usize, rng: &mut impl Rng) -> Vec<Nod
     pool[..k].to_vec()
 }
 
-/// Batch BFS sampling: enumerate `V^h_{a∪b}` (Algorithm 1) and draw a
-/// uniform subsample of size `min(n, N)`.
+/// Batch BFS sampling as the paper states it — the **oracle** of
+/// [`mask_sample`]: enumerate `V^h_{a∪b}` with one multi-source scalar
+/// BFS (Algorithm 1), order it by ascending node id (the
+/// population-order contract, see the module docs) and draw a uniform
+/// subsample of size `min(n, N)` by dense partial Fisher–Yates.
 pub fn batch_bfs_sample<G: Adjacency>(
     g: &G,
     scratch: &mut BfsScratch,
@@ -101,6 +137,7 @@ pub fn batch_bfs_sample<G: Adjacency>(
 ) -> UniformSample {
     let mut population = Vec::new();
     scratch.h_vicinity_into(g, event_nodes, h, &mut population);
+    population.sort_unstable();
     let population_size = population.len();
     let k = n.min(population_size);
     let nodes = choose_distinct(&mut population, k, rng);
@@ -108,6 +145,119 @@ pub fn batch_bfs_sample<G: Adjacency>(
         nodes,
         population_size: Some(population_size),
         draws: k,
+    }
+}
+
+/// `V^h_S` as a bitmap: one bitset-kernel BFS from `sources` under
+/// `budget`, its visited words copied out (`|V|/8` bytes). An
+/// interrupted search yields the typed error and no mask.
+pub fn reach_mask<G: Adjacency>(
+    g: &G,
+    scratch: &mut BfsScratch,
+    sources: &[NodeId],
+    h: u32,
+    budget: &Budget,
+) -> Result<NodeMask, Interrupted> {
+    scratch.visit_h_vicinity_bitset_budgeted(g, sources, h, budget)?;
+    Ok(NodeMask::from_words(
+        g.num_nodes(),
+        scratch.visited_words().to_vec(),
+    ))
+}
+
+/// Batch BFS sampling from a population bitmap: a uniform subsample
+/// of size `min(n, N)` of `population`'s members, bit-identical to
+/// [`batch_bfs_sample`] over the same set (same nodes, same order,
+/// same RNG consumption).
+///
+/// The partial Fisher–Yates runs over the virtual array `pool[r] =`
+/// the `r`-th smallest member: only positions a swap displaced are
+/// stored, and each drawn rank resolves by select — `O(|V|/64 + n)`
+/// however large `N` is, and never a `Vec` of the population.
+pub fn mask_sample(population: &NodeMask, n: usize, rng: &mut impl Rng) -> UniformSample {
+    let size = population.len();
+    let k = n.min(size);
+    let select = population.selector();
+    // Keys are loop indices and the program's own RNG draws, never
+    // outside input: the cache's cheap mixer replaces SipHash, which
+    // was 30% of a draw's cost.
+    let mut displaced: HashMap<usize, usize, MixBuild> =
+        HashMap::with_capacity_and_hasher(k, MixBuild::default());
+    let mut nodes = Vec::with_capacity(k);
+    for i in 0..k {
+        let j = rng.gen_range(i..size);
+        // swap(pool[i], pool[j]); position i is settled and never
+        // read again, so only pool[j]'s new value is kept.
+        let at_i = displaced.remove(&i).unwrap_or(i);
+        let at_j = if j == i {
+            at_i
+        } else {
+            displaced.insert(j, at_i).unwrap_or(j)
+        };
+        nodes.push(select.select(at_j));
+    }
+    UniformSample {
+        nodes,
+        population_size: Some(size),
+        draws: k,
+    }
+}
+
+/// Request-scoped memo of per-event reach sets `V^h_e`, keyed by event
+/// content: each distinct event of a request is traversed once
+/// however many pairs (or anytime tiers) name it. Nothing outlives the
+/// request, so there is nothing to invalidate.
+pub(crate) struct ReachMemo {
+    h: u32,
+    reach: HashMap<EventKey, NodeMask, MixBuild>,
+}
+
+impl ReachMemo {
+    /// Empty memo for level-`h` reach sets.
+    pub(crate) fn new(h: u32) -> Self {
+        ReachMemo {
+            h,
+            reach: HashMap::default(),
+        }
+    }
+
+    /// The level the memoized reach sets were traversed to.
+    pub(crate) fn h(&self) -> u32 {
+        self.h
+    }
+
+    /// Resolve `V^h_e` for every listed event not yet memoized — one
+    /// [`reach_mask`] each, fanned out over `threads`. A search the
+    /// budget interrupts memoizes nothing; exhaustion is sticky, so
+    /// the caller's next budget check fails before anything reads the
+    /// hole.
+    pub(crate) fn fill<G: Adjacency>(
+        &mut self,
+        g: &G,
+        pool: &ScratchPool,
+        budget: &Budget,
+        events: &[EventKey],
+        threads: usize,
+    ) {
+        let missing: Vec<&EventKey> = events
+            .iter()
+            .filter(|key| !self.reach.contains_key(key))
+            .collect();
+        let h = self.h;
+        let fresh = crate::density::map_indexed(missing.len(), threads, None, |i| {
+            reach_mask(g, &mut pool.acquire(), missing[i].nodes(), h, budget).ok()
+        });
+        for (key, mask) in missing.into_iter().zip(fresh) {
+            if let Some(mask) = mask {
+                self.reach.insert(key.clone(), mask);
+            }
+        }
+    }
+
+    /// `V^h_{a∪b} = V^h_a ∪ V^h_b`, or `None` unless both reach sets
+    /// are memoized.
+    pub(crate) fn population(&self, a: &EventKey, b: &EventKey) -> Option<NodeMask> {
+        Some(self.reach.get(a)?.union(self.reach.get(b)?))
     }
 }
 
@@ -263,8 +413,36 @@ pub fn importance_sample<G: Adjacency>(
 
 /// Whole-graph sampling (Algorithm 3): draw nodes uniformly from `V`
 /// without replacement; keep those whose `h`-vicinity contains an
-/// event node. Stops after `n` hits or when every node has been tried.
-pub fn whole_graph_sample<G: Adjacency>(
+/// event node — i.e. the members of `population = V^h_{a∪b}` (on an
+/// undirected graph `V^h_r ∩ V_{a∪b} ≠ ∅ ⇔ r ∈ V^h_{a∪b}`), so
+/// eligibility is one bit test. Stops after `n` hits or when every
+/// node has been tried.
+pub fn whole_graph_sample(population: &NodeMask, n: usize, rng: &mut impl Rng) -> UniformSample {
+    let num_nodes = population.num_nodes();
+    let mut tried = NodeMask::new(num_nodes);
+    let mut nodes = Vec::with_capacity(n);
+    let mut draws = 0usize;
+    while nodes.len() < n && tried.len() < num_nodes {
+        let v = rng.gen_range(0..num_nodes as NodeId);
+        if !tried.insert(v) {
+            continue;
+        }
+        draws += 1;
+        if population.contains(v) {
+            nodes.push(v);
+        }
+    }
+    UniformSample {
+        nodes,
+        population_size: None,
+        draws,
+    }
+}
+
+/// Algorithm 3 exactly as printed — one eligibility BFS per draw. The
+/// oracle [`whole_graph_sample`] must match in nodes and `draws`.
+#[cfg(test)]
+pub(crate) fn whole_graph_sample_bfs<G: Adjacency>(
     g: &G,
     scratch: &mut BfsScratch,
     union_mask: &NodeMask,
@@ -503,13 +681,16 @@ mod tests {
         assert_eq!(sample.total_draws, 1000);
     }
 
+    /// `V^h_S` as a bitmap, unbudgeted.
+    fn reach(g: &CsrGraph, sources: &[NodeId], h: u32) -> NodeMask {
+        let mut s = BfsScratch::new(g.num_nodes());
+        reach_mask(g, &mut s, sources, h, &Budget::unlimited()).unwrap()
+    }
+
     #[test]
     fn whole_graph_keeps_only_eligible() {
         let g = path(10);
-        let events = [0u32];
-        let union_mask = NodeMask::from_nodes(10, &events);
-        let mut s = BfsScratch::new(10);
-        let sample = whole_graph_sample(&g, &mut s, &union_mask, 2, 10, &mut rng(10));
+        let sample = whole_graph_sample(&reach(&g, &[0], 2), 10, &mut rng(10));
         // Eligible: {0,1,2}; sampler exhausts all 10 nodes trying.
         let mut got = sample.nodes.clone();
         got.sort_unstable();
@@ -521,9 +702,7 @@ mod tests {
     fn whole_graph_stops_at_n() {
         let g = grid(10, 10);
         let events: Vec<NodeId> = (0..100).collect(); // everything eligible
-        let union_mask = NodeMask::from_nodes(100, &events);
-        let mut s = BfsScratch::new(100);
-        let sample = whole_graph_sample(&g, &mut s, &union_mask, 1, 15, &mut rng(11));
+        let sample = whole_graph_sample(&reach(&g, &events, 1), 15, &mut rng(11));
         assert_eq!(sample.nodes.len(), 15);
         assert_eq!(sample.draws, 15, "every draw is a hit here");
     }
@@ -533,7 +712,7 @@ mod tests {
         let g = grid(10, 10);
         let events = [5u32, 50, 95];
         let idx = VicinityIndex::build(&g, 2);
-        let union_mask = NodeMask::from_nodes(100, &events);
+        let population = reach(&g, &events, 2);
         let mut s = BfsScratch::new(100);
         let a = batch_bfs_sample(&g, &mut s, &events, 2, 12, &mut rng(12));
         let b = batch_bfs_sample(&g, &mut s, &events, 2, 12, &mut rng(12));
@@ -541,8 +720,8 @@ mod tests {
         let c = importance_sample(&g, &mut s, &events, &idx, 2, 12, 3, 10_000, &mut rng(13));
         let d = importance_sample(&g, &mut s, &events, &idx, 2, 12, 3, 10_000, &mut rng(13));
         assert_eq!(c, d);
-        let e = whole_graph_sample(&g, &mut s, &union_mask, 2, 12, &mut rng(14));
-        let f = whole_graph_sample(&g, &mut s, &union_mask, 2, 12, &mut rng(14));
+        let e = whole_graph_sample(&population, 12, &mut rng(14));
+        let f = whole_graph_sample(&population, 12, &mut rng(14));
         assert_eq!(e, f);
     }
 
@@ -558,28 +737,148 @@ mod tests {
         assert!(b.nodes.is_empty());
         let c = importance_sample(&g, &mut s, &[], &idx, 1, 5, 1, 100, &mut rng(15));
         assert!(c.nodes.is_empty());
-        let d = whole_graph_sample(&g, &mut s, &union_mask, 1, 5, &mut rng(15));
+        assert!(mask_sample(&reach(&g, &[], 1), 5, &mut rng(15))
+            .nodes
+            .is_empty());
+        let d = whole_graph_sample(&reach(&g, &[], 1), 5, &mut rng(15));
         assert!(d.nodes.is_empty());
         assert_eq!(d.draws, 5, "whole-graph still examines (and rejects) nodes");
     }
 
     #[test]
     fn batch_bfs_marginal_uniform() {
-        // Population {1..=6} on path(8) as before; Batch BFS with n=1.
+        // Population {1..=6} on path(8) as before; Batch BFS with n=1,
+        // drawn through the population bitmap.
         let g = from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]);
-        let events = [2u32, 5];
-        let mut s = BfsScratch::new(8);
+        let population = reach(&g, &[2], 1).union(&reach(&g, &[5], 1));
+        assert_eq!(population.to_nodes(), vec![1, 2, 3, 4, 5, 6]);
         let mut counts = vec![0usize; 8];
         let mut r = rng(16);
         let trials = 6000;
         for _ in 0..trials {
-            let sample = batch_bfs_sample(&g, &mut s, &events, 1, 1, &mut r);
+            let sample = mask_sample(&population, 1, &mut r);
             counts[sample.nodes[0] as usize] += 1;
         }
         let expected = trials as f64 / 6.0;
-        for v in 1..=6 {
-            let d = (counts[v] as f64 - expected).abs() / expected;
-            assert!(d < 0.15, "node {v} freq off by {d:.2} ({counts:?})");
+        let chi2: f64 = (1..=6)
+            .map(|v| (counts[v] as f64 - expected).powi(2) / expected)
+            .sum();
+        // 5 degrees of freedom; critical value at α=0.001 is 20.5.
+        assert!(chi2 < 20.5, "chi2 = {chi2}, counts = {counts:?}");
+        assert_eq!(counts[0] + counts[7], 0);
+    }
+
+    #[test]
+    fn interrupted_reach_memoizes_nothing_and_the_refill_is_clean() {
+        let g = grid(12, 12);
+        let pool = ScratchPool::for_graph(&g);
+        let events = [EventKey::new(&[0, 5, 77]), EventKey::new(&[143])];
+        let cancelled = Budget::cancellable();
+        cancelled.cancel();
+        let mut memo = ReachMemo::new(2);
+        for threads in [1usize, 4] {
+            memo.fill(&g, &pool, &cancelled, &events, threads);
+            assert!(memo.reach.is_empty(), "interrupted searches left entries");
+            assert!(memo.population(&events[0], &events[1]).is_none());
         }
+        memo.fill(&g, &pool, &Budget::unlimited(), &events, 1);
+        assert_eq!(
+            memo.population(&events[0], &events[1]).unwrap(),
+            reach(&g, &[0, 5, 77, 143], 2)
+        );
+        // Memoized events are not traversed again: a dead budget is
+        // never consulted for them.
+        memo.fill(&g, &pool, &cancelled, &events, 1);
+        assert_eq!(memo.reach.len(), 2);
+    }
+
+    /// 128 seeded cases of the one contract the engine's sampling rests
+    /// on: per-event reach bitmaps OR-ed are the union's reach, the
+    /// mask draw equals the per-pair Batch BFS oracle (nodes, order,
+    /// `N`, RNG consumption), tier `m` is the `m`-prefix of tier `n`,
+    /// and the bit-test whole-graph sampler equals Algorithm 3's
+    /// per-draw BFS in nodes and `draws`.
+    #[test]
+    fn mask_draw_equals_scalar_oracle_on_seeded_graphs() {
+        use rand::Rng;
+        use tesc_events::store::merge_union;
+        use tesc_graph::generators::{barabasi_albert, erdos_renyi_gnm};
+        let mut tiny_populations = 0;
+        let mut exhausted = 0;
+        for case in 0..128u64 {
+            let mut r = rng(1000 + case);
+            // Sizes straddle word boundaries: |V| % 64 is 0 for some
+            // cases and not for most.
+            let n_nodes = match case % 4 {
+                0 => 64 * r.gen_range(1..5usize),
+                _ => r.gen_range(5..400usize),
+            };
+            let g = match case % 3 {
+                // Sparse G(n, m): isolated nodes and small components.
+                0 => erdos_renyi_gnm(n_nodes, n_nodes / 2, &mut r),
+                1 => barabasi_albert(n_nodes.max(4), 2, &mut r),
+                _ => grid(n_nodes.div_ceil(7), 7),
+            };
+            let n_nodes = g.num_nodes() as NodeId;
+            let h = r.gen_range(0..4u32);
+            let event = |r: &mut StdRng| -> Vec<NodeId> {
+                let len = r.gen_range(0..(n_nodes as usize / 3).max(2));
+                let mut e: Vec<NodeId> = (0..len).map(|_| r.gen_range(0..n_nodes)).collect();
+                e.sort_unstable();
+                e.dedup();
+                e
+            };
+            let a = event(&mut r);
+            // a = b, overlapping, and independent second events.
+            let b = match case % 5 {
+                0 => a.clone(),
+                1 => merge_union(&a[..a.len() / 2], &event(&mut r)),
+                _ => event(&mut r),
+            };
+            let union = merge_union(&a, &b);
+            let ctx = format!(
+                "case {case}: |V|={n_nodes} h={h} |a|={} |b|={}",
+                a.len(),
+                b.len()
+            );
+
+            let population = reach(&g, &a, h).union(&reach(&g, &b, h));
+            assert_eq!(population, reach(&g, &union, h), "{ctx}: OR ≠ union reach");
+            assert_eq!(
+                population.to_nodes(),
+                reference_population(&g, &union, h),
+                "{ctx}: bitmap ≠ scalar enumeration"
+            );
+
+            let mut s = BfsScratch::new(g.num_nodes());
+            let n = r.gen_range(1..60usize);
+            let seed = r.gen_range(0..u64::MAX);
+            let (mut r_mask, mut r_oracle) = (rng(seed), rng(seed));
+            let got = mask_sample(&population, n, &mut r_mask);
+            let want = batch_bfs_sample(&g, &mut s, &union, h, n, &mut r_oracle);
+            assert_eq!(got, want, "{ctx}: n={n}");
+            assert_eq!(
+                r_mask.gen_range(0..u64::MAX),
+                r_oracle.gen_range(0..u64::MAX),
+                "{ctx}: RNG streams diverged"
+            );
+            tiny_populations += usize::from(population.len() < 3);
+            exhausted += usize::from(population.len() < n);
+            for m in [1, n / 2, n] {
+                let tier = mask_sample(&population, m, &mut rng(seed));
+                let len = tier.nodes.len();
+                assert_eq!(tier.nodes[..], got.nodes[..len], "{ctx}: tier {m} of {n}");
+            }
+
+            let union_mask = NodeMask::from_nodes(g.num_nodes(), &union);
+            assert_eq!(
+                whole_graph_sample(&population, n, &mut rng(seed)),
+                whole_graph_sample_bfs(&g, &mut s, &union_mask, h, n, &mut rng(seed)),
+                "{ctx}: whole-graph bit test ≠ per-draw BFS"
+            );
+        }
+        // The sweep must actually reach the edge regimes it names.
+        assert!(tiny_populations > 0, "no case with N < 3");
+        assert!(exhausted > 10, "only {exhausted} cases with N < n");
     }
 }

@@ -20,4 +20,4 @@ pub mod io;
 pub mod simulate;
 pub mod store;
 
-pub use store::{EventId, EventStore, EventStoreError, NodeMask};
+pub use store::{EventId, EventStore, EventStoreError, MaskSelect, NodeMask};

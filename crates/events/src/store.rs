@@ -314,6 +314,60 @@ impl NodeMask {
         m
     }
 
+    /// Mask over `num_nodes` ids adopting raw words in the
+    /// [`NodeMask::words`] layout — how a BFS visited bitmap becomes a
+    /// mask without a per-node pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` has exactly `num_nodes.div_ceil(64)`
+    /// entries with every bit at or beyond `num_nodes` clear.
+    pub fn from_words(num_nodes: usize, words: Vec<u64>) -> Self {
+        assert_eq!(
+            words.len(),
+            num_nodes.div_ceil(64),
+            "word count does not cover {num_nodes} nodes"
+        );
+        if let (Some(&last), false) = (words.last(), num_nodes.is_multiple_of(64)) {
+            assert_eq!(last >> (num_nodes % 64), 0, "bits set beyond num_nodes");
+        }
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        NodeMask {
+            bits: words,
+            num_nodes,
+            count,
+        }
+    }
+
+    /// `self ∪ other` — one word-wise OR, the size by popcount.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the masks cover different id ranges.
+    pub fn union(&self, other: &NodeMask) -> NodeMask {
+        assert_eq!(
+            self.num_nodes, other.num_nodes,
+            "masks over different id ranges"
+        );
+        let bits = self.bits.iter().zip(&other.bits).map(|(a, b)| a | b);
+        Self::from_words(self.num_nodes, bits.collect())
+    }
+
+    /// Rank → member lookup over this mask's ascending member order.
+    pub fn selector(&self) -> MaskSelect<'_> {
+        let mut prefix = Vec::with_capacity(self.bits.len());
+        let mut acc = 0u32;
+        for w in &self.bits {
+            prefix.push(acc);
+            acc += w.count_ones();
+        }
+        MaskSelect {
+            words: &self.bits,
+            prefix,
+            len: self.count,
+        }
+    }
+
     /// Number of ids the mask covers.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -407,9 +461,70 @@ impl NodeMask {
     }
 }
 
+/// Select over a [`NodeMask`] ([`NodeMask::selector`]): per-word prefix
+/// popcounts built once in `O(|V|/64)`, then each rank resolves with a
+/// binary search over words plus an in-word bit scan — so drawing `k`
+/// members by rank never materializes the member list.
+#[derive(Debug, Clone)]
+pub struct MaskSelect<'a> {
+    words: &'a [u64],
+    /// `prefix[w]` = members in `words[..w]`.
+    prefix: Vec<u32>,
+    len: usize,
+}
+
+impl MaskSelect<'_> {
+    /// The `rank`-th smallest member (0-based) —
+    /// `mask.to_nodes()[rank]` without the list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is not below the mask's member count.
+    pub fn select(&self, rank: usize) -> NodeId {
+        assert!(rank < self.len, "rank {rank} beyond the mask's members");
+        let w = self.prefix.partition_point(|&p| p as usize <= rank) - 1;
+        let mut bits = self.words[w];
+        for _ in self.prefix[w] as usize..rank {
+            bits &= bits - 1;
+        }
+        (w * 64) as NodeId + bits.trailing_zeros()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mask_words_union_and_select_agree_with_member_lists() {
+        // Sizes around the word boundary, incl. |V| % 64 != 0.
+        for n in [1usize, 63, 64, 65, 130, 192] {
+            let a: Vec<NodeId> = (0..n as NodeId).filter(|v| v % 3 == 0).collect();
+            let b: Vec<NodeId> = (0..n as NodeId).filter(|v| v % 7 == 1).collect();
+            let (ma, mb) = (NodeMask::from_nodes(n, &a), NodeMask::from_nodes(n, &b));
+            assert_eq!(NodeMask::from_words(n, ma.words().to_vec()), ma);
+            let u = ma.union(&mb);
+            assert_eq!(u.to_nodes(), merge_union(&a, &b));
+            assert_eq!(u.len(), u.to_nodes().len());
+            let sel = u.selector();
+            for (rank, &v) in u.to_nodes().iter().enumerate() {
+                assert_eq!(sel.select(rank), v, "n {n} rank {rank}");
+            }
+        }
+        assert!(NodeMask::new(0).union(&NodeMask::new(0)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the mask's members")]
+    fn select_past_the_last_member_panics() {
+        NodeMask::from_nodes(70, &[3, 69]).selector().select(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bits set beyond num_nodes")]
+    fn from_words_rejects_stray_tail_bits() {
+        NodeMask::from_words(65, vec![0, 0b10]);
+    }
 
     #[test]
     fn fingerprint_tracks_content_and_order() {

@@ -20,12 +20,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tesc::batch::EventPair;
 use tesc::rank::{content_seed, rank_pairs, RankMode, RankRequest};
-use tesc::sampler::{batch_bfs_sample, whole_graph_sample};
+use tesc::sampler::{batch_bfs_sample, mask_sample, reach_mask, whole_graph_sample};
 use tesc::{
-    escalation_schedule, BfsKernel, DensityCache, NodeMask, SamplerKind, Tail, TescConfig,
-    TescEngine, VicinityIndex,
+    escalation_schedule, BfsKernel, DensityCache, SamplerKind, Tail, TescConfig, TescEngine,
+    VicinityIndex,
 };
-use tesc_graph::{BfsScratch, NodeId};
+use tesc_graph::{BfsScratch, Budget, NodeId};
 
 use tesc_datasets::{DblpConfig, DblpScenario, TwitterConfig, TwitterScenario};
 
@@ -242,9 +242,20 @@ fn escalation_extends_the_sample_prefix() {
         union.sort_unstable();
         union.dedup();
         let seed = content_seed(master, &a, &b);
-        let full = batch_bfs_sample(g, &mut scratch, &union, h, n, &mut rng(seed));
+        // The population the engine draws from: V^h_a ∪ V^h_b as a
+        // bitmap. Its draw equals the per-pair Batch BFS oracle.
+        let unlimited = Budget::unlimited();
+        let population = reach_mask(g, &mut scratch, &a, h, &unlimited)
+            .unwrap()
+            .union(&reach_mask(g, &mut scratch, &b, h, &unlimited).unwrap());
+        let full = mask_sample(&population, n, &mut rng(seed));
+        assert_eq!(
+            full,
+            batch_bfs_sample(g, &mut scratch, &union, h, n, &mut rng(seed)),
+            "pair {i}: mask draw differs from the Batch BFS oracle"
+        );
         for &m in &schedule {
-            let tier = batch_bfs_sample(g, &mut scratch, &union, h, m, &mut rng(seed));
+            let tier = mask_sample(&population, m, &mut rng(seed));
             let len = tier.nodes.len().min(full.nodes.len());
             assert_eq!(
                 tier.nodes[..len],
@@ -253,10 +264,9 @@ fn escalation_extends_the_sample_prefix() {
             );
         }
         // Whole-graph sampling obeys the same contract.
-        let mask = NodeMask::from_nodes(g.num_nodes(), &union);
-        let full = whole_graph_sample(g, &mut scratch, &mask, h, n, &mut rng(seed));
+        let full = whole_graph_sample(&population, n, &mut rng(seed));
         for &m in &schedule {
-            let tier = whole_graph_sample(g, &mut scratch, &mask, h, m, &mut rng(seed));
+            let tier = whole_graph_sample(&population, m, &mut rng(seed));
             let len = tier.nodes.len().min(full.nodes.len());
             assert_eq!(
                 tier.nodes[..len],

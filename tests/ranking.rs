@@ -322,8 +322,8 @@ fn doomed_budget_storm_never_poisons_shared_caches() {
         .with_top_k(2);
 
     // The storm: escalating deadlines so interruptions land at every
-    // depth (before the first tier, mid-density, mid-scoring), plus an
-    // explicit cancellation.
+    // depth (before the first tier, mid-reach, mid-density,
+    // mid-scoring), plus an explicit cancellation.
     for round in 0..10u64 {
         let doomed = TescEngine::with_vicinity_index(&s.graph, &idx)
             .with_density_cache(cache.clone())
@@ -352,6 +352,39 @@ fn doomed_budget_storm_never_poisons_shared_caches() {
         .failed
         .iter()
         .all(|f| matches!(f.result, Err(TescError::Interrupted(i)) if i.cancelled)));
+
+    // Stage (a) in isolation: reach BFS and draws run under the
+    // engine's budget, the density pass here under none. Wherever the
+    // deadline lands — before the first reach set, between two, after
+    // the last — a pair either fails as interrupted or carries exactly
+    // the sample a never-interrupted engine draws; nothing partial
+    // leaks out of the request's reach memo.
+    {
+        use tesc::planner::PairSetPlan;
+        let seeds: Vec<u64> = pairs.iter().map(|p| content_seed(13, &p.a, &p.b)).collect();
+        let outcomes = |engine: &TescEngine<'_>| {
+            let plan = PairSetPlan::build(engine, &pairs, &cfg, &seeds, 2);
+            plan.finish(&plan.run_density(2))
+        };
+        let clean = outcomes(&TescEngine::with_vicinity_index(&s.graph, &idx));
+        assert!(clean.iter().all(|o| o.result.is_ok()));
+        let mut interrupted = 0usize;
+        for round in 0..10u64 {
+            let doomed = TescEngine::with_vicinity_index(&s.graph, &idx)
+                .with_density_cache(cache.clone())
+                .with_budget(Budget::with_deadline(Duration::from_micros(round * 40)));
+            for (got, want) in outcomes(&doomed).iter().zip(&clean) {
+                match &got.result {
+                    Err(TescError::Interrupted(_)) => interrupted += 1,
+                    other => assert_eq!(other, &want.result, "round {round}: {}", got.label),
+                }
+            }
+        }
+        assert!(
+            interrupted >= pairs.len(),
+            "a zero deadline must interrupt stage (a) for every pair"
+        );
+    }
 
     // After the storm: bit-identical to an engine that never saw it.
     let survivor = TescEngine::with_vicinity_index(&s.graph, &idx).with_density_cache(cache);
