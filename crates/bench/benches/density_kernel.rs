@@ -1,6 +1,5 @@
-//! Density-kernel shoot-out: **scalar** vs **bitset** vs
-//! **bitset + locality relabeling** vs **multi** (64-way source
-//! batching), the execution plans of the per-reference-node density
+//! Density-kernel shoot-out: **scalar** vs **bitset** vs **multi**
+//! (64-way source batching), the execution plans of the per-reference-node density
 //! hot path (`tesc::density::KernelPlan` / `GroupKernelPlan`).
 //!
 //! For the DBLP-like and intrusion-like scenarios, at `h ∈ {1, 2, 3}`,
@@ -12,14 +11,9 @@
 //! * `<scenario>/h<h>/bitset` — hybrid top-down/bottom-up bitmap BFS
 //!   with the branch-free final level, counts by word-wise
 //!   AND + popcount.
-//! * `<scenario>/h<h>/bitset+relabel` — the bitset kernel on the
-//!   degree-descending BFS-order substrate (`tesc_graph::relabel`),
-//!   reference nodes translated at the boundary.
 //! * `<scenario>/h<h>/multi` — the 300 reference nodes batched into
 //!   64-way multi-source traversals (`MsBfsScratch`), one bit-lane
 //!   each, per-lane counts by popcount.
-//! * `<scenario>/h<h>/multi+relabel` — the multi-source kernel on the
-//!   relabeled substrate.
 //! * `<scenario>/h<h>/event` — the same multi-source kernel driven from
 //!   the **event side**: the two events' occurrence nodes traverse as
 //!   lanes (`⌈|V_e|/64⌉` traversals per event), `|V^h_r|` read from the
@@ -50,8 +44,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tesc::density::{
-    choose_route, density_vectors_group_plan, density_vectors_plan, translate_mask,
-    GroupKernelPlan, KernelPlan, Route,
+    choose_route, density_vectors_group_plan, density_vectors_plan, GroupKernelPlan, KernelPlan,
+    Route,
 };
 use tesc::sampler::batch_bfs_sample;
 use tesc::NodeMask;
@@ -61,7 +55,6 @@ use tesc_datasets::{
     DblpConfig, DblpScenario, IntrusionConfig, IntrusionScenario, TwitterConfig, TwitterScenario,
 };
 use tesc_events::store::merge_union;
-use tesc_graph::relabel::RelabeledGraph;
 use tesc_graph::{BfsKernel, BfsScratch, CsrGraph, NodeId, ScratchPool, VicinityIndex};
 
 /// Group size of the `multi` rows — the full lane word.
@@ -98,7 +91,7 @@ fn scenarios() -> Vec<Scenario> {
 
 fn main() {
     let harness = Harness::new().with_samples(10);
-    let mut summary: Vec<(String, f64, f64, f64, f64, f64)> = Vec::new();
+    let mut summary: Vec<(String, f64, f64, f64)> = Vec::new();
 
     for s in scenarios() {
         let g = &s.graph;
@@ -115,15 +108,9 @@ fn main() {
         let mb = NodeMask::from_nodes(n, &s.vb);
         let (a_norm, b_norm) = (normalize(&s.va), normalize(&s.vb));
         let union = merge_union(&a_norm, &b_norm);
-        let rel = RelabeledGraph::build(g);
         let index = VicinityIndex::build_parallel(g, 3, threads());
-        let (ta, tb) = (
-            translate_mask(rel.map(), &ma),
-            translate_mask(rel.map(), &mb),
-        );
         // Occurrence-list slots for the grouped (multi-source) plans.
         let slot_nodes = vec![a_norm.clone(), b_norm.clone()];
-        let slot_nodes_rel = vec![rel.map().map_to_new(&a_norm), rel.map().map_to_new(&b_norm)];
 
         for h in [1u32, 2, 3] {
             let refs = {
@@ -143,25 +130,9 @@ fn main() {
                 use_bitset: true,
                 ..scalar
             };
-            let relabel = KernelPlan {
-                graph: rel.graph(),
-                mask_a: &ta,
-                mask_b: &tb,
-                translate: Some(rel.map()),
-                use_bitset: true,
-                h,
-            };
             let group = GroupKernelPlan {
                 graph: g,
                 slot_nodes: &slot_nodes,
-                translate: None,
-                h,
-                event_side: None,
-            };
-            let group_relabel = GroupKernelPlan {
-                graph: rel.graph(),
-                slot_nodes: &slot_nodes_rel,
-                translate: Some(rel.map()),
                 h,
                 event_side: None,
             };
@@ -172,19 +143,12 @@ fn main() {
             // Per-row identity verification: every plan must reproduce
             // the scalar baseline bit-for-bit before it gets timed.
             let baseline = density_vectors_plan(&scalar, &pool, &refs, 1);
-            for (label, plan) in [("bitset", &bitset), ("bitset+relabel", &relabel)] {
-                let got = density_vectors_plan(plan, &pool, &refs, 1);
-                assert!(
-                    baseline == got,
-                    "{}/h{h}/{label}: density vectors diverged from scalar",
-                    s.name
-                );
-            }
-            for (label, plan) in [
-                ("multi", &group),
-                ("multi+relabel", &group_relabel),
-                ("event", &event),
-            ] {
+            assert!(
+                baseline == density_vectors_plan(&bitset, &pool, &refs, 1),
+                "{}/h{h}/bitset: density vectors diverged from scalar",
+                s.name
+            );
+            for (label, plan) in [("multi", &group), ("event", &event)] {
                 let got = density_vectors_group_plan(plan, &pool, &refs, 1, GROUP);
                 assert!(
                     baseline == got,
@@ -198,14 +162,8 @@ fn main() {
             let t_bitset = harness.bench(&format!("{}/h{h}/bitset", s.name), || {
                 density_vectors_plan(&bitset, &pool, &refs, 1)
             });
-            let t_relabel = harness.bench(&format!("{}/h{h}/bitset+relabel", s.name), || {
-                density_vectors_plan(&relabel, &pool, &refs, 1)
-            });
             let t_multi = harness.bench(&format!("{}/h{h}/multi", s.name), || {
                 density_vectors_group_plan(&group, &pool, &refs, 1, GROUP)
-            });
-            let t_multi_rel = harness.bench(&format!("{}/h{h}/multi+relabel", s.name), || {
-                density_vectors_group_plan(&group_relabel, &pool, &refs, 1, GROUP)
             });
             harness.bench(&format!("{}/h{h}/event", s.name), || {
                 density_vectors_group_plan(&event, &pool, &refs, 1, GROUP)
@@ -214,21 +172,17 @@ fn main() {
                 summary.push((
                     format!("{}/h{h}", s.name),
                     t_scalar / t_bitset,
-                    t_scalar / t_relabel,
                     t_scalar / t_multi,
                     t_bitset / t_multi,
-                    t_scalar / t_multi_rel,
                 ));
             }
         }
     }
 
     if !summary.is_empty() {
-        println!(
-            "\nrow            bitset  bitset+rel  multi   multi_vs_bitset  multi+rel  (speedups; identical results)"
-        );
-        for (row, sb, sr, sm, smb, smr) in &summary {
-            println!("{row:<14} {sb:<7.2} {sr:<11.2} {sm:<7.2} {smb:<16.2} {smr:.2}");
+        println!("\nrow            bitset  multi   multi_vs_bitset  (speedups; identical results)");
+        for (row, sb, sm, smb) in &summary {
+            println!("{row:<14} {sb:<7.2} {sm:<7.2} {smb:.2}");
         }
     }
 
@@ -284,7 +238,6 @@ fn sweep_point(
     let multi = GroupKernelPlan {
         graph: g,
         slot_nodes: &slot_nodes,
-        translate: None,
         h,
         event_side: None,
     };

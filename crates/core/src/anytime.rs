@@ -60,7 +60,7 @@
 //! significance-budget prune, same comparators) at the full sample
 //! size with the same content seeds — so the ranked output is
 //! bit-identical to [`crate::rank::RankMode::Exact`] across the whole
-//! kernel × relabel × cache × thread matrix. The property suite in
+//! kernel × cache × thread matrix. The property suite in
 //! `tests/anytime.rs` asserts this.
 
 use crate::batch::{EventPair, PairOutcome};

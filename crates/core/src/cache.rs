@@ -60,7 +60,7 @@
 //! forgets *memoized work*: a later probe misses and the count is
 //! re-measured by the same deterministic BFS, so results stay
 //! bit-identical to the unbounded (and the uncached) path — asserted
-//! in `tests/cache_eviction.rs` across kernel × relabel configs.
+//! in `tests/cache_eviction.rs` across kernel configs.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};

@@ -70,7 +70,6 @@ use crate::persist::{Durability, PersistError, Store, StoreOptions, WalRecord};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 use tesc_events::{EventId, EventStore, EventStoreError};
-use tesc_graph::relabel::RelabeledGraph;
 use tesc_graph::{Adjacency, CsrGraph, EdgeError, NodeId, ScratchPool, VicinityIndex};
 
 /// Failure modes of the ingestion API. All checks run before any
@@ -158,10 +157,6 @@ pub struct Snapshot {
     vicinity: Arc<VicinityIndex>,
     events: Arc<EventStore>,
     cache: Arc<DensityCache>,
-    /// Locality-relabeled density substrate (present when the context
-    /// runs with relabeling on); like the cache it is rebuilt on graph
-    /// changes and shared across event-only versions.
-    relabel: Option<Arc<RelabeledGraph>>,
     /// BFS scratches for every engine this snapshot makes. Carried
     /// across **all** versions (ingestion never changes the node
     /// count), so a served request starts on a warm scratch instead of
@@ -181,11 +176,8 @@ impl Snapshot {
     /// graph, so they stay valid — and stay warm. Graph changes must
     /// pass `None` to get a fresh cache, built with `cache_budget`
     /// (the context's bounded-memory knob — see
-    /// [`TescContext::with_cache_budget`]). `relabel` follows the same
-    /// rule: graph changes pass a freshly built substrate (or `None`
-    /// when relabeling is off), event-only deltas clone the previous
-    /// snapshot's. `pool` is the context's one scratch pool.
-    #[allow(clippy::too_many_arguments)] // the snapshot's parts, assembled in one place
+    /// [`TescContext::with_cache_budget`]). `pool` is the context's
+    /// one scratch pool.
     fn assemble(
         graph: Arc<CsrGraph>,
         vicinity: Arc<VicinityIndex>,
@@ -193,7 +185,6 @@ impl Snapshot {
         version: u64,
         reuse_cache: Option<Arc<DensityCache>>,
         cache_budget: Option<usize>,
-        relabel: Option<Arc<RelabeledGraph>>,
         pool: Arc<ScratchPool>,
     ) -> Arc<Self> {
         let cache =
@@ -203,7 +194,6 @@ impl Snapshot {
             vicinity,
             events,
             cache,
-            relabel,
             pool,
             version,
             memory: std::sync::OnceLock::new(),
@@ -268,28 +258,15 @@ impl Snapshot {
         &self.cache
     }
 
-    /// The snapshot's locality-relabeled density substrate, when the
-    /// context was configured with
-    /// [`TescContext::with_relabeling`]`(true)`.
-    #[inline]
-    pub fn relabeled(&self) -> Option<&Arc<RelabeledGraph>> {
-        self.relabel.as_ref()
-    }
-
     /// A fully wired engine over this snapshot: vicinity-index-backed
-    /// (all samplers available) with the snapshot's density cache —
-    /// and, when the context relabels, the shared relabeled substrate —
+    /// (all samplers available) with the snapshot's density cache
     /// attached. Every engine draws its BFS scratches from the
     /// snapshot's shared pool. The engine borrows the snapshot, so keep
     /// the `Arc<Snapshot>` alive for the engine's lifetime.
     pub fn engine(&self) -> TescEngine<'_> {
-        let mut engine = TescEngine::with_vicinity_arc(&*self.graph, self.vicinity.clone())
+        TescEngine::with_vicinity_arc(&*self.graph, self.vicinity.clone())
             .with_density_cache(self.cache.clone())
-            .with_scratch_pool(self.pool.clone());
-        if let Some(r) = &self.relabel {
-            engine = engine.with_relabeled_arc(r.clone());
-        }
-        engine
+            .with_scratch_pool(self.pool.clone())
     }
 
     /// Resolve two registered events into a labeled
@@ -320,9 +297,6 @@ pub struct TescContext {
     /// prepared, while `current`'s lock is only held for the swap.
     writer: Mutex<()>,
     max_level: u32,
-    /// Build (and maintain across graph versions) a locality-relabeled
-    /// density substrate for every snapshot.
-    relabeling: bool,
     /// Byte budget handed to every freshly created snapshot cache
     /// (`None` = unbounded append-only caches, the batch default).
     cache_budget: Option<usize>,
@@ -408,12 +382,10 @@ impl TescContext {
                 version,
                 None,
                 None,
-                None,
                 pool,
             )),
             writer: Mutex::new(()),
             max_level,
-            relabeling: false,
             cache_budget: None,
             durability: Mutex::new(None),
         })
@@ -440,7 +412,6 @@ impl TescContext {
             base.version,
             None, // fresh cache under the new budget
             bytes,
-            base.relabel.clone(),
             base.pool.clone(),
         );
         *ctx.current.write().expect("context lock poisoned") = next;
@@ -452,38 +423,6 @@ impl TescContext {
     #[inline]
     pub fn cache_budget(&self) -> Option<usize> {
         self.cache_budget
-    }
-
-    /// Maintain a locality-relabeled density substrate in every
-    /// snapshot (see [`TescEngine::with_relabeling`]): built once per
-    /// graph version, shared across event-only versions, and wired
-    /// into every [`Snapshot::engine`] automatically. Builder-style —
-    /// call right after construction; the current snapshot is
-    /// re-published (same version) with the substrate attached.
-    /// Results of every test remain bit-identical in original id
-    /// space.
-    pub fn with_relabeling(mut self, on: bool) -> Self {
-        self.relabeling = on;
-        let base = self.snapshot();
-        let relabel = on.then(|| Arc::new(RelabeledGraph::build(&*base.graph)));
-        let next = Snapshot::assemble(
-            base.graph.clone(),
-            base.vicinity.clone(),
-            base.events.clone(),
-            base.version,
-            Some(base.cache.clone()),
-            self.cache_budget,
-            relabel,
-            base.pool.clone(),
-        );
-        *self.current.write().expect("context lock poisoned") = next;
-        self
-    }
-
-    /// Is the locality-relabeled substrate maintained?
-    #[inline]
-    pub fn relabeling(&self) -> bool {
-        self.relabeling
     }
 
     /// The vicinity level every snapshot's index covers.
@@ -568,12 +507,6 @@ impl TescContext {
         // the dirty region discovered through the new adjacency covers
         // every node whose vicinity changed (no `g_old` needed).
         let vicinity = Arc::new(base.vicinity.refreshed(&*graph, None, &touched));
-        // The relabeled substrate is graph-derived: rebuild from
-        // scratch (a fresh permutation also re-packs the changed
-        // region — an incremental patch would erode locality).
-        let relabel = self
-            .relabeling
-            .then(|| Arc::new(RelabeledGraph::build(&*graph)));
         self.log_wal(
             base.version + 1,
             &WalRecord::AddEdges {
@@ -587,7 +520,6 @@ impl TescContext {
             base.version + 1,
             None, // the graph changed: memoized counts are stale
             self.cache_budget,
-            relabel,
             base.pool.clone(),
         ));
         self.maybe_checkpoint(&next);
@@ -616,7 +548,6 @@ impl TescContext {
             base.version + 1,
             Some(base.cache.clone()),
             self.cache_budget,
-            base.relabel.clone(),
             base.pool.clone(),
         ));
         self.maybe_checkpoint(&next);
@@ -653,7 +584,6 @@ impl TescContext {
             base.version + 1,
             Some(base.cache.clone()),
             self.cache_budget,
-            base.relabel.clone(),
             base.pool.clone(),
         ));
         self.maybe_checkpoint(&next);
@@ -1005,42 +935,6 @@ mod tests {
             .iter()
             .all(|o| o.result.is_ok()));
         assert!(snap.density_cache().bfs_invocations() > 0, "cache engaged");
-    }
-
-    #[test]
-    fn relabeling_context_rebuilds_on_graph_change_and_shares_otherwise() {
-        let (base_ctx, a, b) = ctx();
-        let rctx = base_ctx.with_relabeling(true);
-        assert!(rctx.relabeling());
-        let s1 = rctx.snapshot();
-        assert_eq!(s1.version(), 1, "re-publish keeps the version");
-        let r1 = s1.relabeled().expect("substrate attached").clone();
-        assert!(r1.matches_original(s1.graph()));
-        // Graph change: fresh substrate for the new graph.
-        let s2 = rctx.add_edges(&[(0, 143)]).unwrap();
-        let r2 = s2.relabeled().expect("substrate maintained").clone();
-        assert!(!Arc::ptr_eq(&r1, &r2));
-        assert!(r2.matches_original(s2.graph()));
-        // Event-only change: shared.
-        let s3 = rctx.add_event_occurrences(b, &[140]).unwrap();
-        assert!(Arc::ptr_eq(&r2, s3.relabeled().unwrap()));
-        // And the snapshot engine's results equal a plain context's,
-        // bit for bit, after the same ingestion history.
-        let (plain, _, pb) = ctx();
-        plain.add_edges(&[(0, 143)]).unwrap();
-        plain.add_event_occurrences(pb, &[140]).unwrap();
-        let cfg = TescConfig::new(2).with_sample_size(80);
-        let run = |snap: &Snapshot| {
-            snap.engine()
-                .test(
-                    snap.events().nodes(a),
-                    snap.events().nodes(b),
-                    &cfg,
-                    &mut StdRng::seed_from_u64(5),
-                )
-                .unwrap()
-        };
-        assert_eq!(run(&rctx.snapshot()), run(&plain.snapshot()));
     }
 
     #[test]

@@ -18,7 +18,6 @@ use tesc_events::NodeMask;
 use tesc_graph::bfs::{BfsKernel, BfsScratch, MsBfsScratch};
 use tesc_graph::budget::{Budget, Interrupted};
 use tesc_graph::csr::CsrGraph;
-use tesc_graph::relabel::Relabeling;
 use tesc_graph::{Adjacency, NodeId, ScratchPool, VicinityIndex, MAX_GROUP_SOURCES};
 
 /// All per-reference-node counts gathered in a single BFS.
@@ -122,28 +121,18 @@ pub fn density_counts_bitset<G: Adjacency>(
     }
 }
 
-/// One test's resolved density execution plan: which substrate graph
-/// the per-reference-node BFS runs on, the event masks in that
-/// substrate's id space, the original→substrate translation (present
-/// when the substrate is a locality-relabeled graph) and whether the
-/// bitset kernel is engaged.
-///
-/// Reference nodes are always given in **original** id space —
-/// [`KernelPlan::counts`] translates at the boundary — so samplers,
-/// caches and reported ids never see substrate ids, and every count is
-/// bit-identical across all plan configurations (permutations preserve
-/// set cardinalities; kernels visit identical sets).
+/// One test's resolved density execution plan: the graph the
+/// per-reference-node BFS runs on, the two event masks and whether the
+/// bitset kernel is engaged. Every count is bit-identical across both
+/// kernels (they visit identical sets).
 #[derive(Debug, Clone, Copy)]
 pub struct KernelPlan<'a, G = CsrGraph> {
-    /// The BFS substrate (the original graph, or its relabeled twin).
+    /// The graph the BFS runs on.
     pub graph: &'a G,
-    /// `V_a` membership in substrate id space.
+    /// `V_a` membership.
     pub mask_a: &'a NodeMask,
-    /// `V_b` membership in substrate id space.
+    /// `V_b` membership.
     pub mask_b: &'a NodeMask,
-    /// Original→substrate permutation; `None` when the substrate *is*
-    /// the original graph.
-    pub translate: Option<&'a Relabeling>,
     /// Engage [`density_counts_bitset`] instead of the scalar kernel.
     pub use_bitset: bool,
     /// Vicinity level `h`.
@@ -151,20 +140,19 @@ pub struct KernelPlan<'a, G = CsrGraph> {
 }
 
 impl<'a, G: Adjacency> KernelPlan<'a, G> {
-    /// The scalar plan on the original graph — the reference
-    /// configuration every other plan must match bit-for-bit.
+    /// The scalar plan — the reference configuration every other plan
+    /// must match bit-for-bit.
     pub fn scalar(g: &'a G, mask_a: &'a NodeMask, mask_b: &'a NodeMask, h: u32) -> Self {
         KernelPlan {
             graph: g,
             mask_a,
             mask_b,
-            translate: None,
             use_bitset: false,
             h,
         }
     }
 
-    /// [`DensityCounts`] for the original-space reference node `r`.
+    /// [`DensityCounts`] for reference node `r`.
     pub fn counts(&self, scratch: &mut BfsScratch, r: NodeId) -> DensityCounts {
         self.counts_budgeted(scratch, r, &Budget::unlimited())
             .expect("unlimited budget cannot exhaust")
@@ -179,10 +167,9 @@ impl<'a, G: Adjacency> KernelPlan<'a, G> {
         r: NodeId,
         budget: &Budget,
     ) -> Result<DensityCounts, Interrupted> {
-        let rr = self.translate.map_or(r, |m| m.to_new(r));
         if self.use_bitset {
             let vicinity_size =
-                scratch.visit_h_vicinity_bitset_budgeted(self.graph, &[rr], self.h, budget)?;
+                scratch.visit_h_vicinity_bitset_budgeted(self.graph, &[r], self.h, budget)?;
             let (aw, bw) = (self.mask_a.words(), self.mask_b.words());
             let mut count_a = 0usize;
             let mut count_b = 0usize;
@@ -207,7 +194,7 @@ impl<'a, G: Adjacency> KernelPlan<'a, G> {
             let mut count_b = 0usize;
             let mut count_union = 0usize;
             let vicinity_size =
-                scratch.visit_h_vicinity_budgeted(self.graph, &[rr], self.h, budget, |v, _| {
+                scratch.visit_h_vicinity_budgeted(self.graph, &[r], self.h, budget, |v, _| {
                     let in_a = self.mask_a.contains(v);
                     let in_b = self.mask_b.contains(v);
                     count_a += in_a as usize;
@@ -230,27 +217,19 @@ impl<'a, G: Adjacency> KernelPlan<'a, G> {
 /// that touches that node (the pair-set planner's stage-(b) kernel —
 /// see `tesc::planner`).
 ///
-/// Composition mirrors [`KernelPlan`] exactly: the substrate may be
-/// the original graph or its locality-relabeled twin (masks then live
-/// in substrate id space, reference nodes are translated at the
-/// boundary), and the kernel may be scalar (per-node membership
-/// probes) or bitset (one hybrid bitmap BFS + one word-major
-/// multi-mask sweep via [`tesc_graph::multi_mask_counts`]). Every
-/// configuration produces the identical integers as M separate
-/// [`density_counts`] calls — permutations preserve cardinalities,
-/// kernels visit identical sets — so fused densities are bit-identical
-/// to the per-pair engine path.
+/// Composition mirrors [`KernelPlan`]: the kernel may be scalar
+/// (per-node membership probes) or bitset (one hybrid bitmap BFS + one
+/// word-major multi-mask sweep via [`tesc_graph::multi_mask_counts`]).
+/// Both produce the identical integers as M separate
+/// [`density_counts`] calls — the kernels visit identical sets — so
+/// fused densities are bit-identical to the per-pair engine path.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiKernelPlan<'a, G = CsrGraph> {
-    /// The BFS substrate (the original graph, or its relabeled twin).
+    /// The graph the BFS runs on.
     pub graph: &'a G,
-    /// Every registered event mask, in substrate id space; a
-    /// per-reference-node *slot list* selects which of these one BFS
-    /// scores.
+    /// Every registered event mask; a per-reference-node *slot list*
+    /// selects which of these one BFS scores.
     pub masks: &'a [NodeMask],
-    /// Original→substrate permutation; `None` when the substrate *is*
-    /// the original graph.
-    pub translate: Option<&'a Relabeling>,
     /// Engage the bitset kernel + word-level multi-mask sweep.
     pub use_bitset: bool,
     /// Vicinity level `h`.
@@ -259,7 +238,7 @@ pub struct MultiKernelPlan<'a, G = CsrGraph> {
 
 impl<G: Adjacency> MultiKernelPlan<'_, G> {
     /// Count `|V_e ∩ V^h_r|` for every event slot in `slots` with one
-    /// BFS from the original-space reference node `r`. `counts` is
+    /// BFS from reference node `r`. `counts` is
     /// cleared and receives one count per slot, in slot order; the
     /// return value is `|V^h_r|`.
     pub fn counts_for(
@@ -286,10 +265,9 @@ impl<G: Adjacency> MultiKernelPlan<'_, G> {
     ) -> Result<usize, Interrupted> {
         counts.clear();
         counts.resize(slots.len(), 0);
-        let rr = self.translate.map_or(r, |m| m.to_new(r));
         if self.use_bitset {
             let size =
-                scratch.visit_h_vicinity_bitset_budgeted(self.graph, &[rr], self.h, budget)?;
+                scratch.visit_h_vicinity_bitset_budgeted(self.graph, &[r], self.h, budget)?;
             let mask_words: Vec<&[u64]> = slots
                 .iter()
                 .map(|&s| self.masks[s as usize].words())
@@ -297,7 +275,7 @@ impl<G: Adjacency> MultiKernelPlan<'_, G> {
             scratch.visited_multi_mask_counts(&mask_words, counts);
             Ok(size)
         } else {
-            scratch.visit_h_vicinity_budgeted(self.graph, &[rr], self.h, budget, |v, _| {
+            scratch.visit_h_vicinity_budgeted(self.graph, &[r], self.h, budget, |v, _| {
                 for (i, &s) in slots.iter().enumerate() {
                     counts[i] += self.masks[s as usize].contains(v) as u32;
                 }
@@ -330,37 +308,25 @@ impl<G: Adjacency> MultiKernelPlan<'_, G> {
 ///   traversals per event however many reference nodes ask — the
 ///   smaller side of the reachability join drives it.
 ///
-/// Composition mirrors the other plans exactly: the substrate may be
-/// the original graph or its locality-relabeled twin (slot node lists
-/// then live in substrate id space; reference nodes are translated at
-/// the boundary, the index is always read in original ids). Every
-/// recovered integer equals what independent single-source searches
-/// produce, so grouped densities are bit-identical to every other
-/// configuration, in either direction.
+/// Every recovered integer equals what independent single-source
+/// searches produce, so grouped densities are bit-identical to every
+/// other configuration, in either direction.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupKernelPlan<'a, G = CsrGraph> {
-    /// The BFS substrate (the original graph, or its relabeled twin).
+    /// The graph the traversals run on.
     pub graph: &'a G,
-    /// Substrate-space occurrence node lists, one per event slot
-    /// (duplicate-free; any order).
+    /// Occurrence node lists, one per event slot (duplicate-free; any
+    /// order).
     pub slot_nodes: &'a [Vec<NodeId>],
-    /// Original→substrate permutation; `None` when the substrate *is*
-    /// the original graph.
-    pub translate: Option<&'a Relabeling>,
     /// Vicinity level `h`.
     pub h: u32,
     /// `Some(index)` drives the pass from the event side (see the type
-    /// docs); the index is in original id space and must cover `h`.
+    /// docs); the index must cover `h`.
     pub event_side: Option<&'a VicinityIndex>,
 }
 
 impl<G: Adjacency> GroupKernelPlan<'_, G> {
-    #[inline]
-    fn to_substrate(&self, r: NodeId) -> NodeId {
-        self.translate.map_or(r, |m| m.to_new(r))
-    }
-
-    /// Score one group of up to 64 original-space reference nodes with
+    /// Score one group of up to 64 reference nodes with
     /// a single multi-source traversal (the reference-lane direction).
     /// `slot_lists[i]` names the event slots node `nodes[i]` must be
     /// scored against (**sorted ascending**); returns the per-lane
@@ -379,8 +345,7 @@ impl<G: Adjacency> GroupKernelPlan<'_, G> {
         budget: &Budget,
     ) -> Result<(Vec<u32>, Vec<u32>), Interrupted> {
         debug_assert_eq!(nodes.len(), slot_lists.len());
-        let substrate: Vec<NodeId> = nodes.iter().map(|&r| self.to_substrate(r)).collect();
-        scratch.visit_h_vicinity_multi_budgeted(self.graph, &substrate, self.h, budget)?;
+        scratch.visit_h_vicinity_multi_budgeted(self.graph, nodes, self.h, budget)?;
         let mut sizes = vec![0u32; nodes.len()];
         scratch.lane_sizes(&mut sizes);
         let lane_start = GroupSlots::PerNode(slot_lists).cell_starts(nodes.len());
@@ -436,8 +401,8 @@ const REF_VISIT_NS: f64 = 5.0;
 const EVENT_MARGIN: f64 = 0.92;
 
 /// The one route decision of a density pass: which executor resolves
-/// `|V_e ∩ V^h_r|` for `refs` × `events` (original-space occurrence
-/// lists of every event slot the pass scores).
+/// `|V_e ∩ V^h_r|` for `refs` × `events` (occurrence lists of every
+/// event slot the pass scores).
 ///
 /// Explicit kernels force the reference side — `Scalar`/`Bitset` the
 /// per-node executors, `Multi` reference lanes — so they stay the
@@ -617,10 +582,9 @@ where
 ///
 /// **Reference lanes.** `nodes` are partitioned into source groups of
 /// at most `group_size`, one multi-source traversal per group (parallel
-/// over groups). Nodes are grouped in **substrate-id order** (a stable
-/// argsort; the output order is unchanged): nearby ids share vicinities
-/// — by construction under locality relabeling, and strongly in
-/// practice on generated and real graphs — so sorting maximizes the
+/// over groups). Nodes are grouped in **id order** (a stable argsort;
+/// the output order is unchanged): nearby ids share vicinities strongly
+/// in practice on generated and real graphs, so sorting maximizes the
 /// per-group lane overlap the shared edge scan amortizes over. Grouping
 /// order cannot affect any count (each lane is an independent
 /// traversal), so this is purely a locality optimization.
@@ -663,7 +627,7 @@ fn run_ref_lanes<G: Adjacency>(
 ) -> Result<GroupedCounts, Interrupted> {
     let group_size = group_size.clamp(1, MAX_GROUP_SOURCES);
     let mut order: Vec<usize> = (0..nodes.len()).collect();
-    order.sort_by_key(|&i| plan.to_substrate(nodes[i]));
+    order.sort_by_key(|&i| nodes[i]);
     let num_groups = nodes.len().div_ceil(group_size);
     let per_group = map_groups_pooled(
         pool,
@@ -726,7 +690,7 @@ fn run_event_lanes<G: Adjacency>(
     let cells = starts[nodes.len()];
     // Slot-major inversion of the node-major cell layout (a counting
     // sort): slot `s` owns `by_slot[slot_start[s]..slot_start[s + 1]]`,
-    // each entry a (substrate reference node, node-major cell) pair.
+    // each entry a (reference node, node-major cell) pair.
     let num_slots = plan.slot_nodes.len();
     let mut slot_start = vec![0usize; num_slots + 1];
     for i in 0..nodes.len() {
@@ -740,7 +704,6 @@ fn run_event_lanes<G: Adjacency>(
     let mut cursor = slot_start.clone();
     let mut by_slot = vec![(0 as NodeId, 0u32); cells];
     for (i, &r) in nodes.iter().enumerate() {
-        let r = plan.to_substrate(r);
         for (j, &s) in slots.get(i).iter().enumerate() {
             by_slot[cursor[s as usize]] = (r, (starts[i] + j) as u32);
             cursor[s as usize] += 1;
@@ -1003,13 +966,6 @@ pub fn density_vectors_cached_group_plan_budgeted<G: Adjacency>(
     Ok((sa, sb))
 }
 
-/// Rebuild an event mask in a relabeled substrate's id space: every
-/// member is permuted through `map`, cardinality (and therefore every
-/// intersection count) is preserved.
-pub fn translate_mask(map: &Relabeling, m: &NodeMask) -> NodeMask {
-    NodeMask::from_nodes(m.num_nodes(), &map.map_to_new(&m.to_nodes()))
-}
-
 /// Densities of both events at every reference node, as the two paired
 /// vectors (`s^h_a`, `s^h_b`) the Kendall machinery consumes.
 pub fn density_vectors<G: Adjacency>(
@@ -1168,12 +1124,10 @@ pub fn density_vectors_cached<G: Adjacency>(
     density_vectors_cached_plan(&plan, pool, refs, key_a, key_b, threads, cache)
 }
 
-/// [`density_vectors_cached`] for an arbitrary [`KernelPlan`]: cache
-/// keys and reference nodes stay in **original** id space (memoized
-/// counts are substrate-independent integers, so a cache can be shared
-/// between relabeled and plain engines over the same graph version),
-/// while the miss-path BFS runs on the plan's substrate with the
-/// plan's kernel.
+/// [`density_vectors_cached`] for an arbitrary [`KernelPlan`]: the
+/// miss-path BFS runs with the plan's kernel, and the memoized counts
+/// are kernel-independent integers, so one cache serves every plan
+/// over the same graph version.
 pub fn density_vectors_cached_plan<G: Adjacency>(
     plan: &KernelPlan<'_, G>,
     pool: &ScratchPool,
@@ -1474,8 +1428,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_vectors_identical_across_kernel_and_relabeling() {
-        use tesc_graph::relabel::RelabeledGraph;
+    fn plan_vectors_identical_across_kernels() {
         let g = from_edges(
             12,
             &[
@@ -1502,30 +1455,14 @@ mod tests {
             use_bitset: true,
             ..KernelPlan::scalar(&g, &ma, &mb, 2)
         };
-        let rel = RelabeledGraph::build(&g);
-        let (ta, tb) = (
-            translate_mask(rel.map(), &ma),
-            translate_mask(rel.map(), &mb),
-        );
-        let rel_plan = KernelPlan {
-            graph: rel.graph(),
-            mask_a: &ta,
-            mask_b: &tb,
-            translate: Some(rel.map()),
-            use_bitset: true,
-            h: 2,
-        };
         for threads in [1usize, 3] {
-            for (label, plan) in [("bitset", &bitset_plan), ("bitset+relabel", &rel_plan)] {
-                let got = density_vectors_plan(plan, &pool, &refs, threads);
-                assert_eq!(reference, got, "{label} at {threads} threads");
-            }
+            let got = density_vectors_plan(&bitset_plan, &pool, &refs, threads);
+            assert_eq!(reference, got, "bitset at {threads} threads");
         }
     }
 
     #[test]
     fn cached_plan_bit_identical_and_shares_entries_with_scalar() {
-        use tesc_graph::relabel::RelabeledGraph;
         let g = from_edges(
             10,
             &[
@@ -1548,27 +1485,18 @@ mod tests {
         let refs: Vec<NodeId> = (0..10).collect();
         let pool = ScratchPool::for_graph(&g);
         let cache = DensityCache::for_graph(&g);
-        let rel = RelabeledGraph::build(&g);
-        let (ta, tb) = (
-            translate_mask(rel.map(), &ma),
-            translate_mask(rel.map(), &mb),
-        );
-        let rel_plan = KernelPlan {
-            graph: rel.graph(),
-            mask_a: &ta,
-            mask_b: &tb,
-            translate: Some(rel.map()),
+        let bitset_plan = KernelPlan {
             use_bitset: true,
-            h: 2,
+            ..KernelPlan::scalar(&g, &ma, &mb, 2)
         };
         let mut s = BfsScratch::new(10);
         let serial = density_vectors(&g, &mut s, &refs, 2, &ma, &mb);
-        // Cold pass through the relabeled bitset plan fills the cache…
-        let cold = density_vectors_cached_plan(&rel_plan, &pool, &refs, &ka, &kb, 1, &cache);
+        // Cold pass through the bitset plan fills the cache…
+        let cold = density_vectors_cached_plan(&bitset_plan, &pool, &refs, &ka, &kb, 1, &cache);
         assert_eq!(serial, cold);
         assert_eq!(cache.bfs_invocations(), 10);
         // …and a scalar-plan pass over the same cache is pure hits:
-        // entries are substrate-independent integers in original ids.
+        // entries are kernel-independent integers.
         let scalar_plan = KernelPlan::scalar(&g, &ma, &mb, 2);
         let warm = density_vectors_cached_plan(&scalar_plan, &pool, &refs, &ka, &kb, 1, &cache);
         assert_eq!(serial, warm);
@@ -1577,7 +1505,6 @@ mod tests {
 
     #[test]
     fn multi_kernel_plan_matches_pairwise_counts_across_configs() {
-        use tesc_graph::relabel::RelabeledGraph;
         let g = from_edges(
             140,
             &[
@@ -1602,26 +1529,15 @@ mod tests {
             .iter()
             .map(|e| NodeMask::from_nodes(140, e))
             .collect();
-        let rel = RelabeledGraph::build(&g);
-        let translated: Vec<NodeMask> =
-            masks.iter().map(|m| translate_mask(rel.map(), m)).collect();
         let scalar = MultiKernelPlan {
             graph: &g,
             masks: &masks,
-            translate: None,
             use_bitset: false,
             h: 2,
         };
         let bitset = MultiKernelPlan {
             use_bitset: true,
             ..scalar
-        };
-        let relabeled = MultiKernelPlan {
-            graph: rel.graph(),
-            masks: &translated,
-            translate: Some(rel.map()),
-            use_bitset: true,
-            h: 2,
         };
         let mut s = BfsScratch::new(140);
         let mut counts = Vec::new();
@@ -1636,11 +1552,7 @@ mod tests {
                     })
                     .collect();
                 let mut sizes = Vec::new();
-                for (label, plan) in [
-                    ("scalar", &scalar),
-                    ("bitset", &bitset),
-                    ("bitset+relabel", &relabeled),
-                ] {
+                for (label, plan) in [("scalar", &scalar), ("bitset", &bitset)] {
                     let size = plan.counts_for(&mut s, r, slots, &mut counts);
                     assert_eq!(counts, expect, "r={r} slots={slots:?} {label}");
                     sizes.push(size);
@@ -1652,7 +1564,6 @@ mod tests {
 
     #[test]
     fn grouped_vectors_bit_identical_to_scalar_for_every_group_size() {
-        use tesc_graph::relabel::RelabeledGraph;
         let g = from_edges(
             140,
             &[
@@ -1675,31 +1586,16 @@ mod tests {
         let mut s = BfsScratch::new(140);
         let reference = density_vectors(&g, &mut s, &refs, 2, &ma, &mb);
         let slot_nodes = vec![a.clone(), b.clone()];
-        let plain = GroupKernelPlan {
+        let plan = GroupKernelPlan {
             graph: &g,
             slot_nodes: &slot_nodes,
-            translate: None,
-            h: 2,
-            event_side: None,
-        };
-        let rel = RelabeledGraph::build(&g);
-        let translated = vec![rel.map().map_to_new(&a), rel.map().map_to_new(&b)];
-        let relabeled = GroupKernelPlan {
-            graph: rel.graph(),
-            slot_nodes: &translated,
-            translate: Some(rel.map()),
             h: 2,
             event_side: None,
         };
         for group_size in [1usize, 7, 63, 64, 200] {
             for threads in [1usize, 3] {
-                for (label, plan) in [("plain", &plain), ("relabeled", &relabeled)] {
-                    let got = density_vectors_group_plan(plan, &pool, &refs, threads, group_size);
-                    assert_eq!(
-                        reference, got,
-                        "{label}: group_size={group_size} threads={threads}"
-                    );
-                }
+                let got = density_vectors_group_plan(&plan, &pool, &refs, threads, group_size);
+                assert_eq!(reference, got, "group_size={group_size} threads={threads}");
             }
         }
     }
@@ -1718,7 +1614,6 @@ mod tests {
         let plan = GroupKernelPlan {
             graph: &g,
             slot_nodes: &slot_nodes,
-            translate: None,
             h: 2,
             event_side: None,
         };
@@ -1759,7 +1654,6 @@ mod tests {
         let plan = GroupKernelPlan {
             graph: &g,
             slot_nodes: &slot_nodes,
-            translate: None,
             h: 2,
             event_side: None,
         };
@@ -1795,14 +1689,12 @@ mod tests {
     /// overlap the events, repeat and include isolated nodes, and
     /// per-node slot lists mixing a shared slot with private ones.
     /// Every `(node, slot)` count and every `|V^h_r|` must equal the
-    /// scalar single-source search, on the plain and the relabeled
-    /// substrate, at 1 and 3 threads.
+    /// scalar single-source search, at 1 and 3 threads.
     fn event_lanes_case(seed: u64) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use tesc_graph::generators::erdos_renyi_gnm;
         use tesc_graph::perturb::{add_random_edges, remove_random_edges};
-        use tesc_graph::relabel::RelabeledGraph;
 
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(230usize..300);
@@ -1862,19 +1754,9 @@ mod tests {
         }
 
         let pool = ScratchPool::for_graph(&g);
-        let rel = RelabeledGraph::build(&g);
-        let translated: Vec<Vec<NodeId>> = events.iter().map(|e| rel.map().map_to_new(e)).collect();
         let plain = GroupKernelPlan {
             graph: &g,
             slot_nodes: &events,
-            translate: None,
-            h,
-            event_side: Some(&index),
-        };
-        let relabeled = GroupKernelPlan {
-            graph: rel.graph(),
-            slot_nodes: &translated,
-            translate: Some(rel.map()),
             h,
             event_side: Some(&index),
         };
@@ -1884,23 +1766,21 @@ mod tests {
                 .map(|&s| events[s as usize].len().div_ceil(MAX_GROUP_SOURCES) as u64)
                 .sum()
         };
-        for (label, plan) in [("plain", &plain), ("relabeled", &relabeled)] {
-            for threads in [1usize, 3] {
-                let got = run_grouped(
-                    plan,
-                    &pool,
-                    &nodes,
-                    &GroupSlots::PerNode(&slot_refs),
-                    threads,
-                    MAX_GROUP_SOURCES,
-                    &Budget::unlimited(),
-                )
-                .expect("unlimited budget");
-                let ctx = format!("seed {seed} {label} h={h} threads={threads}");
-                assert_eq!(got.sizes, want_sizes, "{ctx}: sizes");
-                assert_eq!(got.counts, want_counts, "{ctx}: counts");
-                assert_eq!(got.traversals, chunks(&[0, 1, 2, 3, 4, 5]), "{ctx}");
-            }
+        for threads in [1usize, 3] {
+            let got = run_grouped(
+                &plain,
+                &pool,
+                &nodes,
+                &GroupSlots::PerNode(&slot_refs),
+                threads,
+                MAX_GROUP_SOURCES,
+                &Budget::unlimited(),
+            )
+            .expect("unlimited budget");
+            let ctx = format!("seed {seed} h={h} threads={threads}");
+            assert_eq!(got.sizes, want_sizes, "{ctx}: sizes");
+            assert_eq!(got.counts, want_counts, "{ctx}: counts");
+            assert_eq!(got.traversals, chunks(&[0, 1, 2, 3, 4, 5]), "{ctx}");
         }
         // Same slots for every node (the one-pair shape): only the
         // wanted slots traverse.
@@ -1937,7 +1817,6 @@ mod tests {
         let plan = GroupKernelPlan {
             graph: &g,
             slot_nodes: &events,
-            translate: None,
             h: 2,
             event_side: Some(&index),
         };
@@ -1991,16 +1870,5 @@ mod tests {
             choose_route(BfsKernel::Auto, &g, Some(&index), 2, &refs[..20], &[&big]),
             Route::EventLanes
         );
-    }
-
-    #[test]
-    fn translate_mask_permutes_members() {
-        use tesc_graph::relabel::Relabeling;
-        let g = from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let map = Relabeling::locality_order(&g);
-        let m = NodeMask::from_nodes(5, &[0, 3]);
-        let t = translate_mask(&map, &m);
-        assert_eq!(t.len(), 2);
-        assert!(t.contains(map.to_new(0)) && t.contains(map.to_new(3)));
     }
 }

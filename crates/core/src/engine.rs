@@ -14,9 +14,7 @@
 //! randomness.
 
 use crate::cache::{DensityCache, EventKey};
-use crate::density::{
-    choose_route, translate_mask, DensityCounts, GroupKernelPlan, KernelPlan, Route,
-};
+use crate::density::{choose_route, DensityCounts, GroupKernelPlan, KernelPlan, Route};
 use crate::sampler::{
     importance_sample, mask_sample, rejection_sample, whole_graph_sample, ReachMemo, SamplerKind,
     UniformSample,
@@ -26,9 +24,8 @@ use std::sync::Arc;
 use tesc_events::{store::merge_union, NodeMask};
 use tesc_graph::bfs::BfsKernel;
 use tesc_graph::csr::CsrGraph;
-use tesc_graph::relabel::RelabeledGraph;
 use tesc_graph::Adjacency;
-use tesc_graph::{Budget, Interrupted, NodeId, ScratchPool, VicinityIndex};
+use tesc_graph::{Budget, Interrupted, NodeId, ScratchPool, VicinityIndex, SOURCE_GROUP_SIZE};
 use tesc_stats::kendall::{
     kendall_tau, var_s_tie_corrected, weighted_tau, KendallMethod, KendallSummary,
 };
@@ -251,8 +248,6 @@ pub struct TescEngine<'a, G = CsrGraph> {
     density_threads: usize,
     cache: Option<Arc<DensityCache>>,
     kernel: BfsKernel,
-    relabel: Option<Arc<RelabeledGraph<G>>>,
-    group_size: usize,
     budget: Budget,
 }
 
@@ -267,8 +262,6 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
             density_threads: 1,
             cache: None,
             kernel: BfsKernel::Auto,
-            relabel: None,
-            group_size: tesc_graph::SOURCE_GROUP_SIZE,
             budget: Budget::unlimited(),
         }
     }
@@ -395,74 +388,6 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         self.kernel
     }
 
-    /// Cap the sources fused into one multi-source density traversal
-    /// (default [`tesc_graph::SOURCE_GROUP_SIZE`] = 64, the full lane
-    /// word). Only meaningful when grouping is engaged
-    /// ([`BfsKernel::Multi`], or `Auto` on big-enough worksets);
-    /// intended for bench ablations — a deliberately half-occupied
-    /// word isolates the amortization effect but never wins (see the
-    /// constant's docs). Results are bit-identical at every size.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ size ≤ 64`.
-    pub fn with_source_group_size(mut self, size: usize) -> Self {
-        assert!(
-            (1..=tesc_graph::MAX_GROUP_SOURCES).contains(&size),
-            "source group size must be in 1..={}, got {size}",
-            tesc_graph::MAX_GROUP_SOURCES
-        );
-        self.group_size = size;
-        self
-    }
-
-    /// The configured multi-source group size.
-    #[inline]
-    pub fn source_group_size(&self) -> usize {
-        self.group_size
-    }
-
-    /// Run density BFS on a locality-relabeled twin of the graph
-    /// (degree-descending + BFS-order ids, built here): vicinities
-    /// occupy near-contiguous id ranges, so the bitset kernel's bitmap
-    /// words and adjacency reads stay hot. Sampling, event sets,
-    /// caches and every reported node id remain in **original** id
-    /// space — the permutation is applied (and inverted) only at the
-    /// density-BFS boundary, so all outputs are bit-identical to the
-    /// unrelabeled engine (asserted in `tests/kernels.rs`).
-    ///
-    /// Intensity-weighted tests ([`TescEngine::test_intensity`])
-    /// deliberately bypass the relabeled substrate: their densities
-    /// sum `f64` masses in BFS visit order, which a permutation would
-    /// reorder — integer presence counts are order-free, float sums
-    /// are not.
-    pub fn with_relabeling(mut self, on: bool) -> Self {
-        self.relabel = on.then(|| Arc::new(RelabeledGraph::build(self.graph)));
-        self
-    }
-
-    /// Share a prebuilt relabeled substrate (the snapshot flow — one
-    /// build per graph version, shared by every engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the substrate was built from a structurally different
-    /// graph (compared by [`Adjacency::fingerprint`]).
-    pub fn with_relabeled_arc(mut self, relabel: Arc<RelabeledGraph<G>>) -> Self {
-        assert!(
-            relabel.matches_original(self.graph),
-            "relabeled substrate built from a different graph shape"
-        );
-        self.relabel = Some(relabel);
-        self
-    }
-
-    /// The engine's relabeled density substrate, if any.
-    #[inline]
-    pub fn relabeled(&self) -> Option<&RelabeledGraph<G>> {
-        self.relabel.as_deref()
-    }
-
     /// Fan the per-reference-node density loop of each *single* test
     /// out over `threads` scoped worker threads (default 1 = serial).
     ///
@@ -540,20 +465,8 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
     }
 
-    /// Substrate-space occurrence lists for a grouped density run —
-    /// the owned storage a [`GroupKernelPlan`] borrows (mirrors
-    /// [`TescEngine::substrate_masks`] for the mask-based plans).
-    /// Shared with the planner's fused stage (b), so the "which
-    /// substrate does a grouped plan use" decision lives in one place.
-    pub(crate) fn group_slot_nodes(&self, sets: &[&[NodeId]]) -> Vec<Vec<NodeId>> {
-        match self.relabel.as_deref() {
-            Some(r) => sets.iter().map(|s| r.map().map_to_new(s)).collect(),
-            None => sets.iter().map(|s| s.to_vec()).collect(),
-        }
-    }
-
     /// The one route decision of a density pass over `refs` × `events`
-    /// (original-space occurrence lists) — see [`choose_route`]. Shared
+    /// (occurrence lists) — see [`choose_route`]. Shared
     /// with the planner's fused stage (b).
     pub(crate) fn route(&self, h: u32, refs: &[NodeId], events: &[&[NodeId]]) -> Route {
         choose_route(
@@ -576,11 +489,9 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         h: u32,
         route: Route,
     ) -> GroupKernelPlan<'p, G> {
-        let relabel = self.relabel.as_deref();
         GroupKernelPlan {
-            graph: relabel.map_or(self.graph, |r| r.graph()),
+            graph: self.graph,
             slot_nodes,
-            translate: relabel.map(|r| r.map()),
             h,
             event_side: match route {
                 Route::EventLanes => self.vicinity_index(),
@@ -589,47 +500,20 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
     }
 
-    /// Translated event masks when a relabeled substrate is active —
-    /// the owned storage a [`KernelPlan`] borrows.
-    fn substrate_masks(
-        &self,
-        mask_a: &NodeMask,
-        mask_b: &NodeMask,
-    ) -> Option<(NodeMask, NodeMask)> {
-        self.relabel.as_deref().map(|r| {
-            (
-                translate_mask(r.map(), mask_a),
-                translate_mask(r.map(), mask_b),
-            )
-        })
-    }
-
-    /// Resolve this engine's density execution plan for one test:
-    /// substrate graph, substrate-space masks, translation and kernel.
+    /// Resolve this engine's density execution plan for one test: the
+    /// two event masks and the kernel.
     fn density_plan<'p>(
         &'p self,
         mask_a: &'p NodeMask,
         mask_b: &'p NodeMask,
-        translated: &'p Option<(NodeMask, NodeMask)>,
         h: u32,
     ) -> KernelPlan<'p, G> {
-        match (self.relabel.as_deref(), translated) {
-            (Some(r), Some((ta, tb))) => KernelPlan {
-                graph: r.graph(),
-                mask_a: ta,
-                mask_b: tb,
-                translate: Some(r.map()),
-                use_bitset: self.kernel.use_bitset(r.graph(), h),
-                h,
-            },
-            _ => KernelPlan {
-                graph: self.graph,
-                mask_a,
-                mask_b,
-                translate: None,
-                use_bitset: self.kernel.use_bitset(self.graph, h),
-                h,
-            },
+        KernelPlan {
+            graph: self.graph,
+            mask_a,
+            mask_b,
+            use_bitset: self.kernel.use_bitset(self.graph, h),
+            h,
         }
     }
 
@@ -763,7 +647,7 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         let (a_nodes, b_nodes) = (key_a.nodes(), key_b.nodes());
         let route = self.route(cfg.h, &sample.nodes, &[a_nodes, b_nodes]);
         if route != Route::PerNode {
-            let slot_nodes = self.group_slot_nodes(&[a_nodes, b_nodes]);
+            let slot_nodes = [a_nodes.to_vec(), b_nodes.to_vec()];
             let gplan = self.group_plan(&slot_nodes, cfg.h, route);
             // A one-pair pass resolved from the event side bypasses the
             // cache, like the importance and intensity phases: its
@@ -779,7 +663,7 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                         key_a,
                         key_b,
                         self.density_threads,
-                        self.group_size,
+                        SOURCE_GROUP_SIZE,
                         cache,
                         &self.budget,
                     )?
@@ -789,14 +673,13 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                     &self.pool,
                     &sample.nodes,
                     self.density_threads,
-                    self.group_size,
+                    SOURCE_GROUP_SIZE,
                     &self.budget,
                 )?,
             };
             return Ok(Self::finish_uniform(&sa, &sb, &sample, cfg));
         }
-        let translated = self.substrate_masks(mask_a, mask_b);
-        let plan = self.density_plan(mask_a, mask_b, &translated, cfg.h);
+        let plan = self.density_plan(mask_a, mask_b, cfg.h);
         let (sa, sb) = match self.cache.as_deref() {
             Some(cache) => crate::density::density_vectors_cached_plan_budgeted(
                 &plan,
@@ -987,24 +870,23 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         // One BFS per distinct node gathers densities AND the inclusion
         // weight ingredient |V^h_r ∩ V_{a∪b}| (RejectSamp's `c`); the
         // loop honors `density_threads` like every other density phase
-        // and runs through the same kernel/relabeling plan. Source
+        // and runs through the same kernel plan. Source
         // grouping fuses the union set as a third slot, so one
         // multi-source traversal still yields all four integers.
         let route = self.route(cfg.h, &sample.nodes, &[a_nodes, b_nodes, union]);
         let counts: Vec<DensityCounts> = if route != Route::PerNode {
-            let slot_nodes = self.group_slot_nodes(&[a_nodes, b_nodes, union]);
+            let slot_nodes = [a_nodes.to_vec(), b_nodes.to_vec(), union.to_vec()];
             let gplan = self.group_plan(&slot_nodes, cfg.h, route);
             crate::density::density_counts_group_plan_budgeted(
                 &gplan,
                 &self.pool,
                 &sample.nodes,
                 self.density_threads,
-                self.group_size,
+                SOURCE_GROUP_SIZE,
                 &self.budget,
             )?
         } else {
-            let translated = self.substrate_masks(mask_a, mask_b);
-            let plan = self.density_plan(mask_a, mask_b, &translated, cfg.h);
+            let plan = self.density_plan(mask_a, mask_b, cfg.h);
             let zero = DensityCounts {
                 vicinity_size: 0,
                 count_a: 0,
@@ -1072,20 +954,19 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
         let route = self.route(h, &population, &[&a_sorted, &b_sorted]);
         let (sa, sb) = if route != Route::PerNode {
-            let slot_nodes = self.group_slot_nodes(&[&a_sorted, &b_sorted]);
+            let slot_nodes = [a_sorted, b_sorted];
             let gplan = self.group_plan(&slot_nodes, h, route);
             crate::density::density_vectors_group_plan(
                 &gplan,
                 &self.pool,
                 &population,
                 self.density_threads,
-                self.group_size,
+                SOURCE_GROUP_SIZE,
             )
         } else {
             let mask_a = NodeMask::from_nodes(self.graph.num_nodes(), &a_sorted);
             let mask_b = NodeMask::from_nodes(self.graph.num_nodes(), &b_sorted);
-            let translated = self.substrate_masks(&mask_a, &mask_b);
-            let plan = self.density_plan(&mask_a, &mask_b, &translated, h);
+            let plan = self.density_plan(&mask_a, &mask_b, h);
             crate::density::density_vectors_plan(
                 &plan,
                 &self.pool,
@@ -1577,15 +1458,15 @@ mod tests {
             .with_density_kernel(BfsKernel::Scalar)
             .test(&va, &vb, &cfg, &mut rng(71))
             .unwrap();
-        for group_size in [1usize, 63, 64] {
-            let got = TescEngine::new(&g)
-                .with_density_kernel(BfsKernel::Multi)
-                .with_source_group_size(group_size)
-                .test(&va, &vb, &cfg, &mut rng(71))
-                .unwrap();
-            assert_eq!(reference, got, "group size {group_size}");
-            assert_eq!(reference.z().to_bits(), got.z().to_bits());
-        }
+        // The engine groups at the full lane word; the free functions'
+        // lane-boundary sizes are covered in `density.rs` and
+        // `tests/kernels.rs`.
+        let got = TescEngine::new(&g)
+            .with_density_kernel(BfsKernel::Multi)
+            .test(&va, &vb, &cfg, &mut rng(71))
+            .unwrap();
+        assert_eq!(reference, got);
+        assert_eq!(reference.z().to_bits(), got.z().to_bits());
         // The importance path fuses the union as a third slot.
         let idx = VicinityIndex::build(&g, 2);
         let icfg = cfg.with_sampler(SamplerKind::Importance { batch_size: 2 });
@@ -1605,50 +1486,6 @@ mod tests {
             .exact_summary(&va, &vb, 1)
             .unwrap();
         assert_eq!(e1, e2);
-    }
-
-    #[test]
-    #[should_panic(expected = "source group size must be in 1..=64")]
-    fn zero_group_size_rejected() {
-        let g = grid(4, 4);
-        let _ = TescEngine::new(&g).with_source_group_size(0);
-    }
-
-    #[test]
-    fn relabeled_engine_bit_identical_in_original_ids() {
-        let (g, _) = planted_partition(400, 10, 0.8, 0.001, &mut rng(62));
-        let va: Vec<u32> = (0..40).collect();
-        let vb: Vec<u32> = (20..60).collect();
-        let cfg = TescConfig::new(2)
-            .with_sample_size(200)
-            .with_tail(Tail::Upper);
-        let plain = TescEngine::new(&g);
-        let reference = plain.test(&va, &vb, &cfg, &mut rng(63)).unwrap();
-        let relabeled = TescEngine::new(&g)
-            .with_relabeling(true)
-            .with_density_kernel(BfsKernel::Bitset);
-        assert!(relabeled.relabeled().is_some());
-        let got = relabeled.test(&va, &vb, &cfg, &mut rng(63)).unwrap();
-        assert_eq!(reference, got);
-        // exact_summary routes through the same plan.
-        let e1 = plain.exact_summary(&va, &vb, 1).unwrap();
-        let e2 = relabeled.exact_summary(&va, &vb, 1).unwrap();
-        assert_eq!(e1, e2);
-        // Turning it back off drops the substrate.
-        assert!(TescEngine::new(&g)
-            .with_relabeling(true)
-            .with_relabeling(false)
-            .relabeled()
-            .is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "different graph shape")]
-    fn relabeled_substrate_for_wrong_graph_rejected() {
-        let g1 = grid(5, 5);
-        let g2 = grid(6, 6);
-        let sub = std::sync::Arc::new(tesc_graph::relabel::RelabeledGraph::build(&g1));
-        let _ = TescEngine::new(&g2).with_relabeled_arc(sub);
     }
 
     #[test]

@@ -111,6 +111,6 @@ pub use sampler::SamplerKind;
 pub use tesc_events::{simulate, EventId, EventStore, EventStoreError, NodeMask};
 pub use tesc_graph::{
     BfsKernel, BfsScratch, Budget, CsrGraph, EdgeError, GraphBuilder, Interrupted, NodeId,
-    RelabeledGraph, Relabeling, VicinityIndex,
+    VicinityIndex,
 };
 pub use tesc_stats::{SignificanceLevel, Tail, TestOutcome};

@@ -4,8 +4,8 @@
 //!
 //! * `snapshot-<version:016x>.tsnap` — a checksummed image of the
 //!   durable half of a context version (CSR graph + event store; see
-//!   [`snapshot`]). Derived state — vicinity index, density cache,
-//!   relabeled substrate — is rebuilt on load.
+//!   [`snapshot`]). Derived state — vicinity index, density cache —
+//!   is rebuilt on load.
 //! * `wal-<base_version:016x>.tlog` — the write-ahead log of writer
 //!   mutations since that base version, one CRC-framed record per
 //!   published version (see [`wal`]).

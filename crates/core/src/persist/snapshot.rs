@@ -2,8 +2,8 @@
 //!
 //! A snapshot file is a self-contained image of the durable half of a
 //! [`crate::context::Snapshot`] — the graph and the event store.
-//! Everything else a snapshot carries (vicinity index, density cache,
-//! relabeled substrate) is derived state and is rebuilt on load.
+//! Everything else a snapshot carries (vicinity index, density cache)
+//! is derived state and is rebuilt on load.
 //!
 //! Two generations exist. Writers emit **v2**, whose graph payload is
 //! an embedded [`.tgraph` container](tesc_graph::container) — the

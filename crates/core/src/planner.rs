@@ -44,14 +44,13 @@
 //!   of the join — each event's occurrence nodes traverse as lanes,
 //!   `⌈|V_e|/64⌉` traversals per event however many nodes ask, with
 //!   `|V^h_r|` read from the index
-//!   ([`crate::density::GroupKernelPlan`]). Kernel × relabeling × cache
-//!   all compose exactly as in the per-pair path: traversals run on
-//!   the engine's substrate, and an attached [`DensityCache`] is
-//!   consulted first via its multi-event probe
-//!   ([`DensityCache::lookup_many`]) — a node whose every slot is
-//!   memoized is not traversed for, on any route, and completed
-//!   passes insert what they measured (so a warm repeat is probes
-//!   only). [`FusedDensities::bfs_run`] counts nodes resolved by
+//!   ([`crate::density::GroupKernelPlan`]). Kernel × cache compose
+//!   exactly as in the per-pair path: traversals run with the engine's
+//!   kernel, and an attached [`DensityCache`] is consulted first via
+//!   its multi-event probe ([`DensityCache::lookup_many`]) — a node
+//!   whose every slot is memoized is not traversed for, on any route,
+//!   and completed passes insert what they measured (so a warm repeat
+//!   is probes only). [`FusedDensities::bfs_run`] counts nodes resolved by
 //!   traversal; [`FusedDensities::traversals`] counts what physically
 //!   ran (nodes, source groups or event chunks).
 //! * **scatter + correlate (stage c).** The per-(event, node) counts
@@ -64,10 +63,10 @@
 //! to independent [`TescEngine::test`] calls with the same per-pair
 //! seeds: sampling shares the engine's code and RNG streams, fused
 //! counts are the same integers a per-pair BFS measures (set
-//! cardinalities are kernel- and permutation-independent), and
+//! cardinalities are kernel-independent), and
 //! densities/statistics are derived with the identical arithmetic.
 //! Asserted in `tests/ranking.rs` for all five samplers, at 1 and 4
-//! threads, across kernel/relabel/cache configurations.
+//! threads, across kernel/cache configurations.
 //!
 //! **Why it is faster.** With `P` pairs sharing events, the per-pair
 //! path (even fully cached) runs one BFS per *(pair, reference node)*
@@ -83,7 +82,7 @@
 use crate::batch::{EventPair, PairOutcome};
 use crate::cache::{CachedCount, DensityCache, EventKey, ProbeGovernor};
 use crate::density::{
-    map_indexed, map_refs_pooled, run_grouped, translate_mask, GroupSlots, MultiKernelPlan, Route,
+    map_indexed, map_refs_pooled, run_grouped, GroupSlots, MultiKernelPlan, Route,
 };
 use crate::engine::{normalize, Statistic, TescConfig, TescEngine, TescError, TescResult};
 use crate::sampler::{importance_sample, ReachMemo, SamplerKind, UniformSample, WeightedSample};
@@ -91,7 +90,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use tesc_events::{store::merge_union, NodeMask};
-use tesc_graph::{Adjacency, Budget, CsrGraph, Interrupted, NodeId};
+use tesc_graph::{Adjacency, Budget, CsrGraph, Interrupted, NodeId, SOURCE_GROUP_SIZE};
 
 /// One pair normalized and validated, before any sampling: the
 /// content keys of its two events and their merged occurrence set.
@@ -171,7 +170,7 @@ impl FusedDensities {
 
     /// How many graph traversals the fused pass physically executed:
     /// equals [`FusedDensities::bfs_run`] on the per-node route, the
-    /// number of source groups (`⌈bfs_run / group_size⌉`) on the
+    /// number of source groups (`⌈bfs_run / 64⌉`) on the
     /// reference-lane route, and the number of event chunks
     /// (`Σ ⌈|V_e|/64⌉` over the events with an unresolved count) on the
     /// event-lane route.
@@ -192,10 +191,6 @@ pub struct PairSetPlan<'e, 'g, G = CsrGraph> {
     /// unions); `keys[s]` and `masks[s]` describe slot `s`.
     keys: Vec<EventKey>,
     masks: Vec<NodeMask>,
-    /// Registry masks translated into the relabeled substrate's id
-    /// space, present iff the engine carries a relabeled substrate —
-    /// translated once per distinct event, not once per pair.
-    substrate_masks: Option<Vec<NodeMask>>,
     /// Distinct reference-node workset, ascending.
     nodes: Vec<NodeId>,
     /// The sorted distinct event slots node `nodes[i]` must be scored
@@ -363,17 +358,12 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         }
         slot_starts.push(slot_flat.len() as u32);
 
-        let substrate_masks = engine
-            .relabeled()
-            .map(|rel| masks.iter().map(|m| translate_mask(rel.map(), m)).collect());
-
         PairSetPlan {
             engine,
             cfg: *cfg,
             pairs: planned,
             keys,
             masks,
-            substrate_masks,
             nodes,
             slot_starts,
             slot_flat,
@@ -424,28 +414,15 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         self.sampled_refs
     }
 
-    /// Resolve the fused density execution plan on the engine's
-    /// substrate/kernel, mirroring the per-pair `density_plan`.
+    /// Resolve the fused density execution plan with the engine's
+    /// kernel, mirroring the per-pair `density_plan`.
     fn multi_plan(&self) -> MultiKernelPlan<'_, G> {
-        let h = self.cfg.h;
-        match (self.engine.relabeled(), &self.substrate_masks) {
-            (Some(rel), Some(tm)) => MultiKernelPlan {
-                graph: rel.graph(),
-                masks: tm,
-                translate: Some(rel.map()),
-                use_bitset: self.engine.density_kernel().use_bitset(rel.graph(), h),
-                h,
-            },
-            _ => MultiKernelPlan {
-                graph: self.engine.graph(),
-                masks: &self.masks,
-                translate: None,
-                use_bitset: self
-                    .engine
-                    .density_kernel()
-                    .use_bitset(self.engine.graph(), h),
-                h,
-            },
+        let (graph, h) = (self.engine.graph(), self.cfg.h);
+        MultiKernelPlan {
+            graph,
+            masks: &self.masks,
+            use_bitset: self.engine.density_kernel().use_bitset(graph, h),
+            h,
         }
     }
 
@@ -510,11 +487,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         budget: &Budget,
     ) -> Result<FusedDensities, Interrupted> {
         let h = self.cfg.h;
-        // Substrate-space occurrence lists, translated once per
-        // distinct event — via the engine's own grouped-plan helpers,
-        // so substrate resolution cannot drift between the per-pair
-        // and fused paths.
-        let slot_nodes = self.engine.group_slot_nodes(key_sets);
+        let slot_nodes: Vec<Vec<NodeId>> = key_sets.iter().map(|s| s.to_vec()).collect();
         let gplan = self.engine.group_plan(&slot_nodes, h, route);
         // `run_grouped` re-checks the budget after the traversals, so
         // its `Ok` means every count is from a completed search — safe
@@ -526,7 +499,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                 nodes,
                 &GroupSlots::PerNode(slot_refs),
                 threads,
-                self.engine.source_group_size(),
+                SOURCE_GROUP_SIZE,
                 budget,
             )
         };
@@ -1044,7 +1017,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_composes_with_kernel_relabel_and_cache() {
+    fn plan_composes_with_kernel_and_cache() {
         let g = barabasi_albert(1500, 3, &mut StdRng::seed_from_u64(3));
         let pairs = pairs_sharing_events(1500, 4);
         let cfg = TescConfig::new(2).with_sample_size(120);
@@ -1052,7 +1025,6 @@ mod tests {
         let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
         let configured = TescEngine::new(&g)
             .with_density_kernel(BfsKernel::Bitset)
-            .with_relabeling(true)
             .with_density_cache(cache.clone());
         assert_plan_matches_engine(
             &configured,
@@ -1060,7 +1032,7 @@ mod tests {
             &pairs,
             &cfg,
             4,
-            "bitset+relabel+cache (cold)",
+            "bitset+cache (cold)",
         );
         // Note: a *single* fused pass probes each distinct node once,
         // so a cold run has no hits — cross-pair sharing shows up as
@@ -1109,29 +1081,18 @@ mod tests {
         let reference = per_node_plan.run_density(1);
         let ref_outcomes = per_node_plan.finish(&reference);
         assert_eq!(reference.bfs_run(), reference.traversals());
-        for group_size in [1usize, 63, 64] {
-            let engine = TescEngine::new(&g)
-                .with_density_kernel(BfsKernel::Multi)
-                .with_source_group_size(group_size);
-            let plan = PairSetPlan::build(&engine, &pairs, &cfg, &seeds, 1);
-            for threads in [1usize, 4] {
-                let fused = plan.run_density(threads);
-                assert_eq!(
-                    fused.bfs_run(),
-                    plan.distinct_refs() as u64,
-                    "lane accounting is group-size independent"
-                );
-                assert_eq!(
-                    fused.traversals(),
-                    (plan.distinct_refs().div_ceil(group_size)) as u64,
-                    "group size {group_size}"
-                );
-                let outcomes = plan.finish(&fused);
-                assert_eq!(
-                    ref_outcomes, outcomes,
-                    "group size {group_size} at {threads} threads"
-                );
-            }
+        let engine = TescEngine::new(&g).with_density_kernel(BfsKernel::Multi);
+        let plan = PairSetPlan::build(&engine, &pairs, &cfg, &seeds, 1);
+        for threads in [1usize, 4] {
+            let fused = plan.run_density(threads);
+            assert_eq!(fused.bfs_run(), plan.distinct_refs() as u64);
+            assert_eq!(
+                fused.traversals(),
+                plan.distinct_refs().div_ceil(SOURCE_GROUP_SIZE) as u64,
+                "one traversal per source group"
+            );
+            let outcomes = plan.finish(&fused);
+            assert_eq!(ref_outcomes, outcomes, "{threads} threads");
         }
     }
 

@@ -2,10 +2,9 @@
 //!
 //! The density hot path only ever *streams* a node's sorted neighbor
 //! list — it never indexes into the middle of one. That access pattern
-//! is the whole contract, so the kernels ([`crate::bfs`]), the
-//! vicinity index ([`crate::vicinity`]) and the locality relabeling
-//! ([`crate::relabel`]) are generic over this trait instead of the
-//! concrete [`CsrGraph`]. Two implementations exist:
+//! is the whole contract, so the kernels ([`crate::bfs`]) and the
+//! vicinity index ([`crate::vicinity`]) are generic over this trait
+//! instead of the concrete [`CsrGraph`]. Two implementations exist:
 //!
 //! * [`CsrGraph`] — plain CSR; `neighbors_iter` is a slice iterator,
 //!   so the generic kernels compile to exactly the code they had when
@@ -21,7 +20,6 @@
 //! batch run (see [`crate::pool`]).
 
 use crate::csr::{CsrGraph, NodeId};
-use crate::relabel::Relabeling;
 
 /// An immutable undirected graph whose per-node sorted neighbor lists
 /// can be streamed. See the [module docs](self) for the contract.
@@ -47,8 +45,8 @@ pub trait Adjacency: Sync + Send {
     /// 64-bit structural fingerprint of the *plain CSR content* this
     /// graph represents (see [`CsrGraph::fingerprint`]). Equal
     /// fingerprints ⇒ identical topology, regardless of encoding —
-    /// the invariant that lets density caches and relabeled
-    /// substrates built against one encoding be pinned to the other.
+    /// the invariant that lets density caches built against one
+    /// encoding be pinned to the other.
     fn fingerprint(&self) -> u64;
 
     /// Estimated resident heap bytes of the adjacency structure
@@ -71,12 +69,6 @@ pub trait Adjacency: Sync + Send {
             f(w);
         }
     }
-
-    /// The isomorphic twin of this graph under `map`, in the same
-    /// encoding (used by [`crate::relabel::RelabeledGraph::build`]).
-    fn relabeled_twin(&self, map: &Relabeling) -> Self
-    where
-        Self: Sized;
 
     /// Average degree `2|E| / |V|`.
     fn average_degree(&self) -> f64 {
@@ -122,11 +114,6 @@ impl Adjacency for CsrGraph {
     #[inline]
     fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.neighbors(v).iter().copied()
-    }
-
-    #[inline]
-    fn relabeled_twin(&self, map: &Relabeling) -> Self {
-        self.relabeled(map)
     }
 
     #[inline]

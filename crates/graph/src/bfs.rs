@@ -58,12 +58,11 @@ pub const MAX_GROUP_SOURCES: usize = 64;
 /// The word width is the natural group size: a full group amortizes
 /// every edge scan over 64 concurrent traversals at no extra per-word
 /// cost, and the last, partially-occupied group of a workset is the
-/// only one that pays for idle lanes. Smaller groups only make sense
-/// for ablation studies (`TescEngine::with_source_group_size` in
-/// `tesc`), where halving the occupancy isolates the amortization
-/// effect; there is no graph shape where a deliberately half-empty
-/// word wins. Shared, like [`crate::PARALLEL_MIN_NODES`], so layers
-/// cannot drift apart.
+/// only one that pays for idle lanes. The free density functions in
+/// `tesc::density` still take a group size, for ablations that halve
+/// the occupancy to isolate the amortization effect; there is no graph
+/// shape where a deliberately half-empty word wins. Shared, like
+/// [`crate::PARALLEL_MIN_NODES`], so layers cannot drift apart.
 pub const SOURCE_GROUP_SIZE: usize = MAX_GROUP_SOURCES;
 
 /// [`BfsKernel::Auto`] considers multi-source batching only when a

@@ -29,9 +29,9 @@
 //! A [`CompressedCsr`] carries the [`CsrGraph::fingerprint`] of the
 //! plain content it encodes: equal fingerprints mean identical
 //! topology regardless of encoding, which is what lets density caches
-//! and relabeled substrates interoperate across the two
-//! representations. The decoder ([`CompressedCsr::neighbors_iter`])
-//! streams a row without materializing it;
+//! interoperate across the two representations. The decoder
+//! ([`CompressedCsr::neighbors_iter`]) streams a row without
+//! materializing it;
 //! [`CompressedCsr::for_each_neighbor`] is the internal-iteration
 //! fast path the BFS kernels use (chunk constants hoisted out of the
 //! gap loop), and [`CompressedCsr::decode_neighbors_into`] fills a
@@ -43,7 +43,6 @@
 use crate::adjacency::Adjacency;
 use crate::codec::DecodeError;
 use crate::csr::{CsrGraph, NodeId};
-use crate::relabel::Relabeling;
 
 /// Nodes per alignment block of the packed stream.
 pub const BLOCK_NODES: usize = 64;
@@ -677,14 +676,6 @@ impl Adjacency for CompressedCsr {
         CompressedCsr::for_each_neighbor(self, v, f)
     }
 
-    /// Relabeled twin, staying compressed: decompress, permute,
-    /// recompress. The transient plain copy makes this `O(|V| + |E|)`
-    /// time and memory — a build-time cost paid once per substrate,
-    /// like [`CsrGraph::relabeled`] itself.
-    fn relabeled_twin(&self, map: &Relabeling) -> Self {
-        CompressedCsr::from_graph(&self.to_csr().relabeled(map))
-    }
-
     #[inline]
     fn average_degree(&self) -> f64 {
         CompressedCsr::average_degree(self)
@@ -957,17 +948,6 @@ mod tests {
         // Out-of-range neighbor: lie about n by shrinking the
         // directory while keeping the stream.
         assert!(CompressedCsr::assemble(degrees[..4].to_vec(), bytes, c.fingerprint()).is_err());
-    }
-
-    #[test]
-    fn relabeled_twin_tracks_plain_relabeling() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = generators::barabasi_albert(150, 3, &mut rng);
-        let map = Relabeling::locality_order(&g);
-        let twin = CompressedCsr::from_graph(&g).relabeled_twin(&map);
-        let plain = g.relabeled(&map);
-        assert_eq!(twin.fingerprint(), plain.fingerprint());
-        assert_eq!(twin.to_csr(), plain);
     }
 
     #[test]

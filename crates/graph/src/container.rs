@@ -14,11 +14,11 @@
 //! num_nodes 8 B
 //! num_edges 8 B   undirected count
 //! fingerprint 8 B plain-CSR fingerprint of the content
-//! flags     8 B   bit 0: permutation section present
+//! flags     8 B   bit 0: node-order section present
 //! header_crc 4 B  CRC-32 of the 40 bytes above
 //! section: directory   u64 len | LEB128 *up*-degree per node | u32 crc
 //! section: adjacency   u64 len | packed half-adjacency gaps  | u32 crc
-//! section: permutation u64 len | u32 `to_old` per node       | u32 crc  (optional)
+//! section: node order  u64 len | u32 `to_old` per node       | u32 crc  (optional, legacy)
 //! ```
 //!
 //! On disk, each undirected edge is stored **once**: node `v`'s row
@@ -43,10 +43,12 @@
 //! the fuzz suite (`tests/fuzz_parsers.rs`) holds the decoder to
 //! "typed error, never a panic" on arbitrary garbage.
 //!
-//! The optional permutation section carries a precomputed
-//! locality-relabel order ([`Relabeling`]) so engines can build their
-//! relabeled substrate without re-running the BFS ordering pass at
-//! load; the adjacency itself always stays in original id order, so
+//! The optional node-order section is a legacy of the deleted
+//! locality relabeling, which stored its permutation there. The
+//! decoder still accepts it — CRC-checked and validated as a bijection
+//! over the node ids — and returns it as [`TgraphFile::node_order`],
+//! but nothing reads it, and `tesc-cli convert` no longer writes it.
+//! The adjacency itself always stays in original id order, so
 //! fingerprints are encoding-independent.
 
 use crate::codec::{put_u32, put_u64, Cursor, DecodeError};
@@ -55,23 +57,22 @@ use crate::compressed::{
 };
 use crate::crc::crc32;
 use crate::csr::{CsrGraph, NodeId};
-use crate::relabel::Relabeling;
 
 /// Magic + version prefix of every `.tgraph` file.
 pub const TGRAPH_MAGIC: &[u8; 8] = b"TGRAPH01";
 
-/// Flag bit: the optional permutation section is present.
-const FLAG_PERMUTATION: u64 = 1;
+/// Flag bit: the optional node-order section is present.
+const FLAG_NODE_ORDER: u64 = 1;
 
-/// A decoded `.tgraph` container: the graph plus the optional
-/// precomputed locality permutation.
+/// A decoded `.tgraph` container: the graph plus the optional stored
+/// node order (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct TgraphFile {
     /// The (validated) compressed graph.
     pub graph: CompressedCsr,
-    /// Precomputed locality-relabel permutation, if the writer stored
-    /// one (`tesc-cli convert --relabel`).
-    pub relabeling: Option<Relabeling>,
+    /// The node order in the legacy section, if the writer stored one:
+    /// entry `v` is the original id of position `v`.
+    pub node_order: Option<Vec<NodeId>>,
 }
 
 /// Does `bytes` start with the `.tgraph` magic? The sniff used by
@@ -86,19 +87,19 @@ fn put_section(out: &mut Vec<u8>, payload: &[u8]) {
     put_u32(out, crc32(payload));
 }
 
-/// Serialize `graph` (and optionally a locality permutation over its
-/// nodes) into `.tgraph` bytes.
+/// Serialize `graph` (and optionally a node order, in `to_old` form,
+/// into the legacy node-order section) into `.tgraph` bytes.
 ///
 /// # Panics
 ///
-/// Panics if `perm` covers a different node count than the graph.
-pub fn encode_tgraph(graph: &CompressedCsr, perm: Option<&Relabeling>) -> Vec<u8> {
-    if let Some(p) = perm {
+/// Panics if `order` covers a different node count than the graph.
+pub fn encode_tgraph(graph: &CompressedCsr, order: Option<&[NodeId]>) -> Vec<u8> {
+    if let Some(o) = order {
         assert_eq!(
-            p.len(),
+            o.len(),
             graph.num_nodes(),
-            "permutation covers {} ids, graph has {} nodes",
-            p.len(),
+            "node order covers {} ids, graph has {} nodes",
+            o.len(),
             graph.num_nodes()
         );
     }
@@ -119,21 +120,21 @@ pub fn encode_tgraph(graph: &CompressedCsr, perm: Option<&Relabeling>) -> Vec<u8
         encode_gaps_chunked(&mut half, &gaps);
     }
     let mut out = Vec::with_capacity(
-        48 + directory.len() + half.len() + perm.map_or(0, |p| 4 * p.len() + 12),
+        48 + directory.len() + half.len() + order.map_or(0, |o| 4 * o.len() + 12),
     );
     out.extend_from_slice(TGRAPH_MAGIC);
     put_u64(&mut out, graph.num_nodes() as u64);
     put_u64(&mut out, graph.num_edges() as u64);
     put_u64(&mut out, graph.fingerprint());
-    put_u64(&mut out, if perm.is_some() { FLAG_PERMUTATION } else { 0 });
+    put_u64(&mut out, if order.is_some() { FLAG_NODE_ORDER } else { 0 });
     let header_crc = crc32(&out);
     put_u32(&mut out, header_crc);
     put_section(&mut out, &directory);
     put_section(&mut out, &half);
-    if let Some(p) = perm {
-        let mut payload = Vec::with_capacity(4 * p.len());
-        for v in 0..p.len() as NodeId {
-            put_u32(&mut payload, p.to_old(v));
+    if let Some(o) = order {
+        let mut payload = Vec::with_capacity(4 * o.len());
+        for &v in o {
+            put_u32(&mut payload, v);
         }
         put_section(&mut out, &payload);
     }
@@ -184,7 +185,7 @@ pub fn decode_tgraph(bytes: &[u8]) -> Result<TgraphFile, DecodeError> {
             message: format!("header CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"),
         });
     }
-    if flags & !FLAG_PERMUTATION != 0 {
+    if flags & !FLAG_NODE_ORDER != 0 {
         return Err(DecodeError {
             offset: 32,
             message: format!("unknown flags {flags:#x}"),
@@ -306,13 +307,13 @@ pub fn decode_tgraph(bytes: &[u8]) -> Result<TgraphFile, DecodeError> {
         });
     }
 
-    let relabeling = if flags & FLAG_PERMUTATION != 0 {
-        let payload = take_section(&mut c, "permutation")?;
+    let node_order = if flags & FLAG_NODE_ORDER != 0 {
+        let payload = take_section(&mut c, "node order")?;
         if payload.len() != 4 * n {
             return Err(DecodeError {
                 offset: 0,
                 message: format!(
-                    "permutation section is {} bytes, expected {}",
+                    "node order section is {} bytes, expected {}",
                     payload.len(),
                     4 * n
                 ),
@@ -322,10 +323,16 @@ pub fn decode_tgraph(bytes: &[u8]) -> Result<TgraphFile, DecodeError> {
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
             .collect();
-        Some(Relabeling::from_to_old(to_old).ok_or_else(|| DecodeError {
-            offset: 0,
-            message: "permutation section is not a bijection over the node ids".into(),
-        })?)
+        let mut seen = vec![false; n];
+        for &v in &to_old {
+            if (v as usize) >= n || std::mem::replace(&mut seen[v as usize], true) {
+                return Err(DecodeError {
+                    offset: 0,
+                    message: "node order section is not a bijection over the node ids".into(),
+                });
+            }
+        }
+        Some(to_old)
     } else {
         None
     };
@@ -336,7 +343,7 @@ pub fn decode_tgraph(bytes: &[u8]) -> Result<TgraphFile, DecodeError> {
             message: format!("{} trailing bytes after the last section", c.remaining()),
         });
     }
-    Ok(TgraphFile { graph, relabeling })
+    Ok(TgraphFile { graph, node_order })
 }
 
 #[cfg(test)]
@@ -352,6 +359,24 @@ mod tests {
         CompressedCsr::from_graph(&generators::barabasi_albert(200, 3, &mut rng))
     }
 
+    /// A container written before locality relabeling was deleted:
+    /// the 9-node graph of [`every_single_byte_flip_is_rejected`] with
+    /// its locality permutation `[3, 0, 1, 8, 2, 7, 4, 5, 6]` in the
+    /// node-order section (flag bit 0 set). Kept byte for byte, so old
+    /// files must keep decoding.
+    const LEGACY_FLAGGED: [u8; 133] = [
+        84, 71, 82, 65, 80, 72, 48, 49, 9, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 180, 107,
+        54, 30, 143, 127, 75, 237, 1, 0, 0, 0, 0, 0, 0, 0, 75, 116, 70, 193, 9, 0, 0, 0, 0, 0, 0,
+        0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 98, 216, 243, 80, 8, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 3, 4,
+        3, 4, 192, 163, 88, 127, 36, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 8, 0,
+        0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 182, 236, 84, 132,
+    ];
+    const LEGACY_ORDER: [NodeId; 9] = [3, 0, 1, 8, 2, 7, 4, 5, 6];
+
+    fn nine_node() -> CompressedCsr {
+        CompressedCsr::from_graph(&from_edges(9, &[(0, 3), (1, 3), (3, 8), (2, 7)]))
+    }
+
     #[test]
     fn round_trips_without_permutation() {
         let c = sample();
@@ -359,17 +384,37 @@ mod tests {
         assert!(is_tgraph(&bytes));
         let file = decode_tgraph(&bytes).expect("round trip");
         assert_eq!(file.graph, c);
-        assert!(file.relabeling.is_none());
+        assert!(file.node_order.is_none());
     }
 
     #[test]
     fn round_trips_with_permutation() {
-        let c = sample();
-        let map = Relabeling::locality_order(&c.to_csr());
-        let bytes = encode_tgraph(&c, Some(&map));
+        let c = nine_node();
+        let bytes = encode_tgraph(&c, Some(&LEGACY_ORDER));
+        assert_eq!(bytes, LEGACY_FLAGGED, "the format is unchanged");
         let file = decode_tgraph(&bytes).expect("round trip");
         assert_eq!(file.graph, c);
-        assert_eq!(file.relabeling.as_ref(), Some(&map));
+        assert_eq!(file.node_order.as_deref(), Some(&LEGACY_ORDER[..]));
+    }
+
+    #[test]
+    fn legacy_flagged_container_decodes_to_the_same_graph() {
+        let file = decode_tgraph(&LEGACY_FLAGGED).expect("legacy container");
+        assert_eq!(file.graph, nine_node());
+        assert_eq!(file.graph.fingerprint(), 0xed4b_7f8f_1e36_6bb4);
+        assert_eq!(file.graph.fingerprint(), nine_node().fingerprint());
+        assert_eq!(file.node_order.as_deref(), Some(&LEGACY_ORDER[..]));
+    }
+
+    #[test]
+    fn non_bijective_node_order_is_rejected() {
+        let c = nine_node();
+        let mut order = LEGACY_ORDER;
+        order[0] = order[1];
+        let err = decode_tgraph(&encode_tgraph(&c, Some(&order))).unwrap_err();
+        assert!(err.message.contains("bijection"), "unexpected error: {err}");
+        order[0] = 9;
+        assert!(decode_tgraph(&encode_tgraph(&c, Some(&order))).is_err());
     }
 
     #[test]
@@ -388,11 +433,9 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
-        let c = CompressedCsr::from_graph(&from_edges(9, &[(0, 3), (1, 3), (3, 8), (2, 7)]));
-        let map = Relabeling::locality_order(&c.to_csr());
-        let bytes = encode_tgraph(&c, Some(&map));
+        let bytes = LEGACY_FLAGGED;
         for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
+            let mut bad = bytes;
             bad[i] ^= 0x10;
             assert!(decode_tgraph(&bad).is_err(), "flip at byte {i} accepted");
         }
@@ -403,6 +446,10 @@ mod tests {
         let bytes = encode_tgraph(&sample(), None);
         for k in 0..bytes.len() {
             assert!(decode_tgraph(&bytes[..k]).is_err(), "truncation at {k}");
+        }
+        for k in 0..LEGACY_FLAGGED.len() {
+            let cut = &LEGACY_FLAGGED[..k];
+            assert!(decode_tgraph(cut).is_err(), "flagged truncation at {k}");
         }
     }
 

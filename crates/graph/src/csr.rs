@@ -225,47 +225,6 @@ impl CsrGraph {
         CsrGraph::from_parts(offsets.into_boxed_slice(), neighbors.into_boxed_slice())
     }
 
-    /// The same graph under an id permutation: node `v` of the result
-    /// is node `map.to_old(v)` of the receiver, with every adjacency
-    /// translated (and re-sorted, preserving the sorted-neighbors
-    /// invariant). The result is isomorphic — degrees, vicinity sizes
-    /// and every other set cardinality carry over elementwise — which
-    /// is what lets [`crate::relabel`]'s locality orders speed BFS up
-    /// without changing any count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the permutation covers a different node count.
-    pub fn relabeled(&self, map: &crate::relabel::Relabeling) -> CsrGraph {
-        let n = self.num_nodes();
-        assert_eq!(
-            map.len(),
-            n,
-            "relabeling covers {} ids, graph has {n} nodes",
-            map.len()
-        );
-        let mut offsets = vec![0u64; n + 1];
-        for v_new in 0..n {
-            offsets[v_new + 1] = offsets[v_new] + self.degree(map.to_old(v_new as NodeId)) as u64;
-        }
-        let mut neighbors = vec![0 as NodeId; self.neighbors.len()];
-        for v_new in 0..n {
-            let (lo, hi) = (offsets[v_new] as usize, offsets[v_new + 1] as usize);
-            let row = &mut neighbors[lo..hi];
-            for (slot, &nb) in row
-                .iter_mut()
-                .zip(self.neighbors(map.to_old(v_new as NodeId)))
-            {
-                *slot = map.to_new(nb);
-            }
-            row.sort_unstable();
-        }
-        CsrGraph {
-            offsets: offsets.into_boxed_slice(),
-            neighbors: neighbors.into_boxed_slice(),
-        }
-    }
-
     /// Validate an edge delta without applying it: every endpoint in
     /// range and no self-loops. Returns the first offending edge.
     pub fn check_edges(&self, edges: &[(NodeId, NodeId)]) -> Result<(), EdgeError> {

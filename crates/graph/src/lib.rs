@@ -29,10 +29,6 @@
 //! * [`pool`] — a thread-safe [`pool::ScratchPool`] of BFS scratches,
 //!   the sharing primitive behind the parallel batch engine
 //!   (`tesc::batch`).
-//! * [`relabel`] — locality-aware id permutations (degree-descending +
-//!   BFS discovery order) producing isomorphic graphs whose vicinities
-//!   occupy contiguous id ranges, the substrate for the bitset density
-//!   kernel (see `docs/PERFORMANCE.md`).
 //! * [`perturb`] — random edge addition/removal (the Fig. 8 experiment).
 //! * [`dist`] — bounded shortest-path helpers used by the event
 //!   simulator and tests.
@@ -54,7 +50,6 @@ pub mod generators;
 pub mod io;
 pub mod perturb;
 pub mod pool;
-pub mod relabel;
 pub mod vicinity;
 
 pub use adjacency::Adjacency;
@@ -67,5 +62,4 @@ pub use compressed::CompressedCsr;
 pub use container::{decode_tgraph, encode_tgraph, is_tgraph, TgraphFile, TGRAPH_MAGIC};
 pub use csr::{CsrGraph, EdgeError, GraphBuilder, NodeId};
 pub use pool::{PooledMultiScratch, PooledScratch, ScratchPool, PARALLEL_MIN_NODES};
-pub use relabel::{RelabeledGraph, Relabeling};
 pub use vicinity::VicinityIndex;

@@ -5,33 +5,31 @@
 //!     Write a demo scenario (graph, two correlated event files and a
 //!     pair-list file for `batch`).
 //!
-//! tesc-cli convert --graph G.txt --out G.tgraph [--relabel on|off]
+//! tesc-cli convert --graph G.txt --out G.tgraph
 //!     Re-encode a graph as a `.tgraph` container: delta-encoded,
 //!     varint-packed adjacency with CRC-checked sections (see
-//!     `tesc_graph::container`). `--relabel on` additionally embeds
-//!     the locality permutation so later runs skip recomputing it.
-//!     Every command's --graph flag accepts either encoding (sniffed
-//!     by magic); containers load in near-zero-parse time and hold
-//!     the compressed rows resident, streaming neighbors straight
-//!     into the BFS kernels.
+//!     `tesc_graph::container`). Every command's --graph flag
+//!     accepts either encoding (sniffed by magic); containers load in
+//!     near-zero-parse time and hold the compressed rows resident,
+//!     streaming neighbors straight into the BFS kernels.
 //!
 //! tesc-cli test --graph G.txt --event-a A.txt --event-b B.txt
 //!               [--h 1] [--n 900] [--tail upper|lower|two]
 //!               [--alpha 0.05] [--sampler batch|reject|importance|whole]
 //!               [--statistic kendall|spearman] [--seed 42]
-//!               [--kernel auto|scalar|bitset|multi] [--relabel on|off]
+//!               [--kernel auto|scalar|bitset|multi]
 //!     Run the TESC significance test and the transaction-correlation
 //!     baseline, print both. --kernel picks the density BFS kernel
 //!     (default auto: expected-density heuristic, batching reference
 //!     nodes into 64-way multi-source traversals on big samples;
-//!     multi forces the batching); --relabel on runs density BFS on a
-//!     locality-relabeled substrate. Both knobs are pure performance
-//!     switches — results are bit-identical.
+//!     multi forces the batching). It is a pure performance switch —
+//!     results are bit-identical.
 //!
 //! tesc-cli batch --graph G.txt --pairs PAIRS.txt [--threads 0]
 //!                [--h 1] [--n 900] [--tail upper|lower|two]
 //!                [--alpha 0.05] [--sampler batch|reject|importance|whole]
 //!                [--statistic kendall|spearman] [--seed 42] [--cache on]
+//!                [--kernel auto|scalar|bitset|multi]
 //!     Run every pair of PAIRS.txt through the parallel batch engine
 //!     (tesc::batch) and print one row per pair plus a summary.
 //!     --threads 0 uses every core; results are bit-identical at any
@@ -44,7 +42,7 @@
 //!               [--threads 0] [--h 1] [--n 900] [--tail upper|lower|two]
 //!               [--alpha 0.05] [--sampler batch|reject|importance|whole]
 //!               [--statistic kendall|spearman] [--seed 42] [--cache on]
-//!               [--kernel auto|scalar|bitset|multi] [--relabel on|off]
+//!               [--kernel auto|scalar|bitset|multi]
 //!     Rank event pairs by TESC evidence through the fused pair-set
 //!     planner (tesc::rank): all pairs of EVENTS.txt by default,
 //!     `--focus EVENT` for one event against every partner, or an
@@ -64,11 +62,16 @@
 //! tesc-cli stream --graph G.txt --events EVENTS.txt --pairs NPAIRS.txt
 //!                 --updates U.txt [--threads 0] [--h 1] [--n 900]
 //!                 [--tail ...] [--alpha ...] [--sampler ...]
-//!                 [--statistic ...] [--seed 42]
+//!                 [--statistic ...] [--seed 42] [--kernel ...]
+//!                 [--cache-budget 64M] [--data-dir DIR] [--snapshot-every N]
 //!     Load the graph and named events into a versioned TescContext,
 //!     test every pair at version 1, then ingest the update script and
 //!     re-test the affected pairs after every commit.
 //! ```
+//!
+//! Each subcommand accepts exactly the flags listed for it: any other
+//! flag (a misspelling, or one that no longer exists) is rejected with
+//! `unknown flag --NAME` and the usage text instead of being ignored.
 //!
 //! Graph format: `tesc_graph::io` edge list (`num_nodes num_edges`
 //! header, one `u v` pair per line). Event format: one node id per
@@ -111,43 +114,94 @@ use tesc::{
 };
 use tesc_baselines::{lift, transaction_correlation};
 use tesc_events::NodeMask;
-use tesc_graph::{
-    encode_tgraph, Adjacency, BfsScratch, CompressedCsr, NodeId, RelabeledGraph, Relabeling,
-    VicinityIndex,
-};
+use tesc_graph::{encode_tgraph, Adjacency, BfsScratch, CompressedCsr, NodeId, VicinityIndex};
 use tesc_repro::{load_graph, LoadedGraph};
 
 const USAGE: &str = "usage:
   tesc-cli demo --dir DIR
-  tesc-cli convert --graph G.txt --out G.tgraph [--relabel on|off]
+  tesc-cli convert --graph G.txt --out G.tgraph
   tesc-cli test --graph G.txt --event-a A.txt --event-b B.txt
                 [--h 1] [--n 900] [--tail upper|lower|two] [--alpha 0.05]
                 [--sampler batch|reject|importance|whole]
                 [--statistic kendall|spearman] [--seed 42]
-                [--kernel auto|scalar|bitset|multi] [--relabel on|off]
+                [--kernel auto|scalar|bitset|multi]
   tesc-cli batch --graph G.txt --pairs PAIRS.txt [--threads 0]
                 [--h 1] [--n 900] [--tail upper|lower|two] [--alpha 0.05]
                 [--sampler batch|reject|importance|whole]
                 [--statistic kendall|spearman] [--seed 42] [--cache on|off]
-                [--kernel auto|scalar|bitset|multi] [--relabel on|off]
+                [--kernel auto|scalar|bitset|multi]
   tesc-cli rank --graph G.txt --events EVENTS.txt
                 [--pairs NPAIRS.txt | --focus EVENT] [--top-k K]
                 [--mode exact|anytime:EPS] [--deadline DUR] [--threads 0]
                 [--h 1] [--n 900] [--tail upper|lower|two] [--alpha 0.05]
                 [--sampler batch|reject|importance|whole]
                 [--statistic kendall|spearman] [--seed 42] [--cache on|off]
-                [--kernel auto|scalar|bitset|multi] [--relabel on|off]
+                [--kernel auto|scalar|bitset|multi]
   tesc-cli stream --graph G.txt --events EVENTS.txt --pairs NPAIRS.txt
                 --updates U.txt [--threads 0]
                 [--h 1] [--n 900] [--tail upper|lower|two] [--alpha 0.05]
                 [--sampler batch|reject|importance|whole]
                 [--statistic kendall|spearman] [--seed 42]
-                [--kernel auto|scalar|bitset|multi] [--relabel on|off]
+                [--kernel auto|scalar|bitset|multi]
                 [--cache-budget 64M|1G|inf]   (default 64M: long replays
                  run under the bounded, second-chance-evicting cache)
+                [--data-dir DIR] [--snapshot-every 1024]
 
 Every --graph flag accepts a text edge list or a `.tgraph` compressed
 container (sniffed by magic); `convert` produces the latter.";
+
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+
+/// The test-configuration flags (`config_from_flags` + `kernel_flag`)
+/// every testing subcommand accepts.
+const CONFIG_FLAGS: &[&str] = &[
+    "h",
+    "n",
+    "tail",
+    "alpha",
+    "sampler",
+    "statistic",
+    "seed",
+    "kernel",
+];
+
+/// Every subcommand, whether it takes [`CONFIG_FLAGS`], and its own
+/// flags. [`parse_flags`] rejects any other flag, so a misspelled or
+/// removed knob fails loudly instead of silently running the default.
+const COMMANDS: &[(&str, Command, bool, &[&str])] = &[
+    ("demo", run_demo, false, &["dir", "seed"]),
+    ("convert", run_convert, false, &["graph", "out"]),
+    ("test", run_test, true, &["graph", "event-a", "event-b"]),
+    (
+        "batch",
+        run_batch_cmd,
+        true,
+        &["graph", "pairs", "threads", "cache"],
+    ),
+    (
+        "rank",
+        run_rank_cmd,
+        true,
+        &[
+            "graph", "events", "pairs", "focus", "top-k", "mode", "deadline", "threads", "cache",
+        ],
+    ),
+    (
+        "stream",
+        run_stream_cmd,
+        true,
+        &[
+            "graph",
+            "events",
+            "pairs",
+            "updates",
+            "threads",
+            "cache-budget",
+            "data-dir",
+            "snapshot-every",
+        ],
+    ),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -155,27 +209,24 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let flags = match parse_flags(rest) {
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, command, takes_config, own)) = COMMANDS.iter().find(|(name, ..)| name == cmd)
+    else {
+        eprintln!("error: unknown command {cmd:?}");
+        return ExitCode::FAILURE;
+    };
+    let config: &[&str] = if takes_config { CONFIG_FLAGS } else { &[] };
+    let flags = match parse_flags(rest, &[own, config].concat()) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let result = match cmd.as_str() {
-        "demo" => run_demo(&flags),
-        "convert" => run_convert(&flags),
-        "test" => run_test(&flags),
-        "batch" => run_batch_cmd(&flags),
-        "rank" => run_rank_cmd(&flags),
-        "stream" => run_stream_cmd(&flags),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
+    match command(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -184,13 +235,17 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parse `--name value` pairs, rejecting any flag not in `accepted`.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let name = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("unexpected argument {:?}", args[i]))?;
+        if !accepted.contains(&name) {
+            return Err(format!("unknown flag --{name}"));
+        }
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -276,36 +331,17 @@ fn run_demo(flags: &HashMap<String, String>) -> Result<(), String> {
 fn run_convert(flags: &HashMap<String, String>) -> Result<(), String> {
     let graph_path = get(flags, "graph")?;
     let out_path = get(flags, "out")?;
-    let relabel = match flags.get("relabel").map(String::as_str) {
-        None | Some("off") => false,
-        Some("on") => true,
-        Some(other) => return Err(format!("--relabel must be on|off, got {other:?}")),
-    };
     let input_bytes = std::fs::metadata(graph_path)
         .map_err(|e| format!("reading {graph_path}: {e}"))?
         .len();
     let loaded = load_graph(graph_path)?;
     let encoding = loaded.encoding();
-    let (compressed, perm) = match loaded {
-        LoadedGraph::Plain(g) => {
-            let c = CompressedCsr::from_graph(&g);
-            let perm = relabel.then(|| Relabeling::locality_order(&g));
-            (c, perm)
-        }
-        // Converting a container is a no-op re-encode, except that
-        // --relabel on computes and embeds a permutation if the input
-        // carried none (an embedded one is preserved either way — it
-        // cost a BFS to compute and loses nothing to keep).
-        LoadedGraph::Compressed(c, existing) => {
-            let perm = if relabel && existing.is_none() {
-                Some(Relabeling::locality_order(&c))
-            } else {
-                existing
-            };
-            (c, perm)
-        }
+    let compressed = match loaded {
+        LoadedGraph::Plain(g) => CompressedCsr::from_graph(&g),
+        // Converting a container is a no-op re-encode.
+        LoadedGraph::Compressed(c) => c,
     };
-    let bytes = encode_tgraph(&compressed, perm.as_ref());
+    let bytes = encode_tgraph(&compressed, None);
     std::fs::write(out_path, &bytes).map_err(|e| format!("writing {out_path}: {e}"))?;
     println!(
         "{graph_path} ({encoding}): {} nodes, {} edges",
@@ -314,35 +350,15 @@ fn run_convert(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     println!("  input:     {input_bytes} B");
     println!(
-        "  container: {} B on disk ({:.2}x smaller), locality permutation: {}",
+        "  container: {} B on disk ({:.2}x smaller)",
         bytes.len(),
-        input_bytes as f64 / bytes.len() as f64,
-        if perm.is_some() { "embedded" } else { "none" }
+        input_bytes as f64 / bytes.len() as f64
     );
     println!(
         "  resident:  {} B (packed adjacency + directory)",
         compressed.resident_bytes()
     );
     Ok(())
-}
-
-/// Apply the `--relabel` knob to an engine: reuse the permutation a
-/// `.tgraph` container embedded (skipping the locality-order BFS),
-/// otherwise let the engine compute it. Results are bit-identical
-/// either way — which permutation runs underneath is invisible.
-fn with_relabel_choice<'a, G: Adjacency>(
-    engine: TescEngine<'a, G>,
-    graph: &'a G,
-    relabel: bool,
-    embedded: Option<Relabeling>,
-) -> TescEngine<'a, G> {
-    match (relabel, embedded) {
-        (true, Some(map)) => {
-            engine.with_relabeled_arc(Arc::new(RelabeledGraph::with_map(graph, map)))
-        }
-        (true, None) => engine.with_relabeling(true),
-        (false, _) => engine,
-    }
 }
 
 /// Build the [`TescConfig`] shared by `test` and `batch` from flags.
@@ -390,10 +406,11 @@ fn config_from_flags(flags: &HashMap<String, String>) -> Result<TescConfig, Stri
         .with_statistic(statistic))
 }
 
-/// Parse the density-kernel performance knobs shared by `test`,
-/// `batch` and `stream` (results are bit-identical for every choice).
-fn kernel_flags(flags: &HashMap<String, String>) -> Result<(BfsKernel, bool), String> {
-    let kernel = match flags.get("kernel").map(String::as_str) {
+/// Parse the density-kernel performance knob shared by `test`,
+/// `batch`, `rank` and `stream` (results are bit-identical for every
+/// choice).
+fn kernel_flag(flags: &HashMap<String, String>) -> Result<BfsKernel, String> {
+    Ok(match flags.get("kernel").map(String::as_str) {
         None | Some("auto") => BfsKernel::Auto,
         Some("scalar") => BfsKernel::Scalar,
         Some("bitset") => BfsKernel::Bitset,
@@ -403,13 +420,7 @@ fn kernel_flags(flags: &HashMap<String, String>) -> Result<(BfsKernel, bool), St
                 "--kernel must be auto|scalar|bitset|multi, got {other:?}"
             ))
         }
-    };
-    let relabel = match flags.get("relabel").map(String::as_str) {
-        None | Some("off") => false,
-        Some("on") => true,
-        Some(other) => return Err(format!("--relabel must be on|off, got {other:?}")),
-    };
-    Ok((kernel, relabel))
+    })
 }
 
 fn open(p: &str) -> Result<BufReader<File>, String> {
@@ -420,16 +431,12 @@ fn open(p: &str) -> Result<BufReader<File>, String> {
 
 fn run_test(flags: &HashMap<String, String>) -> Result<(), String> {
     match load_graph(get(flags, "graph")?)? {
-        LoadedGraph::Plain(g) => run_test_on(&g, None, flags),
-        LoadedGraph::Compressed(c, perm) => run_test_on(&c, perm, flags),
+        LoadedGraph::Plain(g) => run_test_on(&g, flags),
+        LoadedGraph::Compressed(c) => run_test_on(&c, flags),
     }
 }
 
-fn run_test_on<G: Adjacency>(
-    graph: &G,
-    embedded: Option<Relabeling>,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
+fn run_test_on<G: Adjacency>(graph: &G, flags: &HashMap<String, String>) -> Result<(), String> {
     let a_path = get(flags, "event-a")?;
     let b_path = get(flags, "event-b")?;
     let seed: u64 = parse(flags, "seed", 42u64)?;
@@ -464,7 +471,7 @@ fn run_test_on<G: Adjacency>(
         sampler,
         SamplerKind::Rejection | SamplerKind::Importance { .. }
     );
-    let (kernel, relabel) = kernel_flags(flags)?;
+    let kernel = kernel_flag(flags)?;
     let index;
     let engine = if needs_index {
         let mut union = va.clone();
@@ -478,7 +485,6 @@ fn run_test_on<G: Adjacency>(
         TescEngine::new(graph)
     }
     .with_density_kernel(kernel);
-    let engine = with_relabel_choice(engine, graph, relabel, embedded);
 
     let result = engine
         .test(&va, &vb, &cfg, &mut rng)
@@ -545,16 +551,12 @@ fn parse_pairs(text: &str, path: &str) -> Result<Vec<EventPair>, String> {
 /// Run a whole pair list through the parallel batch engine.
 fn run_batch_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     match load_graph(get(flags, "graph")?)? {
-        LoadedGraph::Plain(g) => run_batch_on(&g, None, flags),
-        LoadedGraph::Compressed(c, perm) => run_batch_on(&c, perm, flags),
+        LoadedGraph::Plain(g) => run_batch_on(&g, flags),
+        LoadedGraph::Compressed(c) => run_batch_on(&c, flags),
     }
 }
 
-fn run_batch_on<G: Adjacency>(
-    graph: &G,
-    embedded: Option<Relabeling>,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
+fn run_batch_on<G: Adjacency>(graph: &G, flags: &HashMap<String, String>) -> Result<(), String> {
     let pairs_path = get(flags, "pairs")?;
     let seed: u64 = parse(flags, "seed", 42u64)?;
     let threads: usize = parse(flags, "threads", 0usize)?;
@@ -591,9 +593,9 @@ fn run_batch_on<G: Adjacency>(
         cfg.sampler,
         SamplerKind::Rejection | SamplerKind::Importance { .. }
     );
-    let (kernel, relabel) = kernel_flags(flags)?;
+    let kernel = kernel_flag(flags)?;
     let index;
-    let engine = if needs_index {
+    let mut engine = if needs_index {
         let mut union: Vec<NodeId> = pairs
             .iter()
             .flat_map(|p| p.a.iter().chain(&p.b).copied())
@@ -607,7 +609,6 @@ fn run_batch_on<G: Adjacency>(
         TescEngine::new(graph)
     }
     .with_density_kernel(kernel);
-    let mut engine = with_relabel_choice(engine, graph, relabel, embedded);
     let cache = match flags.get("cache").map(String::as_str) {
         None | Some("on") => {
             let cache = Arc::new(DensityCache::for_graph(graph));
@@ -663,16 +664,12 @@ fn print_outcome_rows(report: &tesc::BatchReport) {
 /// planner (`tesc::rank`).
 fn run_rank_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     match load_graph(get(flags, "graph")?)? {
-        LoadedGraph::Plain(g) => run_rank_on(&g, None, flags),
-        LoadedGraph::Compressed(c, perm) => run_rank_on(&c, perm, flags),
+        LoadedGraph::Plain(g) => run_rank_on(&g, flags),
+        LoadedGraph::Compressed(c) => run_rank_on(&c, flags),
     }
 }
 
-fn run_rank_on<G: Adjacency>(
-    graph: &G,
-    embedded: Option<Relabeling>,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
+fn run_rank_on<G: Adjacency>(graph: &G, flags: &HashMap<String, String>) -> Result<(), String> {
     let events_path = get(flags, "events")?;
     let seed: u64 = parse(flags, "seed", 42u64)?;
     let threads: usize = parse(flags, "threads", 0usize)?;
@@ -753,9 +750,9 @@ fn run_rank_on<G: Adjacency>(
         cfg.sampler,
         SamplerKind::Rejection | SamplerKind::Importance { .. }
     );
-    let (kernel, relabel) = kernel_flags(flags)?;
+    let kernel = kernel_flag(flags)?;
     let index;
-    let engine = if needs_index {
+    let mut engine = if needs_index {
         let mut union: Vec<NodeId> = candidates
             .iter()
             .flat_map(|p| p.a.iter().chain(&p.b).copied())
@@ -769,7 +766,6 @@ fn run_rank_on<G: Adjacency>(
         TescEngine::new(graph)
     }
     .with_density_kernel(kernel);
-    let mut engine = with_relabel_choice(engine, graph, relabel, embedded);
     match flags.get("cache").map(String::as_str) {
         None | Some("on") => {
             engine = engine.with_density_cache(Arc::new(DensityCache::for_graph(graph)));
@@ -1010,8 +1006,8 @@ fn stream_round(
         .with_seed(seed)
         .with_threads(threads)
         .with_pairs(pairs);
-    // The snapshot's engine comes cache- (and, with --relabel on,
-    // substrate-) wired; the kernel knob rides on top.
+    // The snapshot's engine comes cache-wired; the kernel knob rides
+    // on top.
     let report = run_batch(&snap.engine().with_density_kernel(kernel), &req);
     print_outcome_rows(&report);
     println!("summary: {}", report.summary());
@@ -1071,7 +1067,7 @@ fn run_stream_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         cfg.h,
         build_threads
     );
-    let (kernel, relabel) = kernel_flags(flags)?;
+    let kernel = kernel_flag(flags)?;
     // Long replays leak without a cap: every graph version starts a
     // fresh append-only cache, and event streams never stop growing
     // it. Default to the bounded second-chance cache (bit-identical
@@ -1083,7 +1079,6 @@ fn run_stream_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             .unwrap_or("64M"),
     )?;
     let ctx = TescContext::with_threads(graph, events, cfg.h.max(1), build_threads)
-        .with_relabeling(relabel)
         .with_cache_budget(cache_budget);
     // Optional crash-safety: with --data-dir every committed delta is
     // WAL-logged (fsync before publish) and periodically snapshotted,

@@ -51,7 +51,6 @@ OPTIONS:
   --cache-budget SIZE    density-cache byte budget per snapshot
                          (e.g. 64M, 1G, inf)   [default: 64M]
   --h LEVEL              vicinity index depth  [default: 2]
-  --relabel on|off       locality-relabeled substrate    [default: off]
   --seed N               demo-scenario RNG seed          [default: 42]
   --debug-endpoints      enable the test-only POST /sleep endpoint
 
@@ -75,8 +74,9 @@ DURABILITY:
   --access-log FILE      append one JSON line per request (ts_us,
                          endpoint, status, bytes, us, version)
 
-The server prints `listening on ADDR` once ready. Stop it with
-POST /shutdown (in-flight and queued requests drain first).";
+Any other flag is rejected. The server prints `listening on ADDR`
+once ready. Stop it with POST /shutdown (in-flight and queued
+requests drain first).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,7 +93,31 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parse `--flag value` pairs (plus bare `--demo`/`--debug-endpoints`).
+/// The bare switches `tesc-serve` accepts.
+const SWITCHES: &[&str] = &["demo", "debug-endpoints"];
+
+/// The `--flag value` options `tesc-serve` accepts; any other flag is
+/// an error, so a misspelled or removed option fails loudly instead of
+/// silently running the default.
+const OPTIONS: &[&str] = &[
+    "graph",
+    "events",
+    "listen",
+    "workers",
+    "queue",
+    "max-body",
+    "cache-budget",
+    "h",
+    "seed",
+    "default-deadline",
+    "max-deadline",
+    "read-timeout",
+    "data-dir",
+    "snapshot-every",
+    "access-log",
+];
+
+/// Parse `--flag value` pairs (plus the bare [`SWITCHES`]).
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut i = 0;
@@ -101,10 +125,13 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let name = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, got {:?}", args[i]))?;
-        if name == "demo" || name == "debug-endpoints" {
+        if SWITCHES.contains(&name) {
             map.insert(name.to_string(), "on".to_string());
             i += 1;
             continue;
+        }
+        if !OPTIONS.contains(&name) {
+            return Err(format!("unknown flag --{name}"));
         }
         let value = args
             .get(i + 1)
@@ -130,11 +157,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let seed: u64 = get(&flags, "seed", "42")
         .parse()
         .map_err(|_| "--seed must be an integer".to_string())?;
-    let relabel = match get(&flags, "relabel", "off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("--relabel must be on|off, got {other:?}")),
-    };
     let cache_budget = parse_byte_size(get(&flags, "cache-budget", "64M"))?;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers: usize = match flags.get("workers") {
@@ -185,7 +207,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 snap.graph().num_edges(),
                 snap.events().num_events(),
             );
-            ctx.with_relabeling(relabel).with_cache_budget(cache_budget)
+            ctx.with_cache_budget(cache_budget)
         }
         None => {
             let (graph, events) = if flags.contains_key("demo") {
@@ -210,7 +232,6 @@ fn run(args: &[String]) -> Result<(), String> {
             );
             let ctx = TescContext::try_with_threads(graph, events, h, cores)
                 .map_err(|e| format!("invalid initial state: {e}"))?
-                .with_relabeling(relabel)
                 .with_cache_budget(cache_budget);
             match &data_dir {
                 Some(dir) => ctx

@@ -70,8 +70,7 @@ pub fn parse_byte_size(text: &str) -> Result<Option<usize>, String> {
 /// A graph file as loaded from disk by `tesc-cli` / `tesc-serve`:
 /// either a plain-text edge list parsed into a [`tesc_graph::CsrGraph`]
 /// or a binary `.tgraph` container holding the delta-encoded,
-/// varint-packed [`tesc_graph::CompressedCsr`] (plus an optional
-/// embedded locality permutation).
+/// varint-packed [`tesc_graph::CompressedCsr`].
 ///
 /// Both encodings describe the same graph bit-identically — the
 /// container re-validates its section CRCs, structural invariants and
@@ -80,10 +79,8 @@ pub fn parse_byte_size(text: &str) -> Result<Option<usize>, String> {
 pub enum LoadedGraph {
     /// Parsed from a text edge list.
     Plain(tesc_graph::CsrGraph),
-    /// Decoded from a `.tgraph` container; the second field is the
-    /// embedded locality-relabel permutation, if the container stored
-    /// one (`tesc-cli convert --relabel on`).
-    Compressed(tesc_graph::CompressedCsr, Option<tesc_graph::Relabeling>),
+    /// Decoded from a `.tgraph` container.
+    Compressed(tesc_graph::CompressedCsr),
 }
 
 impl LoadedGraph {
@@ -99,7 +96,7 @@ impl LoadedGraph {
     pub fn num_nodes(&self) -> usize {
         match self {
             LoadedGraph::Plain(g) => g.num_nodes(),
-            LoadedGraph::Compressed(c, _) => c.num_nodes(),
+            LoadedGraph::Compressed(c) => c.num_nodes(),
         }
     }
 
@@ -107,7 +104,7 @@ impl LoadedGraph {
     pub fn num_edges(&self) -> usize {
         match self {
             LoadedGraph::Plain(g) => g.num_edges(),
-            LoadedGraph::Compressed(c, _) => c.num_edges(),
+            LoadedGraph::Compressed(c) => c.num_edges(),
         }
     }
 
@@ -118,7 +115,7 @@ impl LoadedGraph {
     pub fn into_csr(self) -> tesc_graph::CsrGraph {
         match self {
             LoadedGraph::Plain(g) => g,
-            LoadedGraph::Compressed(c, _) => c.to_csr(),
+            LoadedGraph::Compressed(c) => c.to_csr(),
         }
     }
 }
@@ -134,7 +131,7 @@ pub fn load_graph(path: &str) -> Result<LoadedGraph, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     if tesc_graph::is_tgraph(&bytes) {
         let t = tesc_graph::decode_tgraph(&bytes).map_err(|e| format!("decoding {path}: {e}"))?;
-        Ok(LoadedGraph::Compressed(t.graph, t.relabeling))
+        Ok(LoadedGraph::Compressed(t.graph))
     } else {
         let g = tesc_graph::io::read_edge_list(&mut std::io::Cursor::new(bytes))
             .map_err(|e| format!("reading {path}: {e}"))?;

@@ -4,7 +4,7 @@
 //! * **eps = 0 is exact, bit for bit.** With an infinite confidence
 //!   interval nothing is decided early, every pair reaches the full
 //!   sample size, and the anytime top-K must be bit-identical to the
-//!   exact ranking — across the kernel × relabel × cache × thread
+//!   exact ranking — across the kernel × cache × thread
 //!   matrix and across every sampler (importance bypasses the
 //!   progressive tiers entirely).
 //! * **Monotonicity.** Shrinking eps widens the intervals, postpones
@@ -64,7 +64,7 @@ fn fingerprint(report: &tesc::RankReport) -> Vec<(String, u64, u64)> {
 }
 
 #[test]
-fn eps_zero_bit_identical_across_kernel_relabel_cache_threads() {
+fn eps_zero_bit_identical_across_kernel_cache_threads() {
     let s = DblpScenario::build(DblpConfig::small(), &mut rng(60));
     let pairs = candidate_pairs(&s, 61);
     let cfg = TescConfig::new(2)
@@ -91,12 +91,6 @@ fn eps_zero_bit_identical_across_kernel_relabel_cache_threads() {
         (
             "multi kernel",
             TescEngine::new(&s.graph).with_density_kernel(BfsKernel::Multi),
-        ),
-        (
-            "bitset+relabel",
-            TescEngine::new(&s.graph)
-                .with_density_kernel(BfsKernel::Bitset)
-                .with_relabeling(true),
         ),
         (
             "cache cold",
@@ -329,8 +323,7 @@ fn anytime_speedup_mechanics_on_allpairs() {
 /// graph, index to depth 2): every tier's density pass takes that
 /// route, and the reports — ranking, decided-at sizes, round count —
 /// must equal the `Scalar` engine's bit for bit, for every sampler,
-/// with the cache cold and warm, plain and relabeled, at 1 and 4
-/// threads.
+/// with the cache cold and warm, at 1 and 4 threads.
 #[test]
 fn event_side_tiers_bit_identical_to_scalar_engine() {
     use rand::Rng;
@@ -375,24 +368,19 @@ fn event_side_tiers_bit_identical_to_scalar_engine() {
             if eps == 0.0 {
                 assert_eq!(exact, fingerprint(&want), "{sampler}: anytime(0) = exact");
             }
-            for relabel in [false, true] {
-                let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
-                for round in ["cold", "warm"] {
-                    for threads in [1usize, 4] {
-                        let engine = TescEngine::with_vicinity_index(&g, &idx)
-                            .with_relabeling(relabel)
-                            .with_density_cache(cache.clone());
-                        let got = rank_pairs(&engine, &anytime.clone().with_threads(threads));
-                        let ctx = format!(
-                            "{sampler}: eps={eps} relabel={relabel} cache {round} @ {threads}t"
-                        );
-                        assert_eq!(fingerprint(&want), fingerprint(&got), "{ctx}");
-                        assert_eq!(want.rounds, got.rounds, "{ctx}: rounds");
-                        let decided = |rep: &tesc::RankReport| -> Vec<usize> {
-                            rep.ranked.iter().map(|e| e.decided_at_n).collect()
-                        };
-                        assert_eq!(decided(&want), decided(&got), "{ctx}: decided_at_n");
-                    }
+            let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
+            for round in ["cold", "warm"] {
+                for threads in [1usize, 4] {
+                    let engine =
+                        TescEngine::with_vicinity_index(&g, &idx).with_density_cache(cache.clone());
+                    let got = rank_pairs(&engine, &anytime.clone().with_threads(threads));
+                    let ctx = format!("{sampler}: eps={eps} cache {round} @ {threads}t");
+                    assert_eq!(fingerprint(&want), fingerprint(&got), "{ctx}");
+                    assert_eq!(want.rounds, got.rounds, "{ctx}: rounds");
+                    let decided = |rep: &tesc::RankReport| -> Vec<usize> {
+                        rep.ranked.iter().map(|e| e.decided_at_n).collect()
+                    };
+                    assert_eq!(decided(&want), decided(&got), "{ctx}: decided_at_n");
                 }
             }
         }

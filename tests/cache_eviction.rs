@@ -2,8 +2,7 @@
 //! of `DensityCache` must be *invisible* in results. Eviction may
 //! only change hit rates — every cached count is a deterministic
 //! integer recomputed identically after eviction, so z-scores stay
-//! bit-identical across any byte budget, kernel and relabeling
-//! configuration. The suite also locks down the bookkeeping
+//! bit-identical across any byte budget and kernel configuration. The suite also locks down the bookkeeping
 //! invariants (`fresh_inserts == entries + evictions`, resident
 //! bytes under budget) and the `tesc-cli stream`-shaped regression:
 //! 100+ event commits against one graph version stay under budget,
@@ -18,7 +17,7 @@ use tesc::context::TescContext;
 use tesc::planner::PairSetPlan;
 use tesc::{DensityCache, EventPair, EventStore, SamplerKind, TescConfig, TescEngine};
 use tesc_graph::generators::grid;
-use tesc_graph::{BfsKernel, NodeId, RelabeledGraph, VicinityIndex};
+use tesc_graph::{BfsKernel, NodeId, VicinityIndex};
 
 /// Deterministic event pairs with distinct content (so they occupy
 /// distinct cache slabs) and enough overlap to exercise the pair
@@ -95,10 +94,9 @@ fn cache_state(cache: &DensityCache) -> (usize, usize, u64, u64) {
 const TINY_BUDGET: usize = 16 * (SLOT_BYTES * 4 + 400);
 
 #[test]
-fn evicted_then_recomputed_results_are_bit_identical_across_kernel_x_relabel() {
+fn evicted_then_recomputed_results_are_bit_identical_across_kernels() {
     let g = grid(24, 24);
     let vicinity = Arc::new(VicinityIndex::build(&g, 2));
-    let relabeled = Arc::new(RelabeledGraph::build(&g));
     let cfg = TescConfig::new(2)
         .with_sample_size(120)
         .with_sampler(SamplerKind::BatchBfs);
@@ -109,42 +107,36 @@ fn evicted_then_recomputed_results_are_bit_identical_across_kernel_x_relabel() {
         BfsKernel::Bitset,
         BfsKernel::Multi,
     ] {
-        for relabel in [false, true] {
-            let build = |cache: Arc<DensityCache>| {
-                let mut e = TescEngine::with_vicinity_arc(&g, vicinity.clone())
-                    .with_density_cache(cache)
-                    .with_density_kernel(kernel);
-                if relabel {
-                    e = e.with_relabeled_arc(relabeled.clone());
-                }
-                e
-            };
-            let unbounded = Arc::new(DensityCache::for_graph(&g));
-            let bounded = Arc::new(DensityCache::for_graph_bounded(&g, TINY_BUDGET));
-            let baseline = run_workload(&build(unbounded.clone()), &cfg);
-            let evicting = run_workload(&build(bounded.clone()), &cfg);
-            assert_eq!(
-                baseline, evicting,
-                "kernel {kernel:?}, relabel {relabel}: eviction changed results"
-            );
-            assert_eq!(unbounded.evictions(), 0);
-            if kernel == BfsKernel::Auto {
-                // `Auto` resolves these small one-pair tests from the
-                // event side, which bypasses the cache entirely; the
-                // planner path fills it on the same route, so the
-                // eviction half of the row is driven through that.
-                assert_eq!(cache_state(&unbounded), (0, 0, 0, 0), "relabel {relabel}");
-                assert_eq!(cache_state(&bounded), (0, 0, 0, 0), "relabel {relabel}");
-                let planned = run_workload_planned(&build(bounded.clone()), &cfg);
-                assert_eq!(baseline, planned, "relabel {relabel}: planner path");
-            }
-            assert!(
-                bounded.evictions() > 0,
-                "kernel {kernel:?}, relabel {relabel}: the tiny budget must actually evict \
-                 (resident {} of {TINY_BUDGET})",
-                bounded.resident_bytes(),
-            );
+        let build = |cache: Arc<DensityCache>| {
+            TescEngine::with_vicinity_arc(&g, vicinity.clone())
+                .with_density_cache(cache)
+                .with_density_kernel(kernel)
+        };
+        let unbounded = Arc::new(DensityCache::for_graph(&g));
+        let bounded = Arc::new(DensityCache::for_graph_bounded(&g, TINY_BUDGET));
+        let baseline = run_workload(&build(unbounded.clone()), &cfg);
+        let evicting = run_workload(&build(bounded.clone()), &cfg);
+        assert_eq!(
+            baseline, evicting,
+            "kernel {kernel:?}: eviction changed results"
+        );
+        assert_eq!(unbounded.evictions(), 0);
+        if kernel == BfsKernel::Auto {
+            // `Auto` resolves these small one-pair tests from the
+            // event side, which bypasses the cache entirely; the
+            // planner path fills it on the same route, so the
+            // eviction half of the row is driven through that.
+            assert_eq!(cache_state(&unbounded), (0, 0, 0, 0));
+            assert_eq!(cache_state(&bounded), (0, 0, 0, 0));
+            let planned = run_workload_planned(&build(bounded.clone()), &cfg);
+            assert_eq!(baseline, planned, "planner path");
         }
+        assert!(
+            bounded.evictions() > 0,
+            "kernel {kernel:?}: the tiny budget must actually evict \
+             (resident {} of {TINY_BUDGET})",
+            bounded.resident_bytes(),
+        );
     }
 }
 

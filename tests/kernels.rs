@@ -1,6 +1,5 @@
-//! Density-kernel and relabeling equivalence suite — the acceptance
-//! contract of the bitset kernel rebuild: every kernel/relabeling
-//! configuration produces **bit-identical** `DensityCounts` and
+//! Density-kernel equivalence suite — the acceptance contract of the
+//! bitset kernel rebuild: every kernel configuration produces **bit-identical** `DensityCounts` and
 //! downstream `TestOutcome`s, for every sampler, with and without the
 //! density cache, at 1 and 4 density threads.
 //!
@@ -12,15 +11,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tesc::density::{
     choose_route, density_counts, density_counts_bitset, density_vectors,
-    density_vectors_group_plan, density_vectors_plan, translate_mask, GroupKernelPlan, KernelPlan,
-    Route,
+    density_vectors_group_plan, density_vectors_plan, GroupKernelPlan, KernelPlan, Route,
 };
 use tesc::{
     BfsKernel, DensityCache, NodeMask, SamplerKind, Tail, TescConfig, TescEngine, TescResult,
 };
 use tesc_datasets::{DblpConfig, DblpScenario};
 use tesc_graph::perturb::{add_random_edges, remove_random_edges};
-use tesc_graph::relabel::{RelabeledGraph, Relabeling};
 use tesc_graph::{BfsScratch, CsrGraph, MsBfsScratch, NodeId, ScratchPool, VicinityIndex};
 
 const CASES: u64 = 128;
@@ -148,10 +145,10 @@ fn hybrid_switch_point_edge_cases() {
     }
 }
 
-/// The full engine matrix: sampler × kernel/relabel plan × cache ×
-/// density threads, all bit-identical to the scalar serial reference.
+/// The full engine matrix: sampler × kernel × cache × density threads,
+/// all bit-identical to the scalar serial reference.
 #[test]
-fn engine_outcomes_bit_identical_across_kernel_relabel_cache_threads() {
+fn engine_outcomes_bit_identical_across_kernel_cache_threads() {
     let s = DblpScenario::build(DblpConfig::small(), &mut rng(80));
     let idx = VicinityIndex::build(&s.graph, 2);
     let (va, vb) = s.plant_positive_keyword_pair(12, 10, 0.25, &mut rng(81));
@@ -169,38 +166,35 @@ fn engine_outcomes_bit_identical_across_kernel_relabel_cache_threads() {
             run(&engine, sampler, 82)
         };
         for kernel in [BfsKernel::Bitset, BfsKernel::Multi] {
-            for relabel in [false, true] {
-                for cached in [false, true] {
-                    for threads in [1usize, 4] {
-                        let mut engine = TescEngine::with_vicinity_index(&s.graph, &idx)
-                            .with_density_kernel(kernel)
-                            .with_relabeling(relabel)
-                            .with_density_threads(threads);
-                        let cache = std::sync::Arc::new(DensityCache::for_graph(&s.graph));
-                        if cached {
-                            engine = engine.with_density_cache(cache.clone());
-                        }
-                        let got = run(&engine, sampler, 82);
-                        assert_eq!(
-                            reference, got,
-                            "{sampler}: kernel={kernel} relabel={relabel} cache={cached} threads={threads}"
-                        );
-                        assert_eq!(
-                            reference.z().to_bits(),
-                            got.z().to_bits(),
-                            "{sampler}: z bits differ (kernel={kernel} relabel={relabel} cache={cached} threads={threads})"
-                        );
-                        // Warm-cache re-run stays identical too. (The
-                        // importance sampler documentedly bypasses the
-                        // cache — its per-node quantities are
-                        // pair-specific — so only uniform samplers must
-                        // show hits.)
-                        if cached {
-                            let again = run(&engine, sampler, 82);
-                            assert_eq!(reference, again, "{sampler}: warm cache");
-                            if !matches!(sampler, SamplerKind::Importance { .. }) {
-                                assert!(cache.hits() > 0, "{sampler}: cache engaged");
-                            }
+            for cached in [false, true] {
+                for threads in [1usize, 4] {
+                    let mut engine = TescEngine::with_vicinity_index(&s.graph, &idx)
+                        .with_density_kernel(kernel)
+                        .with_density_threads(threads);
+                    let cache = std::sync::Arc::new(DensityCache::for_graph(&s.graph));
+                    if cached {
+                        engine = engine.with_density_cache(cache.clone());
+                    }
+                    let got = run(&engine, sampler, 82);
+                    assert_eq!(
+                        reference, got,
+                        "{sampler}: kernel={kernel} cache={cached} threads={threads}"
+                    );
+                    assert_eq!(
+                        reference.z().to_bits(),
+                        got.z().to_bits(),
+                        "{sampler}: z bits differ (kernel={kernel} cache={cached} threads={threads})"
+                    );
+                    // Warm-cache re-run stays identical too. (The
+                    // importance sampler documentedly bypasses the
+                    // cache — its per-node quantities are
+                    // pair-specific — so only uniform samplers must
+                    // show hits.)
+                    if cached {
+                        let again = run(&engine, sampler, 82);
+                        assert_eq!(reference, again, "{sampler}: warm cache");
+                        if !matches!(sampler, SamplerKind::Importance { .. }) {
+                            assert!(cache.hits() > 0, "{sampler}: cache engaged");
                         }
                     }
                 }
@@ -212,7 +206,7 @@ fn engine_outcomes_bit_identical_across_kernel_relabel_cache_threads() {
 /// The same matrix on the compressed-CSR substrate: an engine whose
 /// adjacency streams from the delta/varint rows must be bit-identical
 /// to the plain-CSR scalar reference for every sampler × kernel ×
-/// relabel × cache × thread-count combination.
+/// cache × thread-count combination.
 #[test]
 fn compressed_csr_outcomes_bit_identical_to_plain_across_matrix() {
     use tesc_graph::CompressedCsr;
@@ -234,65 +228,31 @@ fn compressed_csr_outcomes_bit_identical_to_plain_across_matrix() {
             .test(&va, &vb, &cfg_for(sampler), &mut rng(82))
             .unwrap();
         for kernel in [BfsKernel::Scalar, BfsKernel::Bitset, BfsKernel::Multi] {
-            for relabel in [false, true] {
-                for cached in [false, true] {
-                    for threads in [1usize, 4] {
-                        let mut engine = TescEngine::with_vicinity_index(&compressed, &cidx)
-                            .with_density_kernel(kernel)
-                            .with_relabeling(relabel)
-                            .with_density_threads(threads);
-                        if cached {
-                            engine = engine.with_density_cache(std::sync::Arc::new(
-                                DensityCache::for_graph(&compressed),
-                            ));
-                        }
-                        let got = engine
-                            .test(&va, &vb, &cfg_for(sampler), &mut rng(82))
-                            .unwrap();
-                        assert_eq!(
-                            reference, got,
-                            "{sampler}: compressed kernel={kernel} relabel={relabel} cache={cached} threads={threads}"
-                        );
-                        assert_eq!(
-                            reference.z().to_bits(),
-                            got.z().to_bits(),
-                            "{sampler}: compressed z bits differ (kernel={kernel} relabel={relabel} cache={cached} threads={threads})"
-                        );
+            for cached in [false, true] {
+                for threads in [1usize, 4] {
+                    let mut engine = TescEngine::with_vicinity_index(&compressed, &cidx)
+                        .with_density_kernel(kernel)
+                        .with_density_threads(threads);
+                    if cached {
+                        engine = engine.with_density_cache(std::sync::Arc::new(
+                            DensityCache::for_graph(&compressed),
+                        ));
                     }
+                    let got = engine
+                        .test(&va, &vb, &cfg_for(sampler), &mut rng(82))
+                        .unwrap();
+                    assert_eq!(
+                        reference, got,
+                        "{sampler}: compressed kernel={kernel} cache={cached} threads={threads}"
+                    );
+                    assert_eq!(
+                        reference.z().to_bits(),
+                        got.z().to_bits(),
+                        "{sampler}: compressed z bits differ (kernel={kernel} cache={cached} threads={threads})"
+                    );
                 }
             }
         }
-    }
-}
-
-#[test]
-fn relabel_round_trip_identity_on_random_graphs() {
-    for case in 0..CASES {
-        let mut r = rng(22_000 + case);
-        let (n, g) = random_graph(&mut r);
-        let map = Relabeling::locality_order(&g);
-        // Bijection.
-        for v in 0..n as u32 {
-            assert_eq!(map.to_old(map.to_new(v)), v, "case {case}");
-        }
-        // Isomorphism: edges and degrees carry over.
-        let rg = g.relabeled(&map);
-        assert_eq!(rg.num_edges(), g.num_edges(), "case {case}");
-        for (u, v) in g.edges() {
-            assert!(
-                rg.has_edge(map.to_new(u), map.to_new(v)),
-                "case {case}: edge ({u},{v})"
-            );
-        }
-        // Vicinity counts carry over at a random (v, h).
-        let v = r.gen_range(0..n as u32);
-        let h = r.gen_range(0u32..4);
-        let mut s = BfsScratch::new(n);
-        assert_eq!(
-            s.vicinity_size(&g, v, h),
-            s.vicinity_size(&rg, map.to_new(v), h),
-            "case {case}: v = {v}, h = {h}"
-        );
     }
 }
 
@@ -311,23 +271,8 @@ fn plan_density_vectors_equal_for_random_masks() {
             use_bitset: true,
             ..scalar
         };
-        let rel = RelabeledGraph::build(&g);
-        let (ta, tb) = (
-            translate_mask(rel.map(), &ma),
-            translate_mask(rel.map(), &mb),
-        );
-        let relabeled = KernelPlan {
-            graph: rel.graph(),
-            mask_a: &ta,
-            mask_b: &tb,
-            translate: Some(rel.map()),
-            use_bitset: true,
-            h,
-        };
-        for (label, plan) in [("bitset", &bitset), ("bitset+relabel", &relabeled)] {
-            let got = density_vectors_plan(plan, &pool, &refs, 2);
-            assert_eq!(reference, got, "case {case}: {label}");
-        }
+        let got = density_vectors_plan(&bitset, &pool, &refs, 2);
+        assert_eq!(reference, got, "case {case}: bitset");
     }
 }
 
@@ -431,7 +376,7 @@ fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
     // Workset sizes 1, 63, 64, 65, 127 — partitioned into groups by
     // the executor — must all reproduce the scalar reference,
     // including sources sharing a vicinity (dense community) and
-    // duplicate-adjacent sources after relabeling.
+    // duplicate sources.
     let s = DblpScenario::build(DblpConfig::small(), &mut rng(90));
     let g = &s.graph;
     let n = g.num_nodes();
@@ -447,26 +392,16 @@ fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
     let pool = ScratchPool::for_graph(g);
     let mut scratch = BfsScratch::new(n);
     let slot_nodes = vec![a.clone(), b.clone()];
-    let plain = GroupKernelPlan {
+    let plan = GroupKernelPlan {
         graph: g,
         slot_nodes: &slot_nodes,
-        translate: None,
-        h: 2,
-        event_side: None,
-    };
-    let rel = RelabeledGraph::build(g);
-    let translated = vec![rel.map().map_to_new(&a), rel.map().map_to_new(&b)];
-    let relabeled = GroupKernelPlan {
-        graph: rel.graph(),
-        slot_nodes: &translated,
-        translate: Some(rel.map()),
         h: 2,
         event_side: None,
     };
     let mut r = rng(92);
     for workset in [1usize, 63, 64, 65, 127] {
         // Half clustered (shared vicinities), half uniform; a repeated
-        // node makes two lanes duplicate-adjacent after relabeling.
+        // node makes two lanes of one group duplicates.
         let base = r.gen_range(0..(n as u32) / 2);
         let mut refs: Vec<NodeId> = (0..workset as u32 / 2).map(|i| base + i % 40).collect();
         refs.extend((refs.len()..workset).map(|_| r.gen_range(0..n as u32)));
@@ -476,13 +411,8 @@ fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
         }
         let reference = density_vectors(g, &mut scratch, &refs, 2, &ma, &mb);
         for group_size in [1usize, 63, 64] {
-            for (label, plan) in [("plain", &plain), ("relabeled", &relabeled)] {
-                let got = density_vectors_group_plan(plan, &pool, &refs, 2, group_size);
-                assert_eq!(
-                    reference, got,
-                    "workset={workset} group_size={group_size} {label}"
-                );
-            }
+            let got = density_vectors_group_plan(&plan, &pool, &refs, 2, group_size);
+            assert_eq!(reference, got, "workset={workset} group_size={group_size}");
         }
     }
 }
@@ -601,13 +531,13 @@ fn event_chunks(events: &[&[NodeId]]) -> u64 {
         .sum()
 }
 
-/// The event-side matrix: sampler × relabel × cache cold/warm ×
+/// The event-side matrix: sampler × cache cold/warm ×
 /// density threads, every `z` bit equal to the `Scalar` engine, with
 /// the route pinned through the planner's traversal count (identical
 /// at 1 and 4 threads) and, on the one-pair path, through the cache
 /// bypass.
 #[test]
-fn auto_event_side_bit_identical_to_scalar_across_relabel_cache_threads_samplers() {
+fn auto_event_side_bit_identical_to_scalar_across_cache_threads_samplers() {
     use tesc::planner::PairSetPlan;
     let f = EventSideFixture::build(300);
     let pair = f.pair();
@@ -624,56 +554,53 @@ fn auto_event_side_bit_identical_to_scalar_across_relabel_cache_threads_samplers
             .with_density_kernel(BfsKernel::Scalar)
             .test(&f.va, &f.vb, &cfg, &mut rng(7))
             .unwrap();
-        for relabel in [false, true] {
-            for threads in [1usize, 4] {
-                let ctx = format!("{sampler}: relabel={relabel} threads={threads}");
-                let cache = std::sync::Arc::new(DensityCache::for_graph(&f.graph));
-                let engine = TescEngine::with_vicinity_index(&f.graph, &f.index)
-                    .with_relabeling(relabel)
-                    .with_density_threads(threads)
-                    .with_density_cache(cache.clone());
-                // One-pair path, twice (the repeat would be "warm").
-                for round in ["cold", "repeat"] {
-                    let got = engine.test(&f.va, &f.vb, &cfg, &mut rng(7)).unwrap();
-                    assert_eq!(reference, got, "{ctx} {round}");
-                    assert_eq!(reference.z().to_bits(), got.z().to_bits(), "{ctx} {round}");
-                }
-                // An event-side one-pair pass bypasses the cache.
-                assert_eq!(
-                    (
-                        cache.len(),
-                        cache.resident_bytes(),
-                        cache.hits(),
-                        cache.misses()
-                    ),
-                    (0, 0, 0, 0),
-                    "{ctx}: one-pair event pass must leave the cache untouched"
-                );
-                // Planner path: the traversal count is the event chunk
-                // count, the cache fills with exactly the pending
-                // cells, and the warm repeat runs zero traversals.
-                let plan =
-                    PairSetPlan::build(&engine, std::slice::from_ref(&pair), &cfg, &[7], threads);
-                let cold = plan.run_density(threads);
-                assert_eq!(cold.traversals(), want_chunks, "{ctx}: event side chosen");
-                assert_eq!(cold.bfs_run(), plan.distinct_refs() as u64, "{ctx}");
-                let slots = if weighted { 3 } else { 2 };
-                assert_eq!(cache.len(), slots * plan.distinct_refs(), "{ctx}: fill");
-                let outcome = plan.finish(&cold).remove(0).result.unwrap();
-                assert_eq!(
-                    reference.z().to_bits(),
-                    outcome.z().to_bits(),
-                    "{ctx}: plan"
-                );
-                let warm = plan.run_density(threads);
-                assert_eq!((warm.traversals(), warm.bfs_run()), (0, 0), "{ctx}: warm");
-                let outcome = plan.finish(&warm).remove(0).result.unwrap();
-                assert_eq!(
-                    reference.z().to_bits(),
-                    outcome.z().to_bits(),
-                    "{ctx}: warm"
-                );
+        for threads in [1usize, 4] {
+            let ctx = format!("{sampler}: threads={threads}");
+            let cache = std::sync::Arc::new(DensityCache::for_graph(&f.graph));
+            let engine = TescEngine::with_vicinity_index(&f.graph, &f.index)
+                .with_density_threads(threads)
+                .with_density_cache(cache.clone());
+            // One-pair path, twice (the repeat would be "warm").
+            for round in ["cold", "repeat"] {
+                let got = engine.test(&f.va, &f.vb, &cfg, &mut rng(7)).unwrap();
+                assert_eq!(reference, got, "{ctx} {round}");
+                assert_eq!(reference.z().to_bits(), got.z().to_bits(), "{ctx} {round}");
             }
+            // An event-side one-pair pass bypasses the cache.
+            assert_eq!(
+                (
+                    cache.len(),
+                    cache.resident_bytes(),
+                    cache.hits(),
+                    cache.misses()
+                ),
+                (0, 0, 0, 0),
+                "{ctx}: one-pair event pass must leave the cache untouched"
+            );
+            // Planner path: the traversal count is the event chunk
+            // count, the cache fills with exactly the pending
+            // cells, and the warm repeat runs zero traversals.
+            let plan =
+                PairSetPlan::build(&engine, std::slice::from_ref(&pair), &cfg, &[7], threads);
+            let cold = plan.run_density(threads);
+            assert_eq!(cold.traversals(), want_chunks, "{ctx}: event side chosen");
+            assert_eq!(cold.bfs_run(), plan.distinct_refs() as u64, "{ctx}");
+            let slots = if weighted { 3 } else { 2 };
+            assert_eq!(cache.len(), slots * plan.distinct_refs(), "{ctx}: fill");
+            let outcome = plan.finish(&cold).remove(0).result.unwrap();
+            assert_eq!(
+                reference.z().to_bits(),
+                outcome.z().to_bits(),
+                "{ctx}: plan"
+            );
+            let warm = plan.run_density(threads);
+            assert_eq!((warm.traversals(), warm.bfs_run()), (0, 0), "{ctx}: warm");
+            let outcome = plan.finish(&warm).remove(0).result.unwrap();
+            assert_eq!(
+                reference.z().to_bits(),
+                outcome.z().to_bits(),
+                "{ctx}: warm"
+            );
         }
     }
 }
@@ -717,7 +644,6 @@ fn event_side_densities_equal_set_intersection_oracle() {
         let plan = GroupKernelPlan {
             graph: &g,
             slot_nodes: &events,
-            translate: None,
             h,
             event_side: Some(&index),
         };

@@ -11,7 +11,7 @@
 //! * **Permutation invariance.** Seeds are content-addressed, so
 //!   shuffling the candidate list must not change a single ranked bit.
 //! * **Schedule invariance.** Thread count (1 vs 4) and the
-//!   kernel × relabel × cache engine configuration are pure
+//!   kernel × cache engine configuration are pure
 //!   performance knobs: identical rankings everywhere.
 //! * **Top-K soundness.** `with_top_k(k)` returns exactly the first k
 //!   entries of the full ranking — the significance-budget early exit
@@ -147,7 +147,7 @@ fn ranking_invariant_under_pair_list_permutation() {
 }
 
 #[test]
-fn ranking_invariant_under_threads_kernel_relabel_and_cache() {
+fn ranking_invariant_under_threads_kernel_and_cache() {
     let s = DblpScenario::build(DblpConfig::small(), &mut rng(20));
     let pairs = candidate_pairs(&s, 21);
     let cfg = TescConfig::new(2)
@@ -165,12 +165,6 @@ fn ranking_invariant_under_threads_kernel_relabel_and_cache() {
         (
             "bitset kernel",
             TescEngine::new(&s.graph).with_density_kernel(BfsKernel::Bitset),
-        ),
-        (
-            "bitset+relabel",
-            TescEngine::new(&s.graph)
-                .with_density_kernel(BfsKernel::Bitset)
-                .with_relabeling(true),
         ),
         (
             "cache cold",
@@ -453,7 +447,7 @@ fn normalized_len(nodes: &[u32]) -> usize {
 }
 
 #[test]
-fn event_side_ranking_bit_identical_to_scalar_across_relabel_cache_threads_samplers() {
+fn event_side_ranking_bit_identical_to_scalar_across_cache_threads_samplers() {
     use tesc::planner::PairSetPlan;
     let g = tesc_graph::generators::barabasi_albert(3000, 3, &mut rng(90));
     let idx = VicinityIndex::build(&g, 2);
@@ -494,22 +488,16 @@ fn event_side_ranking_bit_identical_to_scalar_across_relabel_cache_threads_sampl
         );
         assert!(pairs.iter().all(|p| normalized_len(&p.a) <= 64));
 
-        for relabel in [false, true] {
-            let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
-            for round in ["cold", "warm"] {
-                for threads in [1usize, 4] {
-                    let engine = TescEngine::with_vicinity_index(&g, &idx)
-                        .with_relabeling(relabel)
-                        .with_density_cache(cache.clone());
-                    let got = fingerprint(&rank_pairs(&engine, &req.clone().with_threads(threads)));
-                    assert_eq!(
-                        reference, got,
-                        "{sampler}: relabel={relabel} cache {round} @ {threads}t"
-                    );
-                }
+        let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
+        for round in ["cold", "warm"] {
+            for threads in [1usize, 4] {
+                let engine =
+                    TescEngine::with_vicinity_index(&g, &idx).with_density_cache(cache.clone());
+                let got = fingerprint(&rank_pairs(&engine, &req.clone().with_threads(threads)));
+                assert_eq!(reference, got, "{sampler}: cache {round} @ {threads}t");
             }
-            assert!(cache.hits() > 0, "{sampler}: the warm rounds were probes");
         }
+        assert!(cache.hits() > 0, "{sampler}: the warm rounds were probes");
     }
 }
 

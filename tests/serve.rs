@@ -1358,3 +1358,47 @@ fn cancellation_storm_keeps_server_serviceable_and_state_consistent() {
     );
     server.shutdown_and_join();
 }
+
+#[test]
+fn removed_and_unknown_flags_are_rejected_before_listening() {
+    for flag in ["--relabel", "--wrokers"] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_tesc-serve"))
+            .args(["--demo", "--listen", "127.0.0.1:0", flag, "on"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn tesc-serve");
+        // A server that accepted the flag would block serving; give it
+        // a bounded window to exit, then fail rather than hang.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait on tesc-serve") {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("tesc-serve accepted {flag} and kept running");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let (mut stdout, mut stderr) = (String::new(), String::new());
+        child
+            .stdout
+            .take()
+            .unwrap()
+            .read_to_string(&mut stdout)
+            .unwrap();
+        child
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut stderr)
+            .unwrap();
+        assert!(!status.success(), "{flag}: exit {status}");
+        assert!(!stdout.contains("listening on"), "{flag}: {stdout}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
+}
