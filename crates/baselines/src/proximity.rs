@@ -19,6 +19,7 @@
 use tesc_events::{EventId, EventStore, NodeMask};
 use tesc_graph::bfs::BfsScratch;
 use tesc_graph::csr::CsrGraph;
+use tesc_graph::Budget;
 
 /// A mined pair pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,13 +66,18 @@ impl ProximityMiner {
         // Nodes within h of an a-occurrence = nodes whose vicinity
         // contains an a-occurrence (undirected graph ⇒ symmetric).
         let mut sees_a = NodeMask::new(g.num_nodes());
-        scratch.visit_h_vicinity(g, va, self.h, |v, _| {
-            sees_a.insert(v);
-        });
+        let unlimited = Budget::unlimited();
+        scratch
+            .visit_h_vicinity(g, va, self.h, &unlimited, |v, _| {
+                sees_a.insert(v);
+            })
+            .expect("unlimited budget");
         let mut both = 0usize;
-        scratch.visit_h_vicinity(g, vb, self.h, |v, _| {
-            both += sees_a.contains(v) as usize;
-        });
+        scratch
+            .visit_h_vicinity(g, vb, self.h, &unlimited, |v, _| {
+                both += sees_a.contains(v) as usize;
+            })
+            .expect("unlimited budget");
         both as f64 / g.num_nodes() as f64
     }
 

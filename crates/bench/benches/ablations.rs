@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tesc::density::density_counts;
-use tesc::{BfsScratch, NodeMask};
+use tesc::{BfsScratch, Budget, NodeMask};
 use tesc_baselines::hitting_time::truncated_hitting_time;
 use tesc_bench::timing::Harness;
 use tesc_datasets::twitter_like;
@@ -88,7 +88,7 @@ fn main() {
     harness.bench("bfs_marks/epoch_stamped", || {
         let s = sources[i % sources.len()];
         i += 1;
-        scratch.visit_h_vicinity(&g, &[s], h, |_, _| {})
+        scratch.vicinity_size(&g, s, h)
     });
     let mut visited = vec![false; g.num_nodes()];
     let mut queue = Vec::new();
@@ -107,10 +107,11 @@ fn main() {
     let mut scratch = BfsScratch::new(g.num_nodes());
     let mut rng = StdRng::seed_from_u64(7);
     let mut i = 0usize;
+    let unlimited = Budget::unlimited();
     harness.bench("density/bfs_density_h2", || {
         let s = sources[i % sources.len()];
         i += 1;
-        density_counts(&g, &mut scratch, s, 2, &mask, &mask)
+        density_counts(&g, &mut scratch, s, 2, &mask, &mask, &unlimited)
     });
     let mut j = 0usize;
     harness.bench("density/hitting_time_t10_w1000", || {

@@ -55,7 +55,7 @@ use tesc_datasets::{
     DblpConfig, DblpScenario, IntrusionConfig, IntrusionScenario, TwitterConfig, TwitterScenario,
 };
 use tesc_events::store::merge_union;
-use tesc_graph::{BfsKernel, BfsScratch, CsrGraph, NodeId, ScratchPool, VicinityIndex};
+use tesc_graph::{BfsKernel, BfsScratch, Budget, CsrGraph, NodeId, ScratchPool, VicinityIndex};
 
 /// Group size of the `multi` rows — the full lane word.
 const GROUP: usize = tesc_graph::SOURCE_GROUP_SIZE;
@@ -104,6 +104,7 @@ fn main() {
             g.average_degree()
         );
         let pool = ScratchPool::for_graph(g);
+        let unlimited = Budget::unlimited();
         let ma = NodeMask::from_nodes(n, &s.va);
         let mb = NodeMask::from_nodes(n, &s.vb);
         let (a_norm, b_norm) = (normalize(&s.va), normalize(&s.vb));
@@ -142,14 +143,14 @@ fn main() {
             };
             // Per-row identity verification: every plan must reproduce
             // the scalar baseline bit-for-bit before it gets timed.
-            let baseline = density_vectors_plan(&scalar, &pool, &refs, 1);
+            let baseline = density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited);
             assert!(
-                baseline == density_vectors_plan(&bitset, &pool, &refs, 1),
+                baseline == density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited),
                 "{}/h{h}/bitset: density vectors diverged from scalar",
                 s.name
             );
             for (label, plan) in [("multi", &group), ("event", &event)] {
-                let got = density_vectors_group_plan(plan, &pool, &refs, 1, GROUP);
+                let got = density_vectors_group_plan(plan, &pool, &refs, 1, GROUP, &unlimited);
                 assert!(
                     baseline == got,
                     "{}/h{h}/{label}: density vectors diverged from scalar",
@@ -157,16 +158,16 @@ fn main() {
                 );
             }
             let t_scalar = harness.bench(&format!("{}/h{h}/scalar", s.name), || {
-                density_vectors_plan(&scalar, &pool, &refs, 1)
+                density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited)
             });
             let t_bitset = harness.bench(&format!("{}/h{h}/bitset", s.name), || {
-                density_vectors_plan(&bitset, &pool, &refs, 1)
+                density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited)
             });
             let t_multi = harness.bench(&format!("{}/h{h}/multi", s.name), || {
-                density_vectors_group_plan(&group, &pool, &refs, 1, GROUP)
+                density_vectors_group_plan(&group, &pool, &refs, 1, GROUP, &unlimited)
             });
             harness.bench(&format!("{}/h{h}/event", s.name), || {
-                density_vectors_group_plan(&event, &pool, &refs, 1, GROUP)
+                density_vectors_group_plan(&event, &pool, &refs, 1, GROUP, &unlimited)
             });
             if t_scalar.is_finite() && t_bitset.is_finite() {
                 summary.push((
@@ -229,6 +230,7 @@ fn sweep_point(
         index.sum_over(&refs, h),
     );
     let pool = ScratchPool::for_graph(g);
+    let unlimited = Budget::unlimited();
     let slot_nodes = vec![a.clone(), b.clone()];
     let scalar = KernelPlan::scalar(g, &ma, &mb, h);
     let bitset = KernelPlan {
@@ -248,21 +250,21 @@ fn sweep_point(
     // `BfsKernel::Auto`, resolved the way the engine resolves it: one
     // `choose_route` call per pass, then the route's executor.
     let auto = || match choose_route(BfsKernel::Auto, g, Some(index), h, &refs, &[&a, &b]) {
-        Route::EventLanes => density_vectors_group_plan(&event, &pool, &refs, 1, GROUP),
-        Route::RefLanes => density_vectors_group_plan(&multi, &pool, &refs, 1, GROUP),
+        Route::EventLanes => density_vectors_group_plan(&event, &pool, &refs, 1, GROUP, &unlimited),
+        Route::RefLanes => density_vectors_group_plan(&multi, &pool, &refs, 1, GROUP, &unlimited),
         Route::PerNode if BfsKernel::Auto.use_bitset(g, h) => {
-            density_vectors_plan(&bitset, &pool, &refs, 1)
+            density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited)
         }
-        Route::PerNode => density_vectors_plan(&scalar, &pool, &refs, 1),
+        Route::PerNode => density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited),
     };
-    let baseline = density_vectors_plan(&scalar, &pool, &refs, 1);
+    let baseline = density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited);
     assert!(
-        baseline == density_vectors_plan(&bitset, &pool, &refs, 1),
+        baseline == density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited),
         "{row}/bitset diverged from scalar"
     );
     for (label, plan) in [("multi", &multi), ("event", &event)] {
         assert!(
-            baseline == density_vectors_group_plan(plan, &pool, &refs, 1, GROUP),
+            baseline == density_vectors_group_plan(plan, &pool, &refs, 1, GROUP, &unlimited),
             "{row}/{label} diverged from scalar"
         );
     }
@@ -270,16 +272,16 @@ fn sweep_point(
 
     let fixed = [
         harness.bench(&format!("{row}/scalar"), || {
-            density_vectors_plan(&scalar, &pool, &refs, 1)
+            density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited)
         }),
         harness.bench(&format!("{row}/bitset"), || {
-            density_vectors_plan(&bitset, &pool, &refs, 1)
+            density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited)
         }),
         harness.bench(&format!("{row}/multi"), || {
-            density_vectors_group_plan(&multi, &pool, &refs, 1, GROUP)
+            density_vectors_group_plan(&multi, &pool, &refs, 1, GROUP, &unlimited)
         }),
         harness.bench(&format!("{row}/event"), || {
-            density_vectors_group_plan(&event, &pool, &refs, 1, GROUP)
+            density_vectors_group_plan(&event, &pool, &refs, 1, GROUP, &unlimited)
         }),
     ];
     let t_auto = harness.bench(&format!("{row}/auto"), auto);

@@ -41,7 +41,7 @@ fn main() {
         harness.bench(&format!("bfs/h{h}"), || {
             let s = sources[i % sources.len()];
             i += 1;
-            scratch.visit_h_vicinity(&g, &[s], h, |_, _| {})
+            scratch.vicinity_size(&g, s, h)
         });
     }
 

@@ -55,7 +55,7 @@ fn main() {
             let mut ts = Vec::with_capacity(srcs.len());
             for &s in &srcs {
                 let ((), d) = time(|| {
-                    scratch.visit_h_vicinity(&g, &[s], h, |_, _| {});
+                    scratch.vicinity_size(&g, s, h);
                 });
                 ts.push(d);
             }

@@ -33,7 +33,7 @@ use tesc::{BfsKernel, Tail, TescConfig, TescEngine, TescResult};
 use tesc_bench::timing::Harness;
 use tesc_bench::{flag, parse_flags};
 use tesc_datasets::twitter_like::{TwitterConfig, TwitterScenario};
-use tesc_graph::{Adjacency, BfsScratch, CompressedCsr, CsrGraph, NodeId};
+use tesc_graph::{Adjacency, BfsScratch, Budget, CompressedCsr, CsrGraph, NodeId};
 
 const USAGE: &str = "fig14_scale — plain vs compressed CSR at scale, all kernels
   --nodes LIST    comma-separated node counts      (default 100000,1000000)
@@ -87,11 +87,14 @@ fn streamed_bytes(
 ) -> (u64, u64) {
     let mut scratch = BfsScratch::new(graph.num_nodes());
     let (mut plain, mut comp) = (0u64, 0u64);
+    let unlimited = Budget::unlimited();
     for &p in probes {
-        scratch.visit_h_vicinity(graph, &[p], h, |v, _| {
-            plain += 4 * graph.degree(v) as u64;
-            comp += compressed.row_bytes(v) as u64;
-        });
+        scratch
+            .visit_h_vicinity(graph, &[p], h, &unlimited, |v, _| {
+                plain += 4 * graph.degree(v) as u64;
+                comp += compressed.row_bytes(v) as u64;
+            })
+            .expect("unlimited budget");
     }
     (plain, comp)
 }

@@ -110,7 +110,7 @@ struct FrozenIn {
 }
 
 /// The progressive executor behind [`crate::rank::RankMode::Anytime`].
-/// Called from [`crate::rank::rank_pairs_budgeted`]; requires
+/// Called from [`crate::rank::rank_pairs`]; requires
 /// `req.top_k` to be set.
 ///
 /// # Budget semantics
@@ -209,16 +209,14 @@ pub(crate) fn rank_pairs_anytime<G: Adjacency>(
             sub_threads,
             &mut reach,
         );
-        let fused = match plan.run_density_budgeted(sub_threads, budget) {
-            Ok(fused) => fused,
-            Err(i) => {
-                if !has_decided!() {
-                    return Err(i);
-                }
-                degraded = true;
-                break 'tiers;
+        let fused = plan.run_density(sub_threads);
+        if let Some(i) = fused.interrupted() {
+            if !has_decided!() {
+                return Err(i);
             }
-        };
+            degraded = true;
+            break 'tiers;
+        }
         rounds += 1;
         distinct_refs += plan.distinct_refs();
         sampled_refs += plan.sampled_refs();
@@ -428,6 +426,7 @@ pub(crate) fn rank_pairs_anytime<G: Adjacency>(
         threads,
         rounds,
         degraded,
+        interrupted: None,
         wall: start.elapsed(),
     })
 }

@@ -189,9 +189,43 @@ pub struct BatchReport {
     pub threads: usize,
     /// Wall-clock time of the fan-out (excludes request construction).
     pub wall: Duration,
+    /// `Some` when the engine's budget ran out: the whole request is
+    /// interrupted and every outcome is `Err(Interrupted)`. Always
+    /// `None` for runs with an unlimited budget.
+    pub interrupted: Option<Interrupted>,
 }
 
 impl BatchReport {
+    /// The report of an executor run under the engine's
+    /// [`Budget`](tesc_graph::Budget) (see [`TescEngine::with_budget`]):
+    /// an exhausted budget fails the **whole** request, so no partial
+    /// outcome list escapes. Exhaustion is sticky, so a pair
+    /// interrupted mid-test is guaranteed to be caught here.
+    fn under_budget<G: Adjacency>(
+        engine: &TescEngine<'_, G>,
+        outcomes: Vec<PairOutcome>,
+        threads: usize,
+        start: Instant,
+    ) -> Self {
+        let interrupted = engine.budget().check().err();
+        let outcomes = match interrupted {
+            None => outcomes,
+            Some(i) => outcomes
+                .into_iter()
+                .map(|o| PairOutcome {
+                    result: Err(TescError::Interrupted(i)),
+                    ..o
+                })
+                .collect(),
+        };
+        BatchReport {
+            outcomes,
+            threads,
+            wall: start.elapsed(),
+            interrupted,
+        }
+    }
+
     /// Outcomes whose test completed and rejected the null hypothesis.
     pub fn significant(&self) -> impl Iterator<Item = &PairOutcome> {
         self.outcomes.iter().filter(|o| {
@@ -256,11 +290,7 @@ pub fn run_batch_serial<G: Adjacency>(
         .enumerate()
         .map(|(i, pair)| run_one(engine, req, i, pair))
         .collect();
-    BatchReport {
-        outcomes,
-        threads: 1,
-        wall: start.elapsed(),
-    }
+    BatchReport::under_budget(engine, outcomes, 1, start)
 }
 
 /// Run `req` through the pair-set query planner
@@ -282,73 +312,27 @@ pub fn run_batch_serial<G: Adjacency>(
 /// count, so a long pair list parallelizes even on a tiny graph. The
 /// node threshold is shared with `VicinityIndex::build_parallel` so
 /// the two fan-out decisions cannot drift apart.
+///
+/// The run is bounded by the engine's [`Budget`](tesc_graph::Budget)
+/// (see [`TescEngine::with_budget`]), checked per pair on the serial
+/// path and per BFS frontier level / source group inside the fused
+/// density pass. An exhausted budget fails the whole request
+/// ([`BatchReport::interrupted`]), and caches hold only counts from
+/// completed traversals.
 pub fn run_batch<G: Adjacency>(engine: &TescEngine<'_, G>, req: &BatchRequest) -> BatchReport {
-    let start = Instant::now();
-    match run_batch_budgeted(engine, req) {
-        Ok(report) => report,
-        // Only reachable when the engine carries a real budget: report
-        // every pair as interrupted rather than hiding the exhaustion.
-        Err(i) => BatchReport {
-            outcomes: req
-                .pairs
-                .iter()
-                .enumerate()
-                .map(|(index, pair)| PairOutcome {
-                    index,
-                    label: pair.label.clone(),
-                    result: Err(TescError::Interrupted(i)),
-                })
-                .collect(),
-            threads: req.effective_threads(),
-            wall: start.elapsed(),
-        },
-    }
-}
-
-/// [`run_batch`] under the engine's [`Budget`](tesc_graph::Budget)
-/// (see [`TescEngine::with_budget`]): the budget is checked per pair
-/// on the serial path and per BFS frontier level / source group inside
-/// the fused density pass, and an exhausted budget fails the **whole**
-/// request with the typed error — no partial outcome list escapes, and
-/// caches hold only counts from completed traversals. With the default
-/// unlimited budget this is exactly [`run_batch`].
-pub fn run_batch_budgeted<G: Adjacency>(
-    engine: &TescEngine<'_, G>,
-    req: &BatchRequest,
-) -> Result<BatchReport, Interrupted> {
     let threads = req.effective_threads();
     let tiny =
         engine.graph().num_nodes() < PARALLEL_MIN_NODES && req.pairs.len() < PARALLEL_MIN_PAIRS;
-    let start = Instant::now();
     if threads <= 1 || tiny {
-        let mut outcomes = Vec::with_capacity(req.pairs.len());
-        for (i, pair) in req.pairs.iter().enumerate() {
-            engine.budget().check()?;
-            outcomes.push(run_one(engine, req, i, pair));
-        }
-        // Sticky re-check: a pair interrupted mid-test left an
-        // Err(Interrupted) outcome above; this check is then guaranteed
-        // to fail, discarding the partial outcome list.
-        engine.budget().check()?;
-        return Ok(BatchReport {
-            outcomes,
-            threads: 1,
-            wall: start.elapsed(),
-        });
+        return run_batch_serial(engine, req);
     }
+    let start = Instant::now();
     let seeds: Vec<u64> = (0..req.pairs.len())
         .map(|i| pair_seed(req.seed, i))
         .collect();
     let plan = crate::planner::PairSetPlan::build(engine, &req.pairs, &req.cfg, &seeds, threads);
-    engine.budget().check()?;
-    let fused = plan.run_density_budgeted(threads, engine.budget())?;
-    let outcomes = plan.finish(&fused);
-    engine.budget().check()?;
-    Ok(BatchReport {
-        outcomes,
-        threads,
-        wall: start.elapsed(),
-    })
+    let outcomes = plan.finish(&plan.run_density(threads));
+    BatchReport::under_budget(engine, outcomes, threads, start)
 }
 
 /// The pre-planner parallel executor: scoped worker threads pulling
@@ -399,14 +383,11 @@ pub fn run_batch_per_pair<G: Adjacency>(
             }
         }
     });
-    BatchReport {
-        outcomes: slots
-            .into_iter()
-            .map(|s| s.expect("every index processed exactly once"))
-            .collect(),
-        threads,
-        wall: start.elapsed(),
-    }
+    let outcomes = slots
+        .into_iter()
+        .map(|s| s.expect("every index processed exactly once"))
+        .collect();
+    BatchReport::under_budget(engine, outcomes, threads, start)
 }
 
 fn run_one<G: Adjacency>(

@@ -7,11 +7,18 @@
 //! so the density phase costs exactly `n` BFS searches.
 //!
 //! The `n` searches are independent, which makes this the test's
-//! embarrassingly parallel hot path: [`density_vectors_pooled`] fans
-//! the reference nodes out over scoped worker threads, each with its
-//! own [`BfsScratch`] checked out of a shared [`ScratchPool`], and is
-//! bit-identical to the serial [`density_vectors`] (no RNG is involved
-//! and every output slot is written by exactly one worker).
+//! embarrassingly parallel hot path: the per-node executors
+//! ([`density_counts_plan`], [`density_vectors_cached_plan`]) fan the
+//! reference nodes out over scoped worker threads ([`map_refs_pooled`]),
+//! each with its own [`BfsScratch`] checked out of a shared
+//! [`ScratchPool`], bit-identical to a serial loop over
+//! [`density_counts`] (no RNG is involved and every output slot is
+//! written by exactly one worker); the grouped executors batch the
+//! nodes into multi-source traversals ([`GroupKernelPlan`]).
+//!
+//! Every executor takes the request's [`Budget`], checked per BFS
+//! frontier level: an exhausted budget yields the typed
+//! [`Interrupted`] error, never partial counts.
 
 use crate::cache::{CachedCount, DensityCache, EventKey, ProbeGovernor};
 use tesc_events::NodeMask;
@@ -21,7 +28,7 @@ use tesc_graph::csr::CsrGraph;
 use tesc_graph::{Adjacency, NodeId, ScratchPool, VicinityIndex, MAX_GROUP_SOURCES};
 
 /// All per-reference-node counts gathered in a single BFS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DensityCounts {
     /// `|V^h_r|` (includes `r` itself).
     pub vicinity_size: usize,
@@ -54,7 +61,11 @@ impl DensityCounts {
     }
 }
 
-/// Gather [`DensityCounts`] for reference node `r` with one `h`-hop BFS.
+/// Gather [`DensityCounts`] for reference node `r` with one scalar
+/// `h`-hop BFS — the reference every other kernel and route must
+/// match bit for bit. `budget` is checked per frontier level; an
+/// interrupted search returns the typed error instead of partial
+/// counts.
 pub fn density_counts<G: Adjacency>(
     g: &G,
     scratch: &mut BfsScratch,
@@ -62,63 +73,24 @@ pub fn density_counts<G: Adjacency>(
     h: u32,
     mask_a: &NodeMask,
     mask_b: &NodeMask,
-) -> DensityCounts {
+    budget: &Budget,
+) -> Result<DensityCounts, Interrupted> {
     let mut count_a = 0usize;
     let mut count_b = 0usize;
     let mut count_union = 0usize;
-    let vicinity_size = scratch.visit_h_vicinity(g, &[r], h, |v, _| {
+    let vicinity_size = scratch.visit_h_vicinity(g, &[r], h, budget, |v, _| {
         let in_a = mask_a.contains(v);
         let in_b = mask_b.contains(v);
         count_a += in_a as usize;
         count_b += in_b as usize;
         count_union += (in_a || in_b) as usize;
-    });
-    DensityCounts {
+    })?;
+    Ok(DensityCounts {
         vicinity_size,
         count_a,
         count_b,
         count_union,
-    }
-}
-
-/// Gather [`DensityCounts`] with the **bitset kernel**: one hybrid
-/// top-down/bottom-up bitmap BFS
-/// ([`BfsScratch::visit_h_vicinity_bitset`]), then all three counts in
-/// a single word-wise sweep — `visited & a`, `visited & b` and the
-/// `a | b` union fast path, AND + popcount 64 nodes at a time instead
-/// of three probes per visited node.
-///
-/// Both kernels visit the identical node set, so the returned integers
-/// (and every density derived from them) are bit-identical to
-/// [`density_counts`].
-pub fn density_counts_bitset<G: Adjacency>(
-    g: &G,
-    scratch: &mut BfsScratch,
-    r: NodeId,
-    h: u32,
-    mask_a: &NodeMask,
-    mask_b: &NodeMask,
-) -> DensityCounts {
-    let vicinity_size = scratch.visit_h_vicinity_bitset(g, &[r], h);
-    let (aw, bw) = (mask_a.words(), mask_b.words());
-    let mut count_a = 0usize;
-    let mut count_b = 0usize;
-    let mut count_union = 0usize;
-    for (i, &vw) in scratch.visited_words().iter().enumerate() {
-        if vw == 0 {
-            continue;
-        }
-        let (a, b) = (aw[i], bw[i]);
-        count_a += (vw & a).count_ones() as usize;
-        count_b += (vw & b).count_ones() as usize;
-        count_union += (vw & (a | b)).count_ones() as usize;
-    }
-    DensityCounts {
-        vicinity_size,
-        count_a,
-        count_b,
-        count_union,
-    }
+    })
 }
 
 /// One test's resolved density execution plan: the graph the
@@ -133,7 +105,8 @@ pub struct KernelPlan<'a, G = CsrGraph> {
     pub mask_a: &'a NodeMask,
     /// `V_b` membership.
     pub mask_b: &'a NodeMask,
-    /// Engage [`density_counts_bitset`] instead of the scalar kernel.
+    /// Engage the bitset kernel instead of the scalar one (see
+    /// [`KernelPlan::counts`]).
     pub use_bitset: bool,
     /// Vicinity level `h`.
     pub h: u32,
@@ -152,62 +125,45 @@ impl<'a, G: Adjacency> KernelPlan<'a, G> {
         }
     }
 
-    /// [`DensityCounts`] for reference node `r`.
-    pub fn counts(&self, scratch: &mut BfsScratch, r: NodeId) -> DensityCounts {
-        self.counts_budgeted(scratch, r, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`KernelPlan::counts`] under a [`Budget`]: the BFS checks the
-    /// budget per frontier level and an interrupted search returns the
-    /// typed error instead of partial counts.
-    pub fn counts_budgeted(
+    /// [`DensityCounts`] for reference node `r`. The scalar kernel is
+    /// [`density_counts`]; the bitset kernel runs one hybrid
+    /// top-down/bottom-up bitmap BFS
+    /// ([`BfsScratch::visit_h_vicinity_bitset`]), then all three counts
+    /// in a single word-wise sweep — `visited & a`, `visited & b` and
+    /// the `a | b` union, AND + popcount 64 nodes at a time. Both visit
+    /// the identical node set, so the integers are bit-identical.
+    /// `budget` is checked per frontier level; an interrupted search
+    /// returns the typed error instead of partial counts.
+    pub fn counts(
         &self,
         scratch: &mut BfsScratch,
         r: NodeId,
         budget: &Budget,
     ) -> Result<DensityCounts, Interrupted> {
-        if self.use_bitset {
-            let vicinity_size =
-                scratch.visit_h_vicinity_bitset_budgeted(self.graph, &[r], self.h, budget)?;
-            let (aw, bw) = (self.mask_a.words(), self.mask_b.words());
-            let mut count_a = 0usize;
-            let mut count_b = 0usize;
-            let mut count_union = 0usize;
-            for (i, &vw) in scratch.visited_words().iter().enumerate() {
-                if vw == 0 {
-                    continue;
-                }
-                let (a, b) = (aw[i], bw[i]);
-                count_a += (vw & a).count_ones() as usize;
-                count_b += (vw & b).count_ones() as usize;
-                count_union += (vw & (a | b)).count_ones() as usize;
-            }
-            Ok(DensityCounts {
-                vicinity_size,
-                count_a,
-                count_b,
-                count_union,
-            })
-        } else {
-            let mut count_a = 0usize;
-            let mut count_b = 0usize;
-            let mut count_union = 0usize;
-            let vicinity_size =
-                scratch.visit_h_vicinity_budgeted(self.graph, &[r], self.h, budget, |v, _| {
-                    let in_a = self.mask_a.contains(v);
-                    let in_b = self.mask_b.contains(v);
-                    count_a += in_a as usize;
-                    count_b += in_b as usize;
-                    count_union += (in_a || in_b) as usize;
-                })?;
-            Ok(DensityCounts {
-                vicinity_size,
-                count_a,
-                count_b,
-                count_union,
-            })
+        if !self.use_bitset {
+            let (g, h) = (self.graph, self.h);
+            return density_counts(g, scratch, r, h, self.mask_a, self.mask_b, budget);
         }
+        let vicinity_size = scratch.visit_h_vicinity_bitset(self.graph, &[r], self.h, budget)?;
+        let (aw, bw) = (self.mask_a.words(), self.mask_b.words());
+        let mut count_a = 0usize;
+        let mut count_b = 0usize;
+        let mut count_union = 0usize;
+        for (i, &vw) in scratch.visited_words().iter().enumerate() {
+            if vw == 0 {
+                continue;
+            }
+            let (a, b) = (aw[i], bw[i]);
+            count_a += (vw & a).count_ones() as usize;
+            count_b += (vw & b).count_ones() as usize;
+            count_union += (vw & (a | b)).count_ones() as usize;
+        }
+        Ok(DensityCounts {
+            vicinity_size,
+            count_a,
+            count_b,
+            count_union,
+        })
     }
 }
 
@@ -238,24 +194,12 @@ pub struct MultiKernelPlan<'a, G = CsrGraph> {
 
 impl<G: Adjacency> MultiKernelPlan<'_, G> {
     /// Count `|V_e ∩ V^h_r|` for every event slot in `slots` with one
-    /// BFS from reference node `r`. `counts` is
-    /// cleared and receives one count per slot, in slot order; the
-    /// return value is `|V^h_r|`.
+    /// BFS from reference node `r`. `counts` is cleared and receives
+    /// one count per slot, in slot order; the return value is
+    /// `|V^h_r|`. `budget` is checked per frontier level; an
+    /// interrupted search returns the typed error and `counts` must be
+    /// discarded.
     pub fn counts_for(
-        &self,
-        scratch: &mut BfsScratch,
-        r: NodeId,
-        slots: &[u32],
-        counts: &mut Vec<u32>,
-    ) -> usize {
-        self.counts_for_budgeted(scratch, r, slots, counts, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`MultiKernelPlan::counts_for`] under a [`Budget`]: the BFS
-    /// checks the budget per frontier level; an interrupted search
-    /// returns the typed error and `counts` must be discarded.
-    pub fn counts_for_budgeted(
         &self,
         scratch: &mut BfsScratch,
         r: NodeId,
@@ -266,8 +210,7 @@ impl<G: Adjacency> MultiKernelPlan<'_, G> {
         counts.clear();
         counts.resize(slots.len(), 0);
         if self.use_bitset {
-            let size =
-                scratch.visit_h_vicinity_bitset_budgeted(self.graph, &[r], self.h, budget)?;
+            let size = scratch.visit_h_vicinity_bitset(self.graph, &[r], self.h, budget)?;
             let mask_words: Vec<&[u64]> = slots
                 .iter()
                 .map(|&s| self.masks[s as usize].words())
@@ -275,7 +218,7 @@ impl<G: Adjacency> MultiKernelPlan<'_, G> {
             scratch.visited_multi_mask_counts(&mask_words, counts);
             Ok(size)
         } else {
-            scratch.visit_h_vicinity_budgeted(self.graph, &[r], self.h, budget, |v, _| {
+            scratch.visit_h_vicinity(self.graph, &[r], self.h, budget, |v, _| {
                 for (i, &s) in slots.iter().enumerate() {
                     counts[i] += self.masks[s as usize].contains(v) as u32;
                 }
@@ -345,7 +288,7 @@ impl<G: Adjacency> GroupKernelPlan<'_, G> {
         budget: &Budget,
     ) -> Result<(Vec<u32>, Vec<u32>), Interrupted> {
         debug_assert_eq!(nodes.len(), slot_lists.len());
-        scratch.visit_h_vicinity_multi_budgeted(self.graph, nodes, self.h, budget)?;
+        scratch.visit_h_vicinity_multi(self.graph, nodes, self.h, budget)?;
         let mut sizes = vec![0u32; nodes.len()];
         scratch.lane_sizes(&mut sizes);
         let lane_start = GroupSlots::PerNode(slot_lists).cell_starts(nodes.len());
@@ -498,41 +441,42 @@ pub(crate) struct GroupedCounts {
     pub traversals: u64,
 }
 
-/// Apply `f(scratch, group_index)` to every source group, fanned out
-/// over `threads` scoped workers with indexed output slots — the
-/// multi-source sibling of [`map_refs_pooled`] (same determinism
-/// contract, [`MsBfsScratch`] instead of [`BfsScratch`]).
-fn map_groups_pooled<T, F>(
-    pool: &ScratchPool,
-    num_groups: usize,
+/// Apply `f(state, i)` to every index in `0..count`, fanned out over
+/// `threads` scoped workers in contiguous chunks, each worker building
+/// its own `state` once (a pooled BFS scratch, or nothing). Output slot
+/// `i` always holds `f`'s result for `i` — positionally identical to a
+/// serial map at any thread count, which is every executor's
+/// determinism contract. Fewer than `serial_below` items run serially
+/// on one state.
+fn fan_out<S, T, F>(
+    count: usize,
     threads: usize,
+    serial_below: usize,
     default: T,
+    state: impl Fn() -> S + Sync,
     f: F,
 ) -> Vec<T>
 where
     T: Clone + Send,
-    F: Fn(&mut MsBfsScratch, usize) -> T + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(num_groups.max(1));
-    let mut out = vec![default; num_groups];
-    // Note the guard is `< 2` groups, not `< 2 × threads` items like
-    // [`map_refs_pooled`]: one group already holds up to 64 sources'
-    // worth of BFS work, so even two groups are worth a second worker.
-    if threads == 1 || num_groups < 2 {
-        let mut scratch = pool.acquire_multi();
-        for (gi, slot) in out.iter_mut().enumerate() {
-            *slot = f(&mut scratch, gi);
+    let threads = threads.max(1).min(count.max(1));
+    let mut out = vec![default; count];
+    if threads == 1 || count < serial_below {
+        let mut st = state();
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = f(&mut st, i);
         }
         return out;
     }
-    let chunk = num_groups.div_ceil(threads);
+    let chunk = count.div_ceil(threads);
     std::thread::scope(|scope| {
         for (ci, out_c) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
+            let (f, state) = (&f, &state);
             scope.spawn(move || {
-                let mut scratch = pool.acquire_multi();
+                let mut st = state();
                 for (off, slot) in out_c.iter_mut().enumerate() {
-                    *slot = f(&mut scratch, ci * chunk + off);
+                    *slot = f(&mut st, ci * chunk + off);
                 }
             });
         }
@@ -540,37 +484,17 @@ where
     out
 }
 
-/// Apply `f(i)` for every index in `0..count`, fanned out over
-/// `threads` scoped workers with indexed output slots — the
-/// scratch-free sibling of [`map_refs_pooled`] used by the cache-probe
-/// stages of the grouped executors (a probe takes locks, not a BFS
-/// scratch, and a warm pass is *nothing but* probes, so it must not
-/// serialize).
+/// Apply `f(i)` for every index in `0..count` over `threads` workers
+/// ([`fan_out`] with no per-worker state) — used by the planner's
+/// stage (a) and the cache-probe stages of the grouped executors (a
+/// probe takes locks, not a BFS scratch, and a warm pass is *nothing
+/// but* probes, so it must not serialize).
 pub(crate) fn map_indexed<T, F>(count: usize, threads: usize, default: T, f: F) -> Vec<T>
 where
     T: Clone + Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(count.max(1));
-    let mut out = vec![default; count];
-    if threads == 1 || count < 2 * threads {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return out;
-    }
-    let chunk = count.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, out_c) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (off, slot) in out_c.iter_mut().enumerate() {
-                    *slot = f(ci * chunk + off);
-                }
-            });
-        }
-    });
-    out
+    fan_out(count, threads, 2 * threads, default, || (), |_, i| f(i))
 }
 
 /// Grouped density executor — where every grouped caller ends (the
@@ -604,6 +528,9 @@ pub(crate) fn run_grouped<G: Adjacency>(
     budget: &Budget,
 ) -> Result<GroupedCounts, Interrupted> {
     if nodes.is_empty() {
+        // Nothing to traverse (say, a warm cache resolved every node),
+        // yet an exhausted budget fails the pass like any other.
+        budget.check()?;
         return Ok(GroupedCounts {
             sizes: Vec::new(),
             counts: Vec::new(),
@@ -629,11 +556,14 @@ fn run_ref_lanes<G: Adjacency>(
     let mut order: Vec<usize> = (0..nodes.len()).collect();
     order.sort_by_key(|&i| nodes[i]);
     let num_groups = nodes.len().div_ceil(group_size);
-    let per_group = map_groups_pooled(
-        pool,
+    // One group already holds up to 64 sources' worth of BFS work, so
+    // even two groups are worth a second worker.
+    let per_group = fan_out(
         num_groups,
         threads,
+        2,
         (Vec::new(), Vec::new()),
+        || pool.acquire_multi(),
         |scratch, gi| {
             // Exhaustion is sticky: skipped groups leave empty sentinel
             // results, and the post-map check below is then guaranteed
@@ -712,26 +642,34 @@ fn run_event_lanes<G: Adjacency>(
     let wanted: Vec<usize> = (0..num_slots)
         .filter(|&s| slot_start[s + 1] > slot_start[s])
         .collect();
-    let per_slot = map_groups_pooled(pool, wanted.len(), threads, Vec::new(), |scratch, wi| {
-        let s = wanted[wi];
-        let cells = &by_slot[slot_start[s]..slot_start[s + 1]];
-        let mut acc = vec![0u32; cells.len()];
-        for chunk in plan.slot_nodes[s].chunks(MAX_GROUP_SOURCES) {
-            // An interrupted (or skipped: exhaustion is sticky) chunk
-            // leaves partial sums that the post-map check discards.
-            if budget.is_exhausted()
-                || scratch
-                    .visit_h_vicinity_multi_budgeted(plan.graph, chunk, h, budget)
-                    .is_err()
-            {
-                break;
+    let multi = || pool.acquire_multi();
+    let per_slot = fan_out(
+        wanted.len(),
+        threads,
+        2,
+        Vec::new(),
+        multi,
+        |scratch, wi| {
+            let s = wanted[wi];
+            let cells = &by_slot[slot_start[s]..slot_start[s + 1]];
+            let mut acc = vec![0u32; cells.len()];
+            for chunk in plan.slot_nodes[s].chunks(MAX_GROUP_SOURCES) {
+                // An interrupted (or skipped: exhaustion is sticky) chunk
+                // leaves partial sums that the post-map check discards.
+                if budget.is_exhausted()
+                    || scratch
+                        .visit_h_vicinity_multi(plan.graph, chunk, h, budget)
+                        .is_err()
+                {
+                    break;
+                }
+                for (a, &(r, _)) in acc.iter_mut().zip(cells) {
+                    *a += scratch.reached_lanes(r).count_ones();
+                }
             }
-            for (a, &(r, _)) in acc.iter_mut().zip(cells) {
-                *a += scratch.reached_lanes(r).count_ones();
-            }
-        }
-        acc
-    });
+            acc
+        },
+    );
     budget.check()?;
     let mut counts = vec![0u32; cells];
     let mut traversals = 0u64;
@@ -753,21 +691,9 @@ fn run_event_lanes<G: Adjacency>(
 /// exactly `[V_a, V_b]`, and the returned vectors are bit-identical to
 /// [`density_vectors_plan`] on the corresponding two-mask plan (same
 /// integers, same `count as f64 / size as f64` arithmetic) — asserted
-/// in `tests/kernels.rs` and per `density_kernel` bench row.
+/// in `tests/kernels.rs` and per `density_kernel` bench row. An
+/// interrupted pass returns the typed error with no partial output.
 pub fn density_vectors_group_plan<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    threads: usize,
-    group_size: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    density_vectors_group_plan_budgeted(plan, pool, refs, threads, group_size, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`density_vectors_group_plan`] under a [`Budget`]: interrupted
-/// passes return the typed error with no partial output.
-pub fn density_vectors_group_plan_budgeted<G: Adjacency>(
     plan: &GroupKernelPlan<'_, G>,
     pool: &ScratchPool,
     refs: &[NodeId],
@@ -794,21 +720,10 @@ pub fn density_vectors_group_plan_budgeted<G: Adjacency>(
 
 /// Grouped [`DensityCounts`] (including the `a∪b` union count) for the
 /// importance-sampling path: `plan.slot_nodes` must hold exactly
-/// `[V_a, V_b, V_{a∪b}]`.
+/// `[V_a, V_b, V_{a∪b}]`. The grouped sibling of
+/// [`density_counts_plan`]; an interrupted pass returns the typed
+/// error with no partial output.
 pub fn density_counts_group_plan<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    threads: usize,
-    group_size: usize,
-) -> Vec<DensityCounts> {
-    density_counts_group_plan_budgeted(plan, pool, refs, threads, group_size, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`density_counts_group_plan`] under a [`Budget`]: interrupted
-/// passes return the typed error with no partial output.
-pub fn density_counts_group_plan_budgeted<G: Adjacency>(
     plan: &GroupKernelPlan<'_, G>,
     pool: &ScratchPool,
     refs: &[NodeId],
@@ -846,39 +761,14 @@ pub fn density_counts_group_plan_budgeted<G: Adjacency>(
 /// Bit-identical to every other cached/uncached configuration; the
 /// BFS counter advances once per *lane* measured, so cache accounting
 /// is executor-independent.
-#[allow(clippy::too_many_arguments)] // mirrors density_vectors_cached_plan + group knob
+///
+/// The budget is re-checked *before* the scatter/insert stage, so the
+/// cache only ever absorbs counts from fully completed traversals — an
+/// interrupted pass returns the typed error and leaves it untouched
+/// (completed counts are exact content-addressed integers, so
+/// successful warming stays semantically invisible either way).
+#[allow(clippy::too_many_arguments)] // the grouped plan + cache keys + budget
 pub fn density_vectors_cached_group_plan<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    key_a: &EventKey,
-    key_b: &EventKey,
-    threads: usize,
-    group_size: usize,
-    cache: &DensityCache,
-) -> (Vec<f64>, Vec<f64>) {
-    density_vectors_cached_group_plan_budgeted(
-        plan,
-        pool,
-        refs,
-        key_a,
-        key_b,
-        threads,
-        group_size,
-        cache,
-        &Budget::unlimited(),
-    )
-    .expect("unlimited budget cannot exhaust")
-}
-
-/// [`density_vectors_cached_group_plan`] under a [`Budget`]. The
-/// budget is re-checked *before* the scatter/insert stage, so the
-/// cache only ever absorbs counts from fully completed traversals —
-/// an interrupted pass leaves it untouched (completed counts are exact
-/// content-addressed integers, so successful warming stays
-/// semantically invisible either way).
-#[allow(clippy::too_many_arguments)] // mirrors the unbudgeted variant + budget
-pub fn density_vectors_cached_group_plan_budgeted<G: Adjacency>(
     plan: &GroupKernelPlan<'_, G>,
     pool: &ScratchPool,
     refs: &[NodeId],
@@ -966,197 +856,101 @@ pub fn density_vectors_cached_group_plan_budgeted<G: Adjacency>(
     Ok((sa, sb))
 }
 
-/// Densities of both events at every reference node, as the two paired
-/// vectors (`s^h_a`, `s^h_b`) the Kendall machinery consumes.
-pub fn density_vectors<G: Adjacency>(
-    g: &G,
-    scratch: &mut BfsScratch,
-    refs: &[NodeId],
-    h: u32,
-    mask_a: &NodeMask,
-    mask_b: &NodeMask,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut sa = Vec::with_capacity(refs.len());
-    let mut sb = Vec::with_capacity(refs.len());
-    for &r in refs {
-        let c = density_counts(g, scratch, r, h, mask_a, mask_b);
-        sa.push(c.density_a());
-        sb.push(c.density_b());
-    }
-    (sa, sb)
-}
-
-/// Apply `f(scratch, r)` to every reference node, fanned out over
-/// `threads` scoped worker threads, each with its own scratch checked
-/// out of `pool`. Output slot `i` always holds `f`'s result for
-/// `refs[i]` — positionally identical to a serial map at any thread
-/// count (the per-node work must not consume shared randomness, which
-/// holds for every density/count computation in this crate).
+/// Apply `f(scratch, r)` to every reference node over `threads`
+/// scoped workers in contiguous chunks, each with its own scratch
+/// checked out of `pool`; output slot `i` holds `f`'s result for
+/// `refs[i]` at any thread count (the per-node work must not consume
+/// shared randomness, which holds for every density/count computation
+/// in this crate). This is the engine's `density_threads` primitive,
+/// shared by every per-node density loop (presence, importance,
+/// intensity and the planner's fused pass).
 ///
-/// `threads ≤ 1` (or fewer than 2 reference nodes per worker) falls
-/// back to a serial loop on a single pooled scratch. This is the
-/// engine's `density_threads` primitive, shared by the presence,
-/// importance and intensity density loops.
+/// `f` runs under `budget`: once it exhausts, the remaining nodes are
+/// skipped and an interrupted node's slot holds `T::default()`.
+/// Exhaustion is sticky, so the post-map check is then guaranteed to
+/// fail and discard every slot — no partial vector escapes.
 pub fn map_refs_pooled<T, F>(
     pool: &ScratchPool,
     refs: &[NodeId],
     threads: usize,
-    default: T,
+    budget: &Budget,
     f: F,
-) -> Vec<T>
+) -> Result<Vec<T>, Interrupted>
 where
-    T: Clone + Send,
-    F: Fn(&mut BfsScratch, NodeId) -> T + Sync,
+    T: Clone + Default + Send,
+    F: Fn(&mut BfsScratch, NodeId) -> Result<T, Interrupted> + Sync,
 {
-    let threads = threads.max(1).min(refs.len().max(1));
-    let mut out = vec![default; refs.len()];
-    if threads == 1 || refs.len() < 2 * threads {
-        let mut scratch = pool.acquire();
-        for (slot, &r) in out.iter_mut().zip(refs) {
-            *slot = f(&mut scratch, r);
-        }
-        return out;
-    }
-    let chunk = refs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (refs_c, out_c) in refs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                let mut scratch = pool.acquire();
-                for (slot, &r) in out_c.iter_mut().zip(refs_c) {
-                    *slot = f(&mut scratch, r);
-                }
-            });
-        }
-    });
-    out
+    let out = fan_out(
+        refs.len(),
+        threads,
+        2 * threads,
+        T::default(),
+        || pool.acquire(),
+        |scratch, i| {
+            if budget.is_exhausted() {
+                return T::default();
+            }
+            f(scratch, refs[i]).unwrap_or_default()
+        },
+    );
+    budget.check()?;
+    Ok(out)
 }
 
-/// Parallel density vectors for an arbitrary [`KernelPlan`] via
-/// [`map_refs_pooled`]. Output is positionally identical to the serial
-/// scalar path at any thread count, for every plan configuration.
-pub fn density_vectors_plan<G: Adjacency>(
+/// [`DensityCounts`] (including the `a∪b` union count) for every
+/// reference node with one [`KernelPlan`] BFS each, via
+/// [`map_refs_pooled`] — the per-node pass shared by the uniform and
+/// importance paths. Positionally identical to a serial
+/// [`density_counts`] loop at any thread count, for every plan
+/// configuration.
+pub fn density_counts_plan<G: Adjacency>(
     plan: &KernelPlan<'_, G>,
     pool: &ScratchPool,
     refs: &[NodeId],
     threads: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    density_vectors_plan_budgeted(plan, pool, refs, threads, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
+    budget: &Budget,
+) -> Result<Vec<DensityCounts>, Interrupted> {
+    map_refs_pooled(pool, refs, threads, budget, |scratch, r| {
+        plan.counts(scratch, r, budget)
+    })
 }
 
-/// [`density_vectors_plan`] under a [`Budget`]: the per-node closure
-/// skips work once the budget exhausts (leaving zero sentinels), and
-/// the post-map check discards the whole pass — no partial vectors
-/// escape.
-pub fn density_vectors_plan_budgeted<G: Adjacency>(
+/// [`density_counts_plan`] as the two paired vectors (`s^h_a`,
+/// `s^h_b`) the Kendall machinery consumes.
+pub fn density_vectors_plan<G: Adjacency>(
     plan: &KernelPlan<'_, G>,
     pool: &ScratchPool,
     refs: &[NodeId],
     threads: usize,
     budget: &Budget,
 ) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
-    let zero = DensityCounts {
-        vicinity_size: 0,
-        count_a: 0,
-        count_b: 0,
-        count_union: 0,
-    };
-    let counts = map_refs_pooled(pool, refs, threads, zero, |scratch, r| {
-        if budget.is_exhausted() {
-            return zero;
-        }
-        plan.counts_budgeted(scratch, r, budget).unwrap_or(zero)
-    });
-    budget.check()?;
-    Ok(counts
+    Ok(density_counts_plan(plan, pool, refs, threads, budget)?
         .iter()
         .map(|c| (c.density_a(), c.density_b()))
         .unzip())
 }
 
-/// Parallel [`density_vectors`] via [`map_refs_pooled`] (the scalar
-/// plan). Output is positionally identical to the serial function at
-/// any thread count.
-pub fn density_vectors_pooled<G: Adjacency>(
-    g: &G,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    h: u32,
-    mask_a: &NodeMask,
-    mask_b: &NodeMask,
-    threads: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    density_vectors_plan(
-        &KernelPlan::scalar(g, mask_a, mask_b, h),
-        pool,
-        refs,
-        threads,
-    )
-}
-
-/// [`density_vectors_pooled`] through a cross-pair [`DensityCache`]:
+/// [`density_vectors_plan`] through a cross-pair [`DensityCache`]:
 /// per reference node, the two `(event, node, h)` slots are looked up
 /// first and a single BFS runs only if either misses, filling both
 /// missing slots. Results are **bit-identical** to the uncached path —
 /// cached slots hold the exact integer counts the BFS would have
-/// produced, and densities are derived with the same
+/// produced (whatever the plan's kernel: entries are
+/// kernel-independent integers, so one cache serves every plan over
+/// the same graph version), and densities are derived with the same
 /// `count as f64 / size as f64` arithmetic.
 ///
 /// With `k` pairs sharing an event over overlapping reference sets,
 /// the shared event's counts are measured once per distinct reference
 /// node instead of once per pair (asserted via
 /// [`DensityCache::fresh_computes`] in `tests/pipeline.rs`).
-#[allow(clippy::too_many_arguments)] // mirrors density_vectors_pooled + cache keys
-pub fn density_vectors_cached<G: Adjacency>(
-    g: &G,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    h: u32,
-    key_a: &EventKey,
-    mask_a: &NodeMask,
-    key_b: &EventKey,
-    mask_b: &NodeMask,
-    threads: usize,
-    cache: &DensityCache,
-) -> (Vec<f64>, Vec<f64>) {
-    let plan = KernelPlan::scalar(g, mask_a, mask_b, h);
-    density_vectors_cached_plan(&plan, pool, refs, key_a, key_b, threads, cache)
-}
-
-/// [`density_vectors_cached`] for an arbitrary [`KernelPlan`]: the
-/// miss-path BFS runs with the plan's kernel, and the memoized counts
-/// are kernel-independent integers, so one cache serves every plan
-/// over the same graph version.
+///
+/// Cache lookups stay budget-free (they are cheap and their hits are
+/// exact), but fresh counts are inserted only when their BFS ran to
+/// completion — an interrupted node contributes nothing, and the pass
+/// returns the typed error.
+#[allow(clippy::too_many_arguments)] // the plan + cache keys + budget
 pub fn density_vectors_cached_plan<G: Adjacency>(
-    plan: &KernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    key_a: &EventKey,
-    key_b: &EventKey,
-    threads: usize,
-    cache: &DensityCache,
-) -> (Vec<f64>, Vec<f64>) {
-    density_vectors_cached_plan_budgeted(
-        plan,
-        pool,
-        refs,
-        key_a,
-        key_b,
-        threads,
-        cache,
-        &Budget::unlimited(),
-    )
-    .expect("unlimited budget cannot exhaust")
-}
-
-/// [`density_vectors_cached_plan`] under a [`Budget`]. Cache lookups
-/// stay budget-free (they are cheap and their hits are exact), but
-/// fresh counts are inserted only when their BFS ran to completion —
-/// an interrupted node contributes nothing, and the post-map check
-/// discards the pass.
-#[allow(clippy::too_many_arguments)] // mirrors the unbudgeted variant + budget
-pub fn density_vectors_cached_plan_budgeted<G: Adjacency>(
     plan: &KernelPlan<'_, G>,
     pool: &ScratchPool,
     refs: &[NodeId],
@@ -1168,10 +962,7 @@ pub fn density_vectors_cached_plan_budgeted<G: Adjacency>(
 ) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
     let h = plan.h;
     let governor = ProbeGovernor::new();
-    let densities = map_refs_pooled(pool, refs, threads, (0.0f64, 0.0f64), |scratch, r| {
-        if budget.is_exhausted() {
-            return (0.0, 0.0);
-        }
+    let densities = map_refs_pooled(pool, refs, threads, budget, |scratch, r| {
         // Both of a pair's slots live in r's shard — resolve them
         // under one lock acquisition (lookup_pair), and fill the
         // missing ones the same way (insert_many): per-node lock
@@ -1187,13 +978,11 @@ pub fn density_vectors_cached_plan_budgeted<G: Adjacency>(
         };
         if let (Some(a), Some(b)) = (hit_a, hit_b) {
             debug_assert_eq!(a.vicinity_size, b.vicinity_size, "inconsistent cache");
-            return (a.density(), b.density());
+            return Ok((a.density(), b.density()));
         }
         // Only a completed BFS may warm the cache: an interrupted
         // traversal's counts are partial and must never be memoized.
-        let Ok(c) = plan.counts_budgeted(scratch, r, budget) else {
-            return (0.0, 0.0);
-        };
+        let c = plan.counts(scratch, r, budget)?;
         cache.record_bfs();
         let size = c.vicinity_size as u32;
         let mut fresh: [Option<(&EventKey, CachedCount)>; 2] = [None, None];
@@ -1219,12 +1008,11 @@ pub fn density_vectors_cached_plan_budgeted<G: Adjacency>(
         // Prefer the cached slot when one side hit: same integers,
         // same arithmetic, so the choice is observationally moot — but
         // using it exercises the consistency debug-assert above.
-        (
+        Ok((
             hit_a.map_or_else(|| c.density_a(), |a| a.density()),
             hit_b.map_or_else(|| c.density_b(), |b| b.density()),
-        )
-    });
-    budget.check()?;
+        ))
+    })?;
     Ok(densities.into_iter().unzip())
 }
 
@@ -1238,13 +1026,42 @@ mod tests {
         (NodeMask::from_nodes(n, a), NodeMask::from_nodes(n, b))
     }
 
+    /// [`density_counts`] under no budget.
+    fn counts(
+        g: &CsrGraph,
+        s: &mut BfsScratch,
+        r: NodeId,
+        h: u32,
+        ma: &NodeMask,
+        mb: &NodeMask,
+    ) -> DensityCounts {
+        density_counts(g, s, r, h, ma, mb, &Budget::unlimited()).unwrap()
+    }
+
+    /// The serial scalar reference: one [`density_counts`] per node.
+    fn serial_vectors(
+        g: &CsrGraph,
+        refs: &[NodeId],
+        h: u32,
+        ma: &NodeMask,
+        mb: &NodeMask,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut s = BfsScratch::new(g.num_nodes());
+        refs.iter()
+            .map(|&r| {
+                let c = counts(g, &mut s, r, h, ma, mb);
+                (c.density_a(), c.density_b())
+            })
+            .unzip()
+    }
+
     #[test]
     fn counts_on_path() {
         // 0-1-2-3-4 ; a on {0,1}, b on {3}.
         let g = path(5);
         let (ma, mb) = masks(5, &[0, 1], &[3]);
         let mut s = BfsScratch::new(5);
-        let c = density_counts(&g, &mut s, 2, 1, &ma, &mb);
+        let c = counts(&g, &mut s, 2, 1, &ma, &mb);
         // V^1_2 = {1,2,3}: a-hits {1}, b-hits {3}.
         assert_eq!(c.vicinity_size, 3);
         assert_eq!(c.count_a, 1);
@@ -1260,7 +1077,7 @@ mod tests {
         let g = path(7);
         let (ma, mb) = masks(7, &[0], &[1]);
         let mut s = BfsScratch::new(7);
-        let c = density_counts(&g, &mut s, 6, 2, &ma, &mb);
+        let c = counts(&g, &mut s, 6, 2, &ma, &mb);
         assert_eq!(c.count_union, 0);
         assert!(!c.is_reference());
         assert_eq!(c.density_a(), 0.0);
@@ -1271,7 +1088,7 @@ mod tests {
         let g = path(3);
         let (ma, mb) = masks(3, &[1], &[1]);
         let mut s = BfsScratch::new(3);
-        let c = density_counts(&g, &mut s, 0, 1, &ma, &mb);
+        let c = counts(&g, &mut s, 0, 1, &ma, &mb);
         assert_eq!(c.count_a, 1);
         assert_eq!(c.count_b, 1);
         assert_eq!(c.count_union, 1, "a∪b membership must not double count");
@@ -1284,10 +1101,10 @@ mod tests {
         let g = star(11); // hub 0, leaves 1..=10
         let (ma, mb) = masks(11, &[1, 2, 3], &[4]);
         let mut s = BfsScratch::new(11);
-        let hub = density_counts(&g, &mut s, 0, 1, &ma, &mb);
+        let hub = counts(&g, &mut s, 0, 1, &ma, &mb);
         assert_eq!(hub.vicinity_size, 11);
         assert!((hub.density_a() - 3.0 / 11.0).abs() < 1e-12);
-        let leaf = density_counts(&g, &mut s, 1, 1, &ma, &mb);
+        let leaf = counts(&g, &mut s, 1, 1, &ma, &mb);
         // V^1_1 = {1, 0}: only the leaf itself carries a.
         assert_eq!(leaf.vicinity_size, 2);
         assert!((leaf.density_a() - 0.5).abs() < 1e-12);
@@ -1297,9 +1114,10 @@ mod tests {
     fn density_vectors_align_with_refs() {
         let g = from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let (ma, mb) = masks(6, &[0], &[5]);
-        let mut s = BfsScratch::new(6);
         let refs = [0u32, 2, 5];
-        let (sa, sb) = density_vectors(&g, &mut s, &refs, 1, &ma, &mb);
+        let pool = ScratchPool::for_graph(&g);
+        let plan = KernelPlan::scalar(&g, &ma, &mb, 1);
+        let (sa, sb) = density_vectors_plan(&plan, &pool, &refs, 1, &Budget::unlimited()).unwrap();
         assert_eq!(sa.len(), 3);
         // ref 0: V^1 = {0,1}, a-hit 1 → 0.5 ; b-hit 0.
         assert!((sa[0] - 0.5).abs() < 1e-12);
@@ -1334,12 +1152,12 @@ mod tests {
         );
         let (ma, mb) = masks(12, &[0, 4, 8], &[2, 9]);
         let refs: Vec<NodeId> = (0..12).collect();
-        let mut s = BfsScratch::new(12);
-        let serial = density_vectors(&g, &mut s, &refs, 2, &ma, &mb);
+        let serial = serial_vectors(&g, &refs, 2, &ma, &mb);
         let pool = ScratchPool::for_graph(&g);
+        let plan = KernelPlan::scalar(&g, &ma, &mb, 2);
         for threads in [1, 2, 3, 5, 16] {
-            let pooled = density_vectors_pooled(&g, &pool, &refs, 2, &ma, &mb, threads);
-            assert_eq!(serial, pooled, "threads = {threads}");
+            let pooled = density_vectors_plan(&plan, &pool, &refs, threads, &Budget::unlimited());
+            assert_eq!(Ok(serial.clone()), pooled, "threads = {threads}");
         }
     }
 
@@ -1370,16 +1188,22 @@ mod tests {
         let pool = ScratchPool::for_graph(&g);
         let cache = DensityCache::for_graph(&g);
 
-        let mut s = BfsScratch::new(10);
-        let serial1 = density_vectors(&g, &mut s, &refs, 2, &ma, &mb1);
-        let serial2 = density_vectors(&g, &mut s, &refs, 2, &ma, &mb2);
+        let serial1 = serial_vectors(&g, &refs, 2, &ma, &mb1);
+        let serial2 = serial_vectors(&g, &refs, 2, &ma, &mb2);
+        let (plan1, plan2) = (
+            KernelPlan::scalar(&g, &ma, &mb1, 2),
+            KernelPlan::scalar(&g, &ma, &mb2, 2),
+        );
+        let unlimited = Budget::unlimited();
         for threads in [1, 3] {
-            let c1 =
-                density_vectors_cached(&g, &pool, &refs, 2, &ka, &ma, &kb1, &mb1, threads, &cache);
-            let c2 =
-                density_vectors_cached(&g, &pool, &refs, 2, &ka, &ma, &kb2, &mb2, threads, &cache);
-            assert_eq!(serial1, c1, "threads = {threads}");
-            assert_eq!(serial2, c2, "threads = {threads}");
+            let c1 = density_vectors_cached_plan(
+                &plan1, &pool, &refs, &ka, &kb1, threads, &cache, &unlimited,
+            );
+            let c2 = density_vectors_cached_plan(
+                &plan2, &pool, &refs, &ka, &kb2, threads, &cache, &unlimited,
+            );
+            assert_eq!(Ok(serial1.clone()), c1, "threads = {threads}");
+            assert_eq!(Ok(serial2.clone()), c2, "threads = {threads}");
         }
         // Pair 1 measured every slot (10 BFS); pair 2 hit event a
         // everywhere but had to re-BFS each node for b2; the repeat
@@ -1395,7 +1219,7 @@ mod tests {
         let g = path(4);
         let (ma, mb) = masks(4, &[2], &[0]);
         let mut s = BfsScratch::new(4);
-        let c = density_counts(&g, &mut s, 2, 0, &ma, &mb);
+        let c = counts(&g, &mut s, 2, 0, &ma, &mb);
         assert_eq!(c.vicinity_size, 1);
         assert_eq!(c.density_a(), 1.0);
         assert_eq!(c.density_b(), 0.0);
@@ -1420,9 +1244,13 @@ mod tests {
         let mut s = BfsScratch::new(140);
         for r in [0u32, 3, 65, 100, 139] {
             for h in 0..5 {
-                let scalar = density_counts(&g, &mut s, r, h, &ma, &mb);
-                let bitset = density_counts_bitset(&g, &mut s, r, h, &ma, &mb);
-                assert_eq!(scalar, bitset, "r = {r}, h = {h}");
+                let scalar = counts(&g, &mut s, r, h, &ma, &mb);
+                let bitset = KernelPlan {
+                    use_bitset: true,
+                    ..KernelPlan::scalar(&g, &ma, &mb, h)
+                };
+                let got = bitset.counts(&mut s, r, &Budget::unlimited());
+                assert_eq!(Ok(scalar), got, "r = {r}, h = {h}");
             }
         }
     }
@@ -1450,13 +1278,15 @@ mod tests {
         let (ma, mb) = masks(12, &[0, 4, 8], &[2, 9]);
         let refs: Vec<NodeId> = (0..12).collect();
         let pool = ScratchPool::for_graph(&g);
-        let reference = density_vectors_plan(&KernelPlan::scalar(&g, &ma, &mb, 2), &pool, &refs, 1);
+        let unlimited = Budget::unlimited();
+        let scalar_plan = KernelPlan::scalar(&g, &ma, &mb, 2);
+        let reference = density_vectors_plan(&scalar_plan, &pool, &refs, 1, &unlimited);
         let bitset_plan = KernelPlan {
             use_bitset: true,
-            ..KernelPlan::scalar(&g, &ma, &mb, 2)
+            ..scalar_plan
         };
         for threads in [1usize, 3] {
-            let got = density_vectors_plan(&bitset_plan, &pool, &refs, threads);
+            let got = density_vectors_plan(&bitset_plan, &pool, &refs, threads, &unlimited);
             assert_eq!(reference, got, "bitset at {threads} threads");
         }
     }
@@ -1489,16 +1319,34 @@ mod tests {
             use_bitset: true,
             ..KernelPlan::scalar(&g, &ma, &mb, 2)
         };
-        let mut s = BfsScratch::new(10);
-        let serial = density_vectors(&g, &mut s, &refs, 2, &ma, &mb);
+        let serial = Ok(serial_vectors(&g, &refs, 2, &ma, &mb));
+        let unlimited = Budget::unlimited();
         // Cold pass through the bitset plan fills the cache…
-        let cold = density_vectors_cached_plan(&bitset_plan, &pool, &refs, &ka, &kb, 1, &cache);
+        let cold = density_vectors_cached_plan(
+            &bitset_plan,
+            &pool,
+            &refs,
+            &ka,
+            &kb,
+            1,
+            &cache,
+            &unlimited,
+        );
         assert_eq!(serial, cold);
         assert_eq!(cache.bfs_invocations(), 10);
         // …and a scalar-plan pass over the same cache is pure hits:
         // entries are kernel-independent integers.
         let scalar_plan = KernelPlan::scalar(&g, &ma, &mb, 2);
-        let warm = density_vectors_cached_plan(&scalar_plan, &pool, &refs, &ka, &kb, 1, &cache);
+        let warm = density_vectors_cached_plan(
+            &scalar_plan,
+            &pool,
+            &refs,
+            &ka,
+            &kb,
+            1,
+            &cache,
+            &unlimited,
+        );
         assert_eq!(serial, warm);
         assert_eq!(cache.bfs_invocations(), 10, "warm pass ran no BFS");
     }
@@ -1540,21 +1388,22 @@ mod tests {
             ..scalar
         };
         let mut s = BfsScratch::new(140);
-        let mut counts = Vec::new();
+        let mut got = Vec::new();
         for r in [0u32, 3, 65, 100, 139] {
             for slots in [&[0u32, 1, 2, 3][..], &[2, 0], &[3]] {
                 // Reference: one pairwise BFS per slot pair.
                 let expect: Vec<u32> = slots
                     .iter()
                     .map(|&sl| {
-                        density_counts(&g, &mut s, r, 2, &masks[sl as usize], &masks[0]).count_a
-                            as u32
+                        counts(&g, &mut s, r, 2, &masks[sl as usize], &masks[0]).count_a as u32
                     })
                     .collect();
                 let mut sizes = Vec::new();
                 for (label, plan) in [("scalar", &scalar), ("bitset", &bitset)] {
-                    let size = plan.counts_for(&mut s, r, slots, &mut counts);
-                    assert_eq!(counts, expect, "r={r} slots={slots:?} {label}");
+                    let size = plan
+                        .counts_for(&mut s, r, slots, &mut got, &Budget::unlimited())
+                        .unwrap();
+                    assert_eq!(got, expect, "r={r} slots={slots:?} {label}");
                     sizes.push(size);
                 }
                 assert!(sizes.windows(2).all(|w| w[0] == w[1]), "sizes agree");
@@ -1583,8 +1432,7 @@ mod tests {
         let (ma, mb) = masks(140, &a, &b);
         let refs: Vec<NodeId> = (0..140).collect();
         let pool = ScratchPool::for_graph(&g);
-        let mut s = BfsScratch::new(140);
-        let reference = density_vectors(&g, &mut s, &refs, 2, &ma, &mb);
+        let reference = Ok(serial_vectors(&g, &refs, 2, &ma, &mb));
         let slot_nodes = vec![a.clone(), b.clone()];
         let plan = GroupKernelPlan {
             graph: &g,
@@ -1594,7 +1442,14 @@ mod tests {
         };
         for group_size in [1usize, 7, 63, 64, 200] {
             for threads in [1usize, 3] {
-                let got = density_vectors_group_plan(&plan, &pool, &refs, threads, group_size);
+                let got = density_vectors_group_plan(
+                    &plan,
+                    &pool,
+                    &refs,
+                    threads,
+                    group_size,
+                    &Budget::unlimited(),
+                );
                 assert_eq!(reference, got, "group_size={group_size} threads={threads}");
             }
         }
@@ -1617,9 +1472,10 @@ mod tests {
             h: 2,
             event_side: None,
         };
-        let grouped = density_counts_group_plan(&plan, &pool, &refs, 1, 4);
+        let grouped =
+            density_counts_group_plan(&plan, &pool, &refs, 1, 4, &Budget::unlimited()).unwrap();
         for (&r, got) in refs.iter().zip(&grouped) {
-            let want = density_counts(&g, &mut s, r, 2, &ma, &mb);
+            let want = counts(&g, &mut s, r, 2, &ma, &mb);
             assert_eq!(&want, got, "r = {r}");
         }
     }
@@ -1648,8 +1504,8 @@ mod tests {
         let refs: Vec<NodeId> = (0..10).collect();
         let pool = ScratchPool::for_graph(&g);
         let cache = DensityCache::for_graph(&g);
-        let mut s = BfsScratch::new(10);
-        let serial = density_vectors(&g, &mut s, &refs, 2, &ma, &mb);
+        let serial = Ok(serial_vectors(&g, &refs, 2, &ma, &mb));
+        let unlimited = Budget::unlimited();
         let slot_nodes = vec![a.clone(), b.clone()];
         let plan = GroupKernelPlan {
             graph: &g,
@@ -1662,7 +1518,7 @@ mod tests {
         let kplan = KernelPlan::scalar(&g, &ma, &mb, 2);
         let mut scratch = pool.acquire();
         for &r in &refs[0..4] {
-            let c = kplan.counts(&mut scratch, r);
+            let c = kplan.counts(&mut scratch, r, &unlimited).unwrap();
             cache.insert(
                 &ka,
                 r,
@@ -1674,11 +1530,15 @@ mod tests {
             );
         }
         drop(scratch);
-        let cold = density_vectors_cached_group_plan(&plan, &pool, &refs, &ka, &kb, 1, 4, &cache);
+        let cold = density_vectors_cached_group_plan(
+            &plan, &pool, &refs, &ka, &kb, 1, 4, &cache, &unlimited,
+        );
         assert_eq!(serial, cold, "partially-memoized grouped pass");
         assert_eq!(cache.bfs_invocations(), 10, "every node still BFSed once");
         // Warm pass: every slot memoized, zero BFS, identical bits.
-        let warm = density_vectors_cached_group_plan(&plan, &pool, &refs, &ka, &kb, 2, 4, &cache);
+        let warm = density_vectors_cached_group_plan(
+            &plan, &pool, &refs, &ka, &kb, 2, 4, &cache, &unlimited,
+        );
         assert_eq!(serial, warm);
         assert_eq!(cache.bfs_invocations(), 10, "warm grouped pass ran no BFS");
     }
@@ -1747,7 +1607,7 @@ mod tests {
         let mut want_counts = Vec::new();
         for (&r, slots) in nodes.iter().zip(&slot_lists) {
             for &s in slots {
-                let c = density_counts(&g, &mut scratch, r, h, &masks[s as usize], &masks[0]);
+                let c = counts(&g, &mut scratch, r, h, &masks[s as usize], &masks[0]);
                 want_counts.push(c.count_a as u32);
             }
             want_sizes.push(scratch.vicinity_size(&g, r, h) as u32);
@@ -1796,7 +1656,7 @@ mod tests {
         .expect("unlimited budget");
         assert_eq!(got.traversals, chunks(&[1, 4]), "seed {seed}: pair chunks");
         for (i, &r) in nodes.iter().enumerate() {
-            let c = density_counts(&g, &mut scratch, r, h, &masks[1], &masks[4]);
+            let c = counts(&g, &mut scratch, r, h, &masks[1], &masks[4]);
             let cell = &got.counts[2 * i..2 * i + 2];
             assert_eq!(cell, [c.count_a as u32, c.count_b as u32], "seed {seed}");
         }

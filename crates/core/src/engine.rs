@@ -17,7 +17,7 @@ use crate::cache::{DensityCache, EventKey};
 use crate::density::{choose_route, DensityCounts, GroupKernelPlan, KernelPlan, Route};
 use crate::sampler::{
     importance_sample, mask_sample, rejection_sample, whole_graph_sample, ReachMemo, SamplerKind,
-    UniformSample,
+    UniformSample, WeightedSample,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -442,17 +442,12 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         if union.is_empty() {
             return Err(TescError::NoEventNodes);
         }
-        let mask_a = NodeMask::from_nodes(self.graph.num_nodes(), &a_sorted);
-        let mask_b = NodeMask::from_nodes(self.graph.num_nodes(), &b_sorted);
-
         match cfg.sampler {
             SamplerKind::Importance { batch_size } => {
                 if cfg.statistic != Statistic::KendallTau {
                     return Err(TescError::StatisticUnsupportedBySampler);
                 }
-                self.test_importance(
-                    &union, &a_sorted, &b_sorted, &mask_a, &mask_b, cfg, batch_size, rng,
-                )
+                self.test_importance(&union, &a_sorted, &b_sorted, cfg, batch_size, rng)
             }
             _ => {
                 // Content-addressed keys from the normalized occurrence
@@ -460,7 +455,10 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 // attached, the density cache.
                 let key_a = EventKey::from_normalized(a_sorted);
                 let key_b = EventKey::from_normalized(b_sorted);
-                self.test_uniform(&union, &key_a, &key_b, &mask_a, &mask_b, cfg, rng)
+                let sample = self.sample_uniform(&key_a, &key_b, &union, cfg, rng)?;
+                let cache = self.cache.as_deref();
+                let (sa, sb) = self.density_vectors(&sample.nodes, &key_a, &key_b, cfg.h, cache)?;
+                Ok(Self::finish_uniform(&sa, &sb, &sample, cfg))
             }
         }
     }
@@ -578,6 +576,38 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         Ok(sample)
     }
 
+    /// Draw an importance-weighted reference sample (Sec. 4.2) over the
+    /// occurrence union `union`. Shared with the pair-set planner and
+    /// the intensity test, so every path samples bit-identically by
+    /// construction.
+    pub(crate) fn draw_importance_sample(
+        &self,
+        union: &[NodeId],
+        cfg: &TescConfig,
+        batch_size: usize,
+        rng: &mut impl Rng,
+    ) -> Result<WeightedSample, TescError> {
+        let vic = self.require_vicinity(cfg.h)?;
+        let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
+        let sample = importance_sample(
+            self.graph,
+            &mut self.pool.acquire(),
+            union,
+            vic,
+            cfg.h,
+            cfg.sample_size,
+            batch_size,
+            max_draws,
+            rng,
+        );
+        if sample.nodes.len() < 3 {
+            return Err(TescError::TooFewReferenceNodes {
+                found: sample.nodes.len(),
+            });
+        }
+        Ok(sample)
+    }
+
     /// [`TescEngine::fill_reach`] + [`TescEngine::draw_uniform_sample`]
     /// for one test: the request is one pair, its memo two entries.
     fn sample_uniform(
@@ -625,81 +655,66 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
     }
 
-    /// Uniform-sampler path: sample → densities → `t` (Eq. 4) → z.
-    /// With an attached [`DensityCache`] (and `keys` present), the
-    /// density phase memoizes per-`(event, node, h)` counts. The
-    /// route ([`TescEngine::route`]) picks one BFS per sampled node,
-    /// the nodes batched into 64-way multi-source traversals, or the
-    /// two events' occurrence nodes traversing as lanes; every
-    /// configuration is bit-identical.
-    #[allow(clippy::too_many_arguments)] // internal fan-in of one test's resolved pieces
-    fn test_uniform(
+    /// Density vectors (`s^h_a`, `s^h_b`) at `refs` through the route
+    /// [`TescEngine::route`] picks: one BFS per node, the nodes batched
+    /// into 64-way multi-source traversals, or the two events'
+    /// occurrence nodes traversing as lanes; every configuration is
+    /// bit-identical. With a `cache`, the reference side memoizes
+    /// per-`(event, node, h)` counts.
+    fn density_vectors(
         &self,
-        union: &[NodeId],
+        refs: &[NodeId],
         key_a: &EventKey,
         key_b: &EventKey,
-        mask_a: &NodeMask,
-        mask_b: &NodeMask,
-        cfg: &TescConfig,
-        rng: &mut impl Rng,
-    ) -> Result<TescResult, TescError> {
-        let sample = self.sample_uniform(key_a, key_b, union, cfg, rng)?;
-        let (a_nodes, b_nodes) = (key_a.nodes(), key_b.nodes());
-        let route = self.route(cfg.h, &sample.nodes, &[a_nodes, b_nodes]);
+        h: u32,
+        cache: Option<&DensityCache>,
+    ) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
+        use crate::density::{
+            density_vectors_cached_group_plan, density_vectors_cached_plan,
+            density_vectors_group_plan, density_vectors_plan,
+        };
+        let (a, b) = (key_a.nodes(), key_b.nodes());
+        let (pool, threads, budget) = (&*self.pool, self.density_threads, &self.budget);
+        let route = self.route(h, refs, &[a, b]);
         if route != Route::PerNode {
-            let slot_nodes = [a_nodes.to_vec(), b_nodes.to_vec()];
-            let gplan = self.group_plan(&slot_nodes, cfg.h, route);
+            let slot_nodes = [a.to_vec(), b.to_vec()];
+            let gplan = self.group_plan(&slot_nodes, h, route);
             // A one-pair pass resolved from the event side bypasses the
             // cache, like the importance and intensity phases: its
             // entries could only ever skip work on an exact repeat of
             // this seeded sample (two traversals), yet they are what
             // fills a serving cache (docs/PERFORMANCE.md §9).
-            let (sa, sb) = match (self.cache.as_deref(), route) {
-                (Some(cache), Route::RefLanes) => {
-                    crate::density::density_vectors_cached_group_plan_budgeted(
-                        &gplan,
-                        &self.pool,
-                        &sample.nodes,
-                        key_a,
-                        key_b,
-                        self.density_threads,
-                        SOURCE_GROUP_SIZE,
-                        cache,
-                        &self.budget,
-                    )?
-                }
-                _ => crate::density::density_vectors_group_plan_budgeted(
+            return match (cache, route) {
+                (Some(cache), Route::RefLanes) => density_vectors_cached_group_plan(
                     &gplan,
-                    &self.pool,
-                    &sample.nodes,
-                    self.density_threads,
+                    pool,
+                    refs,
+                    key_a,
+                    key_b,
+                    threads,
                     SOURCE_GROUP_SIZE,
-                    &self.budget,
-                )?,
+                    cache,
+                    budget,
+                ),
+                _ => density_vectors_group_plan(
+                    &gplan,
+                    pool,
+                    refs,
+                    threads,
+                    SOURCE_GROUP_SIZE,
+                    budget,
+                ),
             };
-            return Ok(Self::finish_uniform(&sa, &sb, &sample, cfg));
         }
-        let plan = self.density_plan(mask_a, mask_b, cfg.h);
-        let (sa, sb) = match self.cache.as_deref() {
-            Some(cache) => crate::density::density_vectors_cached_plan_budgeted(
-                &plan,
-                &self.pool,
-                &sample.nodes,
-                key_a,
-                key_b,
-                self.density_threads,
-                cache,
-                &self.budget,
-            )?,
-            None => crate::density::density_vectors_plan_budgeted(
-                &plan,
-                &self.pool,
-                &sample.nodes,
-                self.density_threads,
-                &self.budget,
-            )?,
-        };
-        Ok(Self::finish_uniform(&sa, &sb, &sample, cfg))
+        let n = self.graph.num_nodes();
+        let (mask_a, mask_b) = (NodeMask::from_nodes(n, a), NodeMask::from_nodes(n, b));
+        let plan = self.density_plan(&mask_a, &mask_b, h);
+        match cache {
+            Some(cache) => {
+                density_vectors_cached_plan(&plan, pool, refs, key_a, key_b, threads, cache, budget)
+            }
+            None => density_vectors_plan(&plan, pool, refs, threads, budget),
+        }
     }
 
     /// Intensity-weighted TESC test — the Sec. 6 extension. Densities
@@ -729,23 +744,8 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 if cfg.statistic != Statistic::KendallTau {
                     return Err(TescError::StatisticUnsupportedBySampler);
                 }
-                let vic = self.require_vicinity(cfg.h)?;
-                let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
-                let sample = importance_sample(
-                    self.graph,
-                    &mut self.pool.acquire(),
-                    &union,
-                    vic,
-                    cfg.h,
-                    cfg.sample_size,
-                    batch_size,
-                    max_draws,
-                    rng,
-                );
+                let sample = self.draw_importance_sample(&union, cfg, batch_size, rng)?;
                 let n = sample.nodes.len();
-                if n < 3 {
-                    return Err(TescError::TooFewReferenceNodes { found: n });
-                }
                 let counts = self.intensity_counts_for(&sample.nodes, cfg.h, a, b)?;
                 let mut sa = Vec::with_capacity(n);
                 let mut sb = Vec::with_capacity(n);
@@ -781,26 +781,10 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         a: &crate::intensity::Intensities,
         b: &crate::intensity::Intensities,
     ) -> Result<Vec<crate::intensity::IntensityCounts>, Interrupted> {
-        let zero = crate::intensity::IntensityCounts {
-            vicinity_size: 0,
-            mass_a: 0.0,
-            mass_b: 0.0,
-            count_union: 0,
-        };
         let budget = &self.budget;
-        let counts =
-            crate::density::map_refs_pooled(&self.pool, refs, self.density_threads, zero, {
-                |scratch, r| {
-                    // Per-reference-node check (the intensity BFS itself is
-                    // bounded per node); sentinels are discarded below.
-                    if budget.is_exhausted() {
-                        return zero;
-                    }
-                    crate::intensity::intensity_counts(self.graph, scratch, r, h, a, b)
-                }
-            });
-        budget.check()?;
-        Ok(counts)
+        crate::density::map_refs_pooled(&self.pool, refs, self.density_threads, budget, {
+            |scratch, r| crate::intensity::intensity_counts(self.graph, scratch, r, h, a, b, budget)
+        })
     }
 
     /// Assemble the importance-sampled (weighted `t̃`) result. Shared
@@ -836,37 +820,17 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
 
     /// Importance-sampler path: weighted draws → densities → `t̃`
     /// (Eq. 8) → z against the tie-corrected null variance.
-    #[allow(clippy::too_many_arguments)] // internal fan-in of one test's resolved pieces
     fn test_importance(
         &self,
         union: &[NodeId],
         a_nodes: &[NodeId],
         b_nodes: &[NodeId],
-        mask_a: &NodeMask,
-        mask_b: &NodeMask,
         cfg: &TescConfig,
         batch_size: usize,
         rng: &mut impl Rng,
     ) -> Result<TescResult, TescError> {
-        let vic = self.require_vicinity(cfg.h)?;
-        let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
-        let mut scratch = self.pool.acquire();
-        let sample = importance_sample(
-            self.graph,
-            &mut scratch,
-            union,
-            vic,
-            cfg.h,
-            cfg.sample_size,
-            batch_size,
-            max_draws,
-            rng,
-        );
+        let sample = self.draw_importance_sample(union, cfg, batch_size, rng)?;
         let n = sample.nodes.len();
-        if n < 3 {
-            return Err(TescError::TooFewReferenceNodes { found: n });
-        }
-        drop(scratch);
         // One BFS per distinct node gathers densities AND the inclusion
         // weight ingredient |V^h_r ∩ V_{a∪b}| (RejectSamp's `c`); the
         // loop honors `density_threads` like every other density phase
@@ -877,7 +841,7 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         let counts: Vec<DensityCounts> = if route != Route::PerNode {
             let slot_nodes = [a_nodes.to_vec(), b_nodes.to_vec(), union.to_vec()];
             let gplan = self.group_plan(&slot_nodes, cfg.h, route);
-            crate::density::density_counts_group_plan_budgeted(
+            crate::density::density_counts_group_plan(
                 &gplan,
                 &self.pool,
                 &sample.nodes,
@@ -886,31 +850,18 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 &self.budget,
             )?
         } else {
-            let plan = self.density_plan(mask_a, mask_b, cfg.h);
-            let zero = DensityCounts {
-                vicinity_size: 0,
-                count_a: 0,
-                count_b: 0,
-                count_union: 0,
-            };
-            let budget = &self.budget;
-            let counts = crate::density::map_refs_pooled(
+            let num_nodes = self.graph.num_nodes();
+            let (mask_a, mask_b) = (
+                NodeMask::from_nodes(num_nodes, a_nodes),
+                NodeMask::from_nodes(num_nodes, b_nodes),
+            );
+            crate::density::density_counts_plan(
+                &self.density_plan(&mask_a, &mask_b, cfg.h),
                 &self.pool,
                 &sample.nodes,
                 self.density_threads,
-                zero,
-                |scratch, r| {
-                    // Sticky exhaustion: sentinel slots from skipped or
-                    // interrupted nodes are discarded wholesale by the
-                    // post-map check below.
-                    if budget.is_exhausted() {
-                        return zero;
-                    }
-                    plan.counts_budgeted(scratch, r, budget).unwrap_or(zero)
-                },
-            );
-            budget.check()?;
-            counts
+                &self.budget,
+            )?
         };
         let mut sa = Vec::with_capacity(n);
         let mut sb = Vec::with_capacity(n);
@@ -952,28 +903,11 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 found: population.len(),
             });
         }
-        let route = self.route(h, &population, &[&a_sorted, &b_sorted]);
-        let (sa, sb) = if route != Route::PerNode {
-            let slot_nodes = [a_sorted, b_sorted];
-            let gplan = self.group_plan(&slot_nodes, h, route);
-            crate::density::density_vectors_group_plan(
-                &gplan,
-                &self.pool,
-                &population,
-                self.density_threads,
-                SOURCE_GROUP_SIZE,
-            )
-        } else {
-            let mask_a = NodeMask::from_nodes(self.graph.num_nodes(), &a_sorted);
-            let mask_b = NodeMask::from_nodes(self.graph.num_nodes(), &b_sorted);
-            let plan = self.density_plan(&mask_a, &mask_b, h);
-            crate::density::density_vectors_plan(
-                &plan,
-                &self.pool,
-                &population,
-                self.density_threads,
-            )
-        };
+        let (key_a, key_b) = (
+            EventKey::from_normalized(a_sorted),
+            EventKey::from_normalized(b_sorted),
+        );
+        let (sa, sb) = self.density_vectors(&population, &key_a, &key_b, h, None)?;
         Ok(kendall_tau(&sa, &sb, KendallMethod::MergeSort))
     }
 

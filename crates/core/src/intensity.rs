@@ -18,6 +18,7 @@
 //! still compares density ranks.
 
 use tesc_graph::bfs::BfsScratch;
+use tesc_graph::budget::{Budget, Interrupted};
 use tesc_graph::Adjacency;
 use tesc_graph::NodeId;
 
@@ -96,7 +97,7 @@ impl Intensities {
 /// Intensity-weighted per-reference-node measurements, gathered in a
 /// single `h`-hop BFS (the weighted analogue of
 /// [`crate::density::DensityCounts`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IntensityCounts {
     /// `|V^h_r|`.
     pub vicinity_size: usize,
@@ -123,6 +124,8 @@ impl IntensityCounts {
 }
 
 /// Gather [`IntensityCounts`] for reference node `r` with one BFS.
+/// `budget` is checked per frontier level; an interrupted search
+/// returns the typed error instead of partial masses.
 pub fn intensity_counts<G: Adjacency>(
     g: &G,
     scratch: &mut BfsScratch,
@@ -130,42 +133,24 @@ pub fn intensity_counts<G: Adjacency>(
     h: u32,
     a: &Intensities,
     b: &Intensities,
-) -> IntensityCounts {
+    budget: &Budget,
+) -> Result<IntensityCounts, Interrupted> {
     let mut mass_a = 0.0;
     let mut mass_b = 0.0;
     let mut count_union = 0usize;
-    let vicinity_size = scratch.visit_h_vicinity(g, &[r], h, |v, _| {
+    let vicinity_size = scratch.visit_h_vicinity(g, &[r], h, budget, |v, _| {
         let wa = a.weight(v);
         let wb = b.weight(v);
         mass_a += wa;
         mass_b += wb;
         count_union += (wa > 0.0 || wb > 0.0) as usize;
-    });
-    IntensityCounts {
+    })?;
+    Ok(IntensityCounts {
         vicinity_size,
         mass_a,
         mass_b,
         count_union,
-    }
-}
-
-/// Weighted density vectors for a reference-node sample.
-pub fn intensity_density_vectors<G: Adjacency>(
-    g: &G,
-    scratch: &mut BfsScratch,
-    refs: &[NodeId],
-    h: u32,
-    a: &Intensities,
-    b: &Intensities,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut sa = Vec::with_capacity(refs.len());
-    let mut sb = Vec::with_capacity(refs.len());
-    for &r in refs {
-        let c = intensity_counts(g, scratch, r, h, a, b);
-        sa.push(c.density_a());
-        sb.push(c.density_b());
-    }
-    (sa, sb)
+    })
 }
 
 #[cfg(test)]
@@ -174,6 +159,18 @@ mod tests {
     use crate::density::density_counts;
     use tesc_events::NodeMask;
     use tesc_graph::generators::path;
+
+    /// [`intensity_counts`] under no budget.
+    fn counts(
+        g: &tesc_graph::CsrGraph,
+        s: &mut BfsScratch,
+        r: NodeId,
+        h: u32,
+        a: &Intensities,
+        b: &Intensities,
+    ) -> IntensityCounts {
+        intensity_counts(g, s, r, h, a, b, &Budget::unlimited()).unwrap()
+    }
 
     #[test]
     fn from_pairs_accumulates_and_supports() {
@@ -201,8 +198,8 @@ mod tests {
         let mut s = BfsScratch::new(6);
         for r in 0..6u32 {
             for h in [0u32, 1, 2] {
-                let w = intensity_counts(&g, &mut s, r, h, &ia, &ib);
-                let c = density_counts(&g, &mut s, r, h, &ma, &mb);
+                let w = counts(&g, &mut s, r, h, &ia, &ib);
+                let c = density_counts(&g, &mut s, r, h, &ma, &mb, &Budget::unlimited()).unwrap();
                 assert_eq!(w.vicinity_size, c.vicinity_size);
                 assert!((w.density_a() - c.density_a()).abs() < 1e-12);
                 assert!((w.density_b() - c.density_b()).abs() < 1e-12);
@@ -218,8 +215,8 @@ mod tests {
         let light = Intensities::from_pairs(4, &[(1, 1.0)]);
         let heavy = Intensities::from_pairs(4, &[(1, 10.0)]);
         let mut s = BfsScratch::new(4);
-        let wl = intensity_counts(&g, &mut s, 0, 1, &light, &light);
-        let wh = intensity_counts(&g, &mut s, 0, 1, &heavy, &heavy);
+        let wl = counts(&g, &mut s, 0, 1, &light, &light);
+        let wh = counts(&g, &mut s, 0, 1, &heavy, &heavy);
         assert!((wh.density_a() - 10.0 * wl.density_a()).abs() < 1e-12);
         assert_eq!(
             wl.count_union, wh.count_union,
@@ -233,12 +230,33 @@ mod tests {
         let ia = Intensities::from_pairs(5, &[(0, 3.0)]);
         let ib = Intensities::from_pairs(5, &[(4, 2.0)]);
         let mut s = BfsScratch::new(5);
-        let (sa, sb) = intensity_density_vectors(&g, &mut s, &[0, 2, 4], 1, &ia, &ib);
+        let (sa, sb): (Vec<f64>, Vec<f64>) = [0, 2, 4]
+            .iter()
+            .map(|&r| {
+                let c = counts(&g, &mut s, r, 1, &ia, &ib);
+                (c.density_a(), c.density_b())
+            })
+            .unzip();
         assert_eq!(sa.len(), 3);
         assert!((sa[0] - 3.0 / 2.0).abs() < 1e-12); // V^1_0 = {0,1}
         assert_eq!(sb[0], 0.0);
         assert_eq!(sa[1], 0.0);
         assert!((sb[2] - 2.0 / 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cancelled_budget_interrupts_the_intensity_bfs() {
+        let g = path(5);
+        let ia = Intensities::from_pairs(5, &[(0, 3.0)]);
+        let ib = Intensities::from_pairs(5, &[(4, 2.0)]);
+        let mut s = BfsScratch::new(5);
+        let cancelled = Budget::cancellable();
+        cancelled.cancel();
+        let err = intensity_counts(&g, &mut s, 2, 2, &ia, &ib, &cancelled)
+            .expect_err("a cancelled budget must stop the search");
+        assert!(err.cancelled);
+        // The scratch stays reusable: the next search is exact.
+        assert_eq!(counts(&g, &mut s, 2, 2, &ia, &ib).vicinity_size, 5);
     }
 
     #[test]

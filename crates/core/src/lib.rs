@@ -94,15 +94,14 @@ pub mod sampler;
 pub mod serve;
 
 pub use anytime::{escalation_schedule, ANYTIME_FLOOR};
-pub use batch::{run_batch, run_batch_budgeted, BatchReport, BatchRequest, EventPair};
+pub use batch::{run_batch, BatchReport, BatchRequest, EventPair};
 pub use cache::{DensityCache, EventKey};
 pub use context::{IngestError, MemoryStats, Snapshot, TescContext};
 pub use engine::{Statistic, TescConfig, TescEngine, TescError, TescResult};
 pub use persist::{PersistError, StoreOptions};
 pub use planner::{FusedDensities, PairSetPlan};
 pub use rank::{
-    content_seed, direction_score, rank_pairs, rank_pairs_budgeted, RankEntry, RankMode,
-    RankReport, RankRequest,
+    content_seed, direction_score, rank_pairs, RankEntry, RankMode, RankReport, RankRequest,
 };
 pub use sampler::SamplerKind;
 

@@ -38,7 +38,7 @@
 //!   *per-node*, ONE `h`-hop BFS per distinct reference node scored
 //!   against *all* its events in a single word sweep over the visited
 //!   bitmap ([`crate::density::MultiKernelPlan`], the M-event
-//!   generalization of `density_counts_bitset`); *reference lanes*,
+//!   generalization of `KernelPlan::counts`); *reference lanes*,
 //!   those nodes batched 64 to a multi-source traversal; or *event
 //!   lanes*, the same multi-source kernel driven from the smaller side
 //!   of the join — each event's occurrence nodes traverse as lanes,
@@ -85,12 +85,12 @@ use crate::density::{
     map_indexed, map_refs_pooled, run_grouped, GroupSlots, MultiKernelPlan, Route,
 };
 use crate::engine::{normalize, Statistic, TescConfig, TescEngine, TescError, TescResult};
-use crate::sampler::{importance_sample, ReachMemo, SamplerKind, UniformSample, WeightedSample};
+use crate::sampler::{ReachMemo, SamplerKind, UniformSample, WeightedSample};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use tesc_events::{store::merge_union, NodeMask};
-use tesc_graph::{Adjacency, Budget, CsrGraph, Interrupted, NodeId, SOURCE_GROUP_SIZE};
+use tesc_graph::{Adjacency, CsrGraph, Interrupted, NodeId, SOURCE_GROUP_SIZE};
 
 /// One pair normalized and validated, before any sampling: the
 /// content keys of its two events and their merged occurrence set.
@@ -136,7 +136,7 @@ struct PlannedPair {
 }
 
 /// Per-distinct-node result of the fused density pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct NodeDensity {
     size: u32,
     counts: Vec<u32>,
@@ -147,12 +147,13 @@ struct NodeDensity {
 /// distinct reference node, `|V^h_r|` and one intersection count per
 /// event slot touching that node (flat, aligned with the plan's slot
 /// lists).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FusedDensities {
     sizes: Vec<u32>,
     counts: Vec<u32>,
     bfs_run: u64,
     traversals: u64,
+    interrupted: Option<Interrupted>,
 }
 
 impl FusedDensities {
@@ -177,6 +178,15 @@ impl FusedDensities {
     #[inline]
     pub fn traversals(&self) -> u64 {
         self.traversals
+    }
+
+    /// `Some` when the engine's [`tesc_graph::Budget`] ran out during
+    /// the pass. The pass then published nothing — no counts, no cache
+    /// entries — and [`PairSetPlan::finish`] reports every pair as
+    /// `Err(Interrupted)`.
+    #[inline]
+    pub fn interrupted(&self) -> Option<Interrupted> {
+        self.interrupted
     }
 }
 
@@ -455,25 +465,22 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// The cache rule is the same on both grouped routes: probe first,
     /// traverse only for the pending nodes, insert only after the pass
     /// completed — so a warm repeat runs zero traversals.
+    ///
+    /// The pass runs under the engine's [`tesc_graph::Budget`],
+    /// checked per BFS frontier level and per source group. An
+    /// interrupted pass publishes nothing, leaves any attached cache
+    /// holding only counts from completed traversals, and records the
+    /// interruption in [`FusedDensities::interrupted`].
     pub fn run_density(&self, threads: usize) -> FusedDensities {
-        self.run_density_budgeted(threads, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`PairSetPlan::run_density`] under a [`Budget`] (checked per
-    /// BFS frontier level and per source group): an interrupted pass
-    /// returns the typed error, publishes nothing, and leaves any
-    /// attached cache holding only counts from completed traversals.
-    pub fn run_density_budgeted(
-        &self,
-        threads: usize,
-        budget: &Budget,
-    ) -> Result<FusedDensities, Interrupted> {
         let key_sets: Vec<&[NodeId]> = self.keys.iter().map(|k| k.nodes()).collect();
-        match self.engine.route(self.cfg.h, &self.nodes, &key_sets) {
-            Route::PerNode => self.run_density_per_node(threads, budget),
-            route => self.run_density_grouped(threads, route, &key_sets, budget),
-        }
+        let fused = match self.engine.route(self.cfg.h, &self.nodes, &key_sets) {
+            Route::PerNode => self.run_density_per_node(threads),
+            route => self.run_density_grouped(threads, route, &key_sets),
+        };
+        fused.unwrap_or_else(|i| FusedDensities {
+            interrupted: Some(i),
+            ..FusedDensities::default()
+        })
     }
 
     /// Stage (b), grouped executor: cache probe per node, then the
@@ -484,7 +491,6 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         threads: usize,
         route: Route,
         key_sets: &[&[NodeId]],
-        budget: &Budget,
     ) -> Result<FusedDensities, Interrupted> {
         let h = self.cfg.h;
         let slot_nodes: Vec<Vec<NodeId>> = key_sets.iter().map(|s| s.to_vec()).collect();
@@ -500,7 +506,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                 &GroupSlots::PerNode(slot_refs),
                 threads,
                 SOURCE_GROUP_SIZE,
-                budget,
+                self.engine.budget(),
             )
         };
         let n = self.nodes.len();
@@ -514,6 +520,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                 counts: fresh.counts,
                 bfs_run: n as u64,
                 traversals: fresh.traversals,
+                interrupted: None,
             });
         };
 
@@ -610,6 +617,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             counts,
             bfs_run: pending.len() as u64,
             traversals: fresh.traversals,
+            interrupted: None,
         })
     }
 
@@ -617,51 +625,23 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// node (fanned out over `threads` pooled workers), scored against
     /// all of that node's event slots in a single visited-bitmap
     /// sweep.
-    fn run_density_per_node(
-        &self,
-        threads: usize,
-        budget: &Budget,
-    ) -> Result<FusedDensities, Interrupted> {
+    fn run_density_per_node(&self, threads: usize) -> Result<FusedDensities, Interrupted> {
         let mplan = self.multi_plan();
         let cache: Option<&DensityCache> = self.engine.density_cache().map(|c| c.as_ref());
-        let h = self.cfg.h;
-        let default = NodeDensity {
-            size: 0,
-            counts: Vec::new(),
-            did_bfs: false,
-        };
-        let skipped = || NodeDensity {
-            size: 0,
-            counts: Vec::new(),
-            did_bfs: false,
-        };
+        let (h, budget) = (self.cfg.h, self.engine.budget());
         let governor = ProbeGovernor::new();
-        let per_node = map_refs_pooled(
-            self.engine.pool(),
-            &self.nodes,
-            threads,
-            default,
+        let per_node = map_refs_pooled(self.engine.pool(), &self.nodes, threads, budget, {
             |scratch, r| {
-                // Exhaustion is sticky, so skipped/interrupted nodes
-                // leave sentinel slots that the post-map check below is
-                // guaranteed to discard wholesale.
-                if budget.is_exhausted() {
-                    return skipped();
-                }
                 let i = self.nodes.binary_search(&r).expect("workset node");
                 let slots = self.slots_of(i);
                 let Some(cache) = cache else {
                     let mut counts = Vec::new();
-                    let Ok(size) =
-                        mplan.counts_for_budgeted(scratch, r, slots, &mut counts, budget)
-                    else {
-                        return skipped();
-                    };
-                    return NodeDensity {
+                    let size = mplan.counts_for(scratch, r, slots, &mut counts, budget)?;
+                    return Ok(NodeDensity {
                         size: size as u32,
                         counts,
                         did_bfs: true,
-                    };
+                    });
                 };
                 let mut hits: Vec<Option<CachedCount>> = Vec::with_capacity(slots.len());
                 // The pass's governor drops the probe — but never the
@@ -686,21 +666,17 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                         hits.iter().all(|c| c.expect("hit").vicinity_size == size),
                         "inconsistent cache"
                     );
-                    return NodeDensity {
+                    return Ok(NodeDensity {
                         size,
                         counts: hits.iter().map(|c| c.expect("hit").count).collect(),
                         did_bfs: false,
-                    };
+                    });
                 }
                 let mut fresh = Vec::new();
                 // Only a completed BFS may warm the cache: partial
                 // counts from an interrupted traversal are never
                 // memoized.
-                let Ok(size) = mplan.counts_for_budgeted(scratch, r, slots, &mut fresh, budget)
-                else {
-                    return skipped();
-                };
-                let size = size as u32;
+                let size = mplan.counts_for(scratch, r, slots, &mut fresh, budget)? as u32;
                 cache.record_bfs();
                 // Prefer the memoized integer where a slot hit (same
                 // value, same policy as the per-pair cached path);
@@ -727,14 +703,13 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                         }
                     })
                     .collect();
-                NodeDensity {
+                Ok(NodeDensity {
                     size,
                     counts,
                     did_bfs: true,
-                }
-            },
-        );
-        budget.check()?;
+                })
+            }
+        })?;
         let bfs_run = per_node.iter().filter(|d| d.did_bfs).count() as u64;
         let sizes = per_node.iter().map(|d| d.size).collect();
         let counts = per_node.into_iter().flat_map(|d| d.counts).collect();
@@ -743,6 +718,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             counts,
             bfs_run,
             traversals: bfs_run,
+            interrupted: None,
         })
     }
 
@@ -807,12 +783,16 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// Scatter one pair's density vectors (and ω weights for
     /// importance pairs) out of the fused counts, in the pair's own
     /// sample order — the input of the correlate stage and of the
-    /// top-K significance-budget bound in [`crate::rank`].
+    /// top-K significance-budget bound in [`crate::rank`]. An
+    /// interrupted pass fails every pair with its interruption.
     pub(crate) fn vectors(
         &self,
         index: usize,
         fused: &FusedDensities,
     ) -> Result<PairVectors, TescError> {
+        if let Some(i) = fused.interrupted {
+            return Err(TescError::Interrupted(i));
+        }
         match &self.pairs[index].state {
             Err(e) => Err(e.clone()),
             Ok(PlannedState::Uniform {
@@ -910,27 +890,9 @@ fn sample_one<G: Adjacency>(
     engine.budget().check()?;
     let mut rng = StdRng::seed_from_u64(seed);
     match cfg.sampler {
-        SamplerKind::Importance { batch_size } => {
-            let vic = engine.require_vicinity(cfg.h)?;
-            let max_draws = cfg.max_draw_factor.saturating_mul(cfg.sample_size).max(1);
-            let sample = importance_sample(
-                engine.graph(),
-                &mut engine.pool().acquire(),
-                &pair.union,
-                vic,
-                cfg.h,
-                cfg.sample_size,
-                batch_size,
-                max_draws,
-                &mut rng,
-            );
-            if sample.nodes.len() < 3 {
-                return Err(TescError::TooFewReferenceNodes {
-                    found: sample.nodes.len(),
-                });
-            }
-            Ok(SampledKind::Weighted(sample))
-        }
+        SamplerKind::Importance { batch_size } => engine
+            .draw_importance_sample(&pair.union, cfg, batch_size, &mut rng)
+            .map(SampledKind::Weighted),
         _ => engine
             .draw_uniform_sample(memo, &pair.a, &pair.b, &pair.union, cfg, &mut rng)
             .map(SampledKind::Uniform),

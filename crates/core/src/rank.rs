@@ -210,7 +210,7 @@ pub struct RankEntry {
 }
 
 /// Everything a ranking run produced, plus fused-pass diagnostics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RankReport {
     /// Ranked entries, best first (truncated to K when requested).
     pub ranked: Vec<RankEntry>,
@@ -245,6 +245,12 @@ pub struct RankReport {
     /// which may be below the requested sample size even under
     /// `eps = 0`. Always `false` for runs with an unlimited budget.
     pub degraded: bool,
+    /// `Some` when the engine's budget ran out before any usable
+    /// ranking existed: the whole request is interrupted — `ranked` is
+    /// empty and every candidate is in `failed` with
+    /// `Err(Interrupted)`. Always `None` for runs with an unlimited
+    /// budget.
+    pub interrupted: Option<Interrupted>,
     /// Wall-clock time of the whole run.
     pub wall: Duration,
 }
@@ -367,54 +373,41 @@ pub(crate) fn score_bound(vectors: &PairVectors, statistic: Statistic) -> Option
 /// all five samplers). Under [`RankMode::Anytime`] with a top-K
 /// cutoff, execution is delegated to the progressive executor in
 /// [`crate::anytime`].
+///
+/// The run is bounded by the engine's [`tesc_graph::Budget`] (see
+/// [`TescEngine::with_budget`]); with the default unlimited budget it
+/// always completes. Under [`RankMode::Anytime`] with a top-K cutoff an
+/// exhausted budget *degrades* instead of failing whenever at least
+/// one escalation tier completed: [`RankReport::degraded`] is set and
+/// the report holds the best ranking decided so far. Otherwise the
+/// whole request is interrupted ([`RankReport::interrupted`]): every
+/// candidate is reported as `Err(Interrupted)` and nothing partial
+/// leaks.
 pub fn rank_pairs<G: Adjacency>(engine: &TescEngine<'_, G>, req: &RankRequest) -> RankReport {
     let start = Instant::now();
-    match rank_pairs_budgeted(engine, req) {
-        Ok(report) => report,
-        // Only reachable when the engine carries a real budget: every
-        // candidate is reported as interrupted, nothing partial leaks.
-        Err(i) => RankReport {
-            ranked: Vec::new(),
-            pruned: 0,
-            failed: req
-                .pairs
-                .iter()
-                .enumerate()
-                .map(|(index, pair)| PairOutcome {
-                    index,
-                    label: pair.label.clone(),
-                    result: Err(TescError::Interrupted(i)),
-                })
-                .collect(),
-            candidates: req.pairs.len(),
-            distinct_refs: 0,
-            sampled_refs: 0,
-            fused_bfs: 0,
-            threads: req.effective_threads(),
-            rounds: 0,
-            degraded: false,
-            wall: start.elapsed(),
-        },
-    }
-}
-
-/// [`rank_pairs`] with the engine's [`tesc_graph::Budget`] surfaced as
-/// a typed error. With an unlimited budget this never fails. Under
-/// [`RankMode::Anytime`] with a top-K cutoff an exhausted budget
-/// *degrades* instead of failing whenever at least one escalation tier
-/// completed: the report comes back `Ok` with
-/// [`RankReport::degraded`] set and the best ranking decided so far.
-/// `Err` means no usable ranking existed when the budget ran out.
-pub fn rank_pairs_budgeted<G: Adjacency>(
-    engine: &TescEngine<'_, G>,
-    req: &RankRequest,
-) -> Result<RankReport, Interrupted> {
-    if let RankMode::Anytime { eps } = req.mode {
-        if req.top_k.is_some() {
-            return crate::anytime::rank_pairs_anytime(engine, req, eps);
+    let run = match req.mode {
+        RankMode::Anytime { eps } if req.top_k.is_some() => {
+            crate::anytime::rank_pairs_anytime(engine, req, eps)
         }
-    }
-    rank_pairs_exact(engine, req)
+        _ => rank_pairs_exact(engine, req),
+    };
+    run.unwrap_or_else(|i| RankReport {
+        failed: req
+            .pairs
+            .iter()
+            .enumerate()
+            .map(|(index, pair)| PairOutcome {
+                index,
+                label: pair.label.clone(),
+                result: Err(TescError::Interrupted(i)),
+            })
+            .collect(),
+        candidates: req.pairs.len(),
+        threads: req.effective_threads(),
+        interrupted: Some(i),
+        wall: start.elapsed(),
+        ..RankReport::default()
+    })
 }
 
 /// The exact executor: one planner pass at the full sample size.
@@ -430,7 +423,10 @@ fn rank_pairs_exact<G: Adjacency>(
         .map(|p| content_seed(req.seed, &p.a, &p.b))
         .collect();
     let plan = PairSetPlan::build(engine, &req.pairs, &req.cfg, &seeds, threads);
-    let fused = plan.run_density_budgeted(threads, engine.budget())?;
+    let fused = plan.run_density(threads);
+    if let Some(i) = fused.interrupted() {
+        return Err(i);
+    }
 
     // Stage (c) + ranking: serial in index order so the evolving top-K
     // cutoff is schedule-independent. (Correlation is O(n log n) per
@@ -510,6 +506,7 @@ fn rank_pairs_exact<G: Adjacency>(
         threads,
         rounds: 1,
         degraded: false,
+        interrupted: None,
         wall: start.elapsed(),
     })
 }

@@ -158,7 +158,7 @@ pub fn reach_mask<G: Adjacency>(
     h: u32,
     budget: &Budget,
 ) -> Result<NodeMask, Interrupted> {
-    scratch.visit_h_vicinity_bitset_budgeted(g, sources, h, budget)?;
+    scratch.visit_h_vicinity_bitset(g, sources, h, budget)?;
     Ok(NodeMask::from_words(
         g.num_nodes(),
         scratch.visited_words().to_vec(),

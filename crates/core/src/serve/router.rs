@@ -24,9 +24,10 @@ use rand::SeedableRng;
 use super::http::{Method, Request, Response};
 use super::json::{obj, Json};
 use super::ServerState;
-use crate::batch::{run_batch_budgeted, BatchRequest, EventPair};
-use crate::engine::{Statistic, TescConfig, TescError, TescResult};
-use crate::rank::{rank_pairs_budgeted, RankMode, RankRequest};
+use crate::batch::{run_batch, BatchRequest, EventPair};
+use crate::context::Snapshot;
+use crate::engine::{Statistic, TescConfig, TescEngine, TescError, TescResult};
+use crate::rank::{rank_pairs, RankMode, RankRequest};
 use crate::sampler::SamplerKind;
 use tesc_graph::{Budget, Interrupted, NodeId};
 use tesc_stats::significance::Verdict;
@@ -88,7 +89,7 @@ fn bad_request(message: &str) -> Response {
 /// Resolve the deadline budget of one query request: an explicit
 /// `deadline_ms` (clamped to the server's `--max-deadline`), else the
 /// server's `--default-deadline`, else no budget at all. Returns the
-/// budget plus the effective limit for echoing in 504 bodies.
+/// budget plus the effective limit for echoing in responses.
 fn parse_deadline(
     body: &Json,
     state: &ServerState,
@@ -108,10 +109,19 @@ fn parse_deadline(
     Ok(effective.map(|d| (Budget::with_deadline(d), d)))
 }
 
+/// The snapshot's engine, bounded by the request's deadline budget
+/// when it has one.
+fn query_engine<'s>(snap: &'s Snapshot, deadline: &Option<(Budget, Duration)>) -> TescEngine<'s> {
+    match deadline {
+        Some((budget, _)) => snap.engine().with_budget(budget.clone()),
+        None => snap.engine(),
+    }
+}
+
 /// The 504 a deadline-exhausted query maps to, with the elapsed time
 /// and the limit surfaced so clients can size their next deadline.
 /// Also bumps the timeout/cancel counters.
-fn interrupted_response(state: &ServerState, i: &Interrupted, limit: Duration) -> Response {
+fn interrupted_response(state: &ServerState, i: &Interrupted) -> Response {
     if i.cancelled {
         state.metrics.record_cancelled();
     } else {
@@ -123,7 +133,10 @@ fn interrupted_response(state: &ServerState, i: &Interrupted, limit: Duration) -
         body: obj([
             ("error", Json::Str(i.to_string())),
             ("elapsed_ms", Json::Int(i.elapsed.as_millis() as i64)),
-            ("deadline_ms", Json::Int(limit.as_millis() as i64)),
+            (
+                "deadline_ms",
+                Json::Int(i.limit.unwrap_or_default().as_millis() as i64),
+            ),
             ("cancelled", Json::Bool(i.cancelled)),
         ])
         .encode(),
@@ -358,12 +371,8 @@ fn handle_test(state: &ServerState, req: &Request) -> Response {
         Ok(d) => d,
         Err(r) => return r,
     };
-    let mut engine = snap.engine();
-    if let Some((budget, _)) = &deadline {
-        engine = engine.with_budget(budget.clone());
-    }
     let mut rng = StdRng::seed_from_u64(seed);
-    match engine.test(&a, &b, &cfg, &mut rng) {
+    match query_engine(&snap, &deadline).test(&a, &b, &cfg, &mut rng) {
         Ok(result) => {
             let mut members = vec![
                 ("version", Json::Int(snap.version() as i64)),
@@ -372,10 +381,7 @@ fn handle_test(state: &ServerState, req: &Request) -> Response {
             members.push(("result", result_json(&result)));
             Response::ok(obj(members).encode())
         }
-        Err(TescError::Interrupted(i)) => {
-            let limit = deadline.map(|(_, d)| d).unwrap_or_default();
-            interrupted_response(state, &i, limit)
-        }
+        Err(TescError::Interrupted(i)) => interrupted_response(state, &i),
         Err(e) => Response::error(422, "Unprocessable Entity", &e.to_string()),
     }
 }
@@ -451,15 +457,10 @@ fn handle_batch(state: &ServerState, req: &Request) -> Response {
     breq.pairs = pairs;
     breq.seed = seed;
     breq.threads = threads;
-    let report = match &deadline {
-        None => snap.run_batch(&breq),
-        Some((budget, limit)) => {
-            match run_batch_budgeted(&snap.engine().with_budget(budget.clone()), &breq) {
-                Ok(report) => report,
-                Err(i) => return interrupted_response(state, &i, *limit),
-            }
-        }
-    };
+    let report = run_batch(&query_engine(&snap, &deadline), &breq);
+    if let Some(i) = report.interrupted {
+        return interrupted_response(state, &i);
+    }
     let outcomes: Vec<Json> = report
         .outcomes
         .iter()
@@ -583,15 +584,10 @@ fn handle_rank(state: &ServerState, req: &Request, top_k: bool) -> Response {
         rreq = rreq.with_top_k(all);
     }
     rreq = rreq.with_mode(mode);
-    let report = match &deadline {
-        None => crate::rank::rank_pairs(&snap.engine(), &rreq),
-        Some((budget, limit)) => {
-            match rank_pairs_budgeted(&snap.engine().with_budget(budget.clone()), &rreq) {
-                Ok(report) => report,
-                Err(i) => return interrupted_response(state, &i, *limit),
-            }
-        }
-    };
+    let report = rank_pairs(&query_engine(&snap, &deadline), &rreq);
+    if let Some(i) = report.interrupted {
+        return interrupted_response(state, &i);
+    }
     if report.degraded {
         state.metrics.record_degraded();
         state.metrics.record_timeout();

@@ -24,7 +24,7 @@ use tesc_graph::bfs::BfsScratch;
 use tesc_graph::csr::CsrGraph;
 use tesc_graph::dist::nodes_at_distance;
 use tesc_graph::perturb::sample_nodes;
-use tesc_graph::NodeId;
+use tesc_graph::{Budget, NodeId};
 
 /// A pair of event occurrence sets (sorted, deduplicated).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,9 +192,11 @@ pub fn negative_pair(
     }
     let a_nodes = sample_nodes(g, size_a, rng);
     let mut vicinity = NodeMask::new(g.num_nodes());
-    scratch.visit_h_vicinity(g, &a_nodes, h, |v, _| {
-        vicinity.insert(v);
-    });
+    scratch
+        .visit_h_vicinity(g, &a_nodes, h, &Budget::unlimited(), |v, _| {
+            vicinity.insert(v);
+        })
+        .expect("unlimited budget");
     let complement_size = g.num_nodes() - vicinity.len();
     if size_b > complement_size {
         return Err(SimulateError::ComplementTooSmall {
@@ -240,9 +242,11 @@ pub fn apply_positive_noise(
 ) -> Result<EventPair, SimulateError> {
     assert!((0.0..=1.0).contains(&p), "noise level must be in [0,1]");
     let mut vicinity = NodeMask::new(g.num_nodes());
-    scratch.visit_h_vicinity(g, &pair.a_nodes, pair.h, |v, _| {
-        vicinity.insert(v);
-    });
+    scratch
+        .visit_h_vicinity(g, &pair.a_nodes, pair.h, &Budget::unlimited(), |v, _| {
+            vicinity.insert(v);
+        })
+        .expect("unlimited budget");
     let complement_size = g.num_nodes() - vicinity.len();
     let mut b_nodes = Vec::with_capacity(pair.b_nodes.len());
     for &b in &pair.b_nodes {

@@ -437,7 +437,7 @@ impl NodeMask {
     /// AND + popcount sweep — the single-mask form of the word-level
     /// intersection; the density hot path fuses three of these (both
     /// event masks plus their `a | b` union) into one sweep over
-    /// [`NodeMask::words`] instead (`tesc::density::density_counts_bitset`).
+    /// [`NodeMask::words`] instead (`tesc::density::KernelPlan::counts`).
     pub fn intersection_count_words(&self, words: &[u64]) -> usize {
         self.bits
             .iter()

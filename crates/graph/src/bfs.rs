@@ -264,24 +264,12 @@ impl BfsScratch {
     /// correctness the paper argues via a virtual node connected to all
     /// sources: worst case `O(|V| + |E|)` regardless of `|sources|`.
     ///
-    /// Returns the number of nodes visited.
+    /// Returns the number of nodes visited. `budget` is checked once
+    /// per frontier level; on exhaustion the search stops where it
+    /// stands and returns the typed [`Interrupted`] error — the scratch
+    /// stays valid for reuse, but the visited set is partial, so
+    /// callers must not derive counts from it.
     pub fn visit_h_vicinity<G: Adjacency>(
-        &mut self,
-        g: &G,
-        sources: &[NodeId],
-        h: u32,
-        visit: impl FnMut(NodeId, u32),
-    ) -> usize {
-        self.visit_h_vicinity_budgeted(g, sources, h, &Budget::unlimited(), visit)
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`BfsScratch::visit_h_vicinity`] under a [`Budget`], checked
-    /// once per frontier level. On exhaustion the search stops where
-    /// it stands and returns the typed [`Interrupted`] error; the
-    /// scratch state is valid for reuse but the visited set is
-    /// partial, so callers must not derive counts from it.
-    pub fn visit_h_vicinity_budgeted<G: Adjacency>(
         &mut self,
         g: &G,
         sources: &[NodeId],
@@ -351,21 +339,10 @@ impl BfsScratch {
     ///    with one popcount sweep.
     ///
     /// Duplicate sources are visited once, like the scalar kernel.
+    /// `budget` is checked once per frontier level; on exhaustion the
+    /// partial visited bitmap is abandoned (the scratch stays
+    /// reusable) and the typed [`Interrupted`] error is returned.
     pub fn visit_h_vicinity_bitset<G: Adjacency>(
-        &mut self,
-        g: &G,
-        sources: &[NodeId],
-        h: u32,
-    ) -> usize {
-        self.visit_h_vicinity_bitset_budgeted(g, sources, h, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`BfsScratch::visit_h_vicinity_bitset`] under a [`Budget`],
-    /// checked once per frontier level. On exhaustion the partial
-    /// visited bitmap is abandoned (the scratch stays reusable) and
-    /// the typed [`Interrupted`] error is returned.
-    pub fn visit_h_vicinity_bitset_budgeted<G: Adjacency>(
         &mut self,
         g: &G,
         sources: &[NodeId],
@@ -544,7 +521,7 @@ impl BfsScratch {
     /// recent [`BfsScratch::visit_h_vicinity_bitset`] search: one
     /// AND + popcount pass that intersects the bitmap against **M**
     /// membership masks at once — the fused generalization of the
-    /// two-event sweep in `tesc::density::density_counts_bitset`. See
+    /// two-event sweep in `tesc::density::KernelPlan::counts`. See
     /// [`multi_mask_counts`] for the word-level contract.
     #[inline]
     pub fn visited_multi_mask_counts(&self, masks: &[&[u64]], counts: &mut [u32]) {
@@ -562,7 +539,8 @@ impl BfsScratch {
         out: &mut Vec<NodeId>,
     ) {
         out.clear();
-        self.visit_h_vicinity(g, sources, h, |v, _| out.push(v));
+        self.visit_h_vicinity(g, sources, h, &Budget::unlimited(), |v, _| out.push(v))
+            .expect("unlimited budget");
     }
 
     /// Allocating convenience wrapper over [`Self::h_vicinity_into`].
@@ -574,7 +552,8 @@ impl BfsScratch {
 
     /// `|V^h_v|` — the node count of `v`'s `h`-vicinity (including `v`).
     pub fn vicinity_size<G: Adjacency>(&mut self, g: &G, v: NodeId, h: u32) -> usize {
-        self.visit_h_vicinity(g, &[v], h, |_, _| {})
+        self.visit_h_vicinity(g, &[v], h, &Budget::unlimited(), |_, _| {})
+            .expect("unlimited budget")
     }
 
     /// One-pass density numerator/denominator for Eq. 2: returns
@@ -587,11 +566,13 @@ impl BfsScratch {
         mut pred: impl FnMut(NodeId) -> bool,
     ) -> (usize, usize) {
         let mut matching = 0usize;
-        let total = self.visit_h_vicinity(g, &[r], h, |v, _| {
-            if pred(v) {
-                matching += 1;
-            }
-        });
+        let total = self
+            .visit_h_vicinity(g, &[r], h, &Budget::unlimited(), |v, _| {
+                if pred(v) {
+                    matching += 1;
+                }
+            })
+            .expect("unlimited budget");
         (matching, total)
     }
 
@@ -607,11 +588,12 @@ impl BfsScratch {
         mut pred: impl FnMut(NodeId) -> bool,
     ) -> bool {
         let mut found = false;
-        self.visit_h_vicinity(g, &[v], h, |u, _| {
+        self.visit_h_vicinity(g, &[v], h, &Budget::unlimited(), |u, _| {
             if !found && pred(u) {
                 found = true;
             }
-        });
+        })
+        .expect("unlimited budget");
         found
     }
 }
@@ -700,17 +682,12 @@ impl MsBfsScratch {
     ///
     /// Panics if `sources.len() > MAX_GROUP_SOURCES` or the scratch was
     /// created for fewer nodes than `g` has.
-    pub fn visit_h_vicinity_multi<G: Adjacency>(&mut self, g: &G, sources: &[NodeId], h: u32) {
-        self.visit_h_vicinity_multi_budgeted(g, sources, h, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`MsBfsScratch::visit_h_vicinity_multi`] under a [`Budget`],
-    /// checked once per frontier level. On exhaustion the traversal
-    /// stops early — the frontier invariants are restored so the
-    /// scratch stays reusable, but the lane words are partial and the
-    /// typed [`Interrupted`] error tells the caller to discard them.
-    pub fn visit_h_vicinity_multi_budgeted<G: Adjacency>(
+    ///
+    /// `budget` is checked once per frontier level. On exhaustion the
+    /// traversal stops early — the frontier invariants are restored so
+    /// the scratch stays reusable, but the lane words are partial and
+    /// the typed [`Interrupted`] error tells the caller to discard them.
+    pub fn visit_h_vicinity_multi<G: Adjacency>(
         &mut self,
         g: &G,
         sources: &[NodeId],
@@ -987,7 +964,10 @@ mod tests {
         let g = from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let mut s = BfsScratch::new(4);
         let mut depths = vec![u32::MAX; 4];
-        s.visit_h_vicinity(&g, &[0], 5, |v, d| depths[v as usize] = d);
+        s.visit_h_vicinity(&g, &[0], 5, &Budget::unlimited(), |v, d| {
+            depths[v as usize] = d
+        })
+        .unwrap();
         assert_eq!(depths, vec![0, 1, 1, 2]);
     }
 
@@ -1027,7 +1007,8 @@ mod tests {
         let g = path6();
         let mut s = BfsScratch::new(6);
         let mut count = 0;
-        s.visit_h_vicinity(&g, &[3, 3, 3], 0, |_, _| count += 1);
+        s.visit_h_vicinity(&g, &[3, 3, 3], 0, &Budget::unlimited(), |_, _| count += 1)
+            .unwrap();
         assert_eq!(count, 1);
     }
 
@@ -1036,7 +1017,10 @@ mod tests {
         let g = from_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 3)]);
         let mut s = BfsScratch::new(5);
         let mut seen = vec![0u32; 5];
-        s.visit_h_vicinity(&g, &[0], 10, |v, _| seen[v as usize] += 1);
+        s.visit_h_vicinity(&g, &[0], 10, &Budget::unlimited(), |v, _| {
+            seen[v as usize] += 1
+        })
+        .unwrap();
         assert_eq!(seen, vec![1; 5]);
     }
 
@@ -1112,7 +1096,9 @@ mod tests {
         let g = from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6)]);
         let mut s = BfsScratch::new(7);
         let mut collected = Vec::new();
-        let n = s.visit_h_vicinity(&g, &[0], 2, |v, _| collected.push(v));
+        let n = s
+            .visit_h_vicinity(&g, &[0], 2, &Budget::unlimited(), |v, _| collected.push(v))
+            .unwrap();
         assert_eq!(n, collected.len());
     }
 
@@ -1134,12 +1120,16 @@ mod tests {
     fn assert_kernels_agree(g: &CsrGraph, s: &mut BfsScratch, sources: &[NodeId], h: u32) {
         let mut scalar_nodes = Vec::new();
         let mut scalar_levels = vec![0u32; h as usize + 1];
-        let scalar_n = s.visit_h_vicinity(g, sources, h, |v, d| {
-            scalar_nodes.push(v);
-            scalar_levels[d as usize] += 1;
-        });
+        let scalar_n = s
+            .visit_h_vicinity(g, sources, h, &Budget::unlimited(), |v, d| {
+                scalar_nodes.push(v);
+                scalar_levels[d as usize] += 1;
+            })
+            .unwrap();
         scalar_nodes.sort_unstable();
-        let bitset_n = s.visit_h_vicinity_bitset(g, sources, h);
+        let bitset_n = s
+            .visit_h_vicinity_bitset(g, sources, h, &Budget::unlimited())
+            .unwrap();
         assert_eq!(scalar_n, bitset_n, "visited counts differ");
         assert_eq!(scalar_nodes, bitmap_nodes(s), "visited sets differ");
         for (d, &c) in s.level_counts().iter().enumerate() {
@@ -1174,7 +1164,11 @@ mod tests {
         let mut s = BfsScratch::new(130);
         assert_kernels_agree(&g, &mut s, &[3, 3, 3], 2);
         assert_kernels_agree(&g, &mut s, &[129], 4); // isolated source
-        assert_eq!(s.visit_h_vicinity_bitset(&g, &[129], 4), 1);
+        assert_eq!(
+            s.visit_h_vicinity_bitset(&g, &[129], 4, &Budget::unlimited())
+                .unwrap(),
+            1
+        );
         assert_eq!(s.level_counts(), &[1]);
     }
 
@@ -1187,7 +1181,11 @@ mod tests {
         let g = from_edges(n, &edges);
         let mut s = BfsScratch::new(n);
         assert_kernels_agree(&g, &mut s, &[0], 1);
-        assert_eq!(s.visit_h_vicinity_bitset(&g, &[0], 1), n);
+        assert_eq!(
+            s.visit_h_vicinity_bitset(&g, &[0], 1, &Budget::unlimited())
+                .unwrap(),
+            n
+        );
         // From a leaf, h = 2 covers everything via the hub.
         assert_kernels_agree(&g, &mut s, &[17], 2);
     }
@@ -1219,9 +1217,17 @@ mod tests {
         let big = from_edges(200, &[(0, 1), (1, 2), (198, 199)]);
         let small = path6();
         let mut s = BfsScratch::new(200);
-        assert_eq!(s.visit_h_vicinity_bitset(&big, &[198], 1), 2);
+        assert_eq!(
+            s.visit_h_vicinity_bitset(&big, &[198], 1, &Budget::unlimited())
+                .unwrap(),
+            2
+        );
         assert_eq!(s.vicinity_size(&big, 0, 1), 2);
-        assert_eq!(s.visit_h_vicinity_bitset(&small, &[0], 2), 3);
+        assert_eq!(
+            s.visit_h_vicinity_bitset(&small, &[0], 2, &Budget::unlimited())
+                .unwrap(),
+            3
+        );
         assert_eq!(s.visited_words().len(), 1, "covers the small graph only");
         assert_eq!(bitmap_nodes(&s), vec![0, 1, 2]);
     }
@@ -1231,7 +1237,9 @@ mod tests {
     fn undersized_scratch_panics_bitset() {
         let g = path6();
         let mut s = BfsScratch::new(3);
-        let _ = s.visit_h_vicinity_bitset(&g, &[0], 1);
+        let _ = s
+            .visit_h_vicinity_bitset(&g, &[0], 1, &Budget::unlimited())
+            .unwrap();
     }
 
     #[test]
@@ -1270,7 +1278,8 @@ mod tests {
     fn assert_multi_matches_scalar(g: &CsrGraph, sources: &[NodeId], h: u32) {
         let mut ms = MsBfsScratch::new(g.num_nodes());
         let mut s = BfsScratch::new(g.num_nodes());
-        ms.visit_h_vicinity_multi(g, sources, h);
+        ms.visit_h_vicinity_multi(g, sources, h, &Budget::unlimited())
+            .unwrap();
         let sets = lane_sets(&ms, sources.len());
         let mut sizes = vec![0u32; sources.len()];
         ms.lane_sizes(&mut sizes);
@@ -1315,10 +1324,12 @@ mod tests {
     fn multi_source_scratch_reuse_resets_cleanly() {
         let g = path6();
         let mut ms = MsBfsScratch::new(6);
-        ms.visit_h_vicinity_multi(&g, &[0, 5], 1);
+        ms.visit_h_vicinity_multi(&g, &[0, 5], 1, &Budget::unlimited())
+            .unwrap();
         assert_eq!(ms.union_footprint(), 4);
         // A second, disjoint traversal must not see stale lanes.
-        ms.visit_h_vicinity_multi(&g, &[2], 0);
+        ms.visit_h_vicinity_multi(&g, &[2], 0, &Budget::unlimited())
+            .unwrap();
         assert_eq!(ms.union_footprint(), 1);
         let mut sizes = [0u32];
         ms.lane_sizes(&mut sizes);
@@ -1326,7 +1337,8 @@ mod tests {
         assert_eq!(ms.lane_words(), &[0, 0, 1, 0, 0, 0]);
         assert_eq!(ms.reached_lanes(0), 0, "previous footprint cleared");
         // And an h = 0 group leaves each lane on its own source only.
-        ms.visit_h_vicinity_multi(&g, &[3, 3, 1], 0);
+        ms.visit_h_vicinity_multi(&g, &[3, 3, 1], 0, &Budget::unlimited())
+            .unwrap();
         assert_eq!(ms.reached_lanes(3), 0b011);
         assert_eq!(ms.reached_lanes(1), 0b100);
     }
@@ -1339,7 +1351,8 @@ mod tests {
         );
         let mut ms = MsBfsScratch::new(140);
         let sources = [0u32, 63, 139];
-        ms.visit_h_vicinity_multi(&g, &sources, 2);
+        ms.visit_h_vicinity_multi(&g, &sources, 2, &Budget::unlimited())
+            .unwrap();
         let members = [1u32, 64, 128, 139];
         let mut counts = vec![0u32; sources.len()];
         ms.lane_member_counts(&members, &mut counts);
@@ -1357,7 +1370,8 @@ mod tests {
         let g = path6();
         let mut ms = MsBfsScratch::new(6);
         let sources = vec![0u32; 65];
-        ms.visit_h_vicinity_multi(&g, &sources, 1);
+        ms.visit_h_vicinity_multi(&g, &sources, 1, &Budget::unlimited())
+            .unwrap();
     }
 
     #[test]
@@ -1365,7 +1379,8 @@ mod tests {
     fn undersized_multi_scratch_panics() {
         let g = path6();
         let mut ms = MsBfsScratch::new(3);
-        ms.visit_h_vicinity_multi(&g, &[0], 1);
+        ms.visit_h_vicinity_multi(&g, &[0], 1, &Budget::unlimited())
+            .unwrap();
     }
 
     #[test]
@@ -1395,31 +1410,22 @@ mod tests {
         let live = Budget::with_deadline(std::time::Duration::from_secs(3600));
 
         let mut s = BfsScratch::new(6);
-        assert!(s
-            .visit_h_vicinity_budgeted(&g, &[0], 3, &dead, |_, _| {})
-            .is_err());
+        assert!(s.visit_h_vicinity(&g, &[0], 3, &dead, |_, _| {}).is_err());
         assert_eq!(
-            s.visit_h_vicinity_budgeted(&g, &[0], 3, &live, |_, _| {}),
+            s.visit_h_vicinity(&g, &[0], 3, &live, |_, _| {}),
             Ok(4),
             "scalar scratch reusable after interruption, result exact"
         );
-        assert!(s
-            .visit_h_vicinity_bitset_budgeted(&g, &[0], 3, &dead)
-            .is_err());
-        assert_eq!(
-            s.visit_h_vicinity_bitset_budgeted(&g, &[0], 3, &live),
-            Ok(4)
-        );
+        assert!(s.visit_h_vicinity_bitset(&g, &[0], 3, &dead).is_err());
+        assert_eq!(s.visit_h_vicinity_bitset(&g, &[0], 3, &live), Ok(4));
 
         let mut ms = MsBfsScratch::new(6);
-        assert!(ms
-            .visit_h_vicinity_multi_budgeted(&g, &[0, 5], 3, &dead)
-            .is_err());
+        assert!(ms.visit_h_vicinity_multi(&g, &[0, 5], 3, &dead).is_err());
         // The frontier invariant must survive the early exit: the next
-        // (unbudgeted) traversal debug-asserts front/next are all-zero
+        // (unlimited) traversal debug-asserts front/next are all-zero
         // and must produce exact lane sets.
         assert_multi_matches_scalar(&g, &[0, 5], 3);
-        ms.visit_h_vicinity_multi_budgeted(&g, &[0, 5], 3, &live)
+        ms.visit_h_vicinity_multi(&g, &[0, 5], 3, &live)
             .expect("live budget");
         let mut sizes = [0u32; 2];
         ms.lane_sizes(&mut sizes);
@@ -1478,7 +1484,9 @@ mod tests {
         let word_sets: Vec<Vec<u64>> = mask_sets.iter().map(|m| to_words(m)).collect();
         for r in [0u32, 64, 139] {
             for h in 0..5u32 {
-                let size = s.visit_h_vicinity_bitset(&g, &[r], h);
+                let size = s
+                    .visit_h_vicinity_bitset(&g, &[r], h, &Budget::unlimited())
+                    .unwrap();
                 let masks: Vec<&[u64]> = word_sets.iter().map(Vec::as_slice).collect();
                 let mut counts = vec![0u32; masks.len()];
                 s.visited_multi_mask_counts(&masks, &mut counts);
@@ -1493,7 +1501,9 @@ mod tests {
             }
         }
         // Accumulation contract: counts are += , not overwritten.
-        let _ = s.visit_h_vicinity_bitset(&g, &[0], 1);
+        let _ = s
+            .visit_h_vicinity_bitset(&g, &[0], 1, &Budget::unlimited())
+            .unwrap();
         let masks: Vec<&[u64]> = word_sets[..1].iter().map(Vec::as_slice).collect();
         let mut counts = vec![100u32];
         multi_mask_counts(s.visited_words(), &masks, &mut counts);

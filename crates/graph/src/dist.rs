@@ -7,6 +7,7 @@
 //! such as h = 1, 2, 3").
 
 use crate::bfs::BfsScratch;
+use crate::budget::Budget;
 use crate::csr::{CsrGraph, NodeId};
 
 /// Shortest-path distance from `u` to `v`, or `None` if it exceeds
@@ -19,11 +20,13 @@ pub fn bounded_distance(
     max_h: u32,
 ) -> Option<u32> {
     let mut found = None;
-    scratch.visit_h_vicinity(g, &[u], max_h, |node, depth| {
-        if node == v && found.is_none() {
-            found = Some(depth);
-        }
-    });
+    scratch
+        .visit_h_vicinity(g, &[u], max_h, &Budget::unlimited(), |node, depth| {
+            if node == v && found.is_none() {
+                found = Some(depth);
+            }
+        })
+        .expect("unlimited budget");
     found
 }
 
@@ -35,11 +38,13 @@ pub fn nodes_at_distance(
     d: u32,
 ) -> Vec<NodeId> {
     let mut out = Vec::new();
-    scratch.visit_h_vicinity(g, &[src], d, |node, depth| {
-        if depth == d {
-            out.push(node);
-        }
-    });
+    scratch
+        .visit_h_vicinity(g, &[src], d, &Budget::unlimited(), |node, depth| {
+            if depth == d {
+                out.push(node);
+            }
+        })
+        .expect("unlimited budget");
     out
 }
 
@@ -52,9 +57,11 @@ pub fn distances_from_set(
     max_h: u32,
 ) -> Vec<u32> {
     let mut dist = vec![u32::MAX; g.num_nodes()];
-    scratch.visit_h_vicinity(g, sources, max_h, |node, depth| {
-        dist[node as usize] = depth;
-    });
+    scratch
+        .visit_h_vicinity(g, sources, max_h, &Budget::unlimited(), |node, depth| {
+            dist[node as usize] = depth;
+        })
+        .expect("unlimited budget");
     dist
 }
 
@@ -66,9 +73,11 @@ pub fn connected_components(g: &CsrGraph) -> Vec<u32> {
     let mut next = 0u32;
     for v in 0..n as NodeId {
         if label[v as usize] == u32::MAX {
-            scratch.visit_h_vicinity(g, &[v], u32::MAX, |u, _| {
-                label[u as usize] = next;
-            });
+            scratch
+                .visit_h_vicinity(g, &[v], u32::MAX, &Budget::unlimited(), |u, _| {
+                    label[u as usize] = next;
+                })
+                .expect("unlimited budget");
             next += 1;
         }
     }

@@ -231,7 +231,8 @@ mod tests {
         {
             let mut a = pool.acquire_multi();
             let _b = pool.acquire_multi();
-            a.visit_h_vicinity_multi(&g, &[0, 5], 1);
+            a.visit_h_vicinity_multi(&g, &[0, 5], 1, &crate::Budget::unlimited())
+                .unwrap();
             assert_eq!(a.union_footprint(), 4);
             assert_eq!(pool.idle_multi(), 0, "both checked out");
         }

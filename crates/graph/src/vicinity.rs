@@ -9,6 +9,7 @@
 
 use crate::adjacency::Adjacency;
 use crate::bfs::{BfsKernel, BfsScratch};
+use crate::budget::Budget;
 use crate::csr::NodeId;
 use crate::pool::PARALLEL_MIN_NODES;
 
@@ -241,9 +242,14 @@ impl VicinityIndex {
         let radius = self.max_level - 1;
         let mut scratch = BfsScratch::new(n);
         let mut dirty = Vec::new();
-        scratch.visit_h_vicinity(g_new, touched, radius, |v, _| dirty.push(v));
+        let unlimited = Budget::unlimited();
+        scratch
+            .visit_h_vicinity(g_new, touched, radius, &unlimited, |v, _| dirty.push(v))
+            .expect("unlimited budget");
         if let Some(old) = g_old {
-            scratch.visit_h_vicinity(old, touched, radius, |v, _| dirty.push(v));
+            scratch
+                .visit_h_vicinity(old, touched, radius, &unlimited, |v, _| dirty.push(v))
+                .expect("unlimited budget");
             dirty.sort_unstable();
             dirty.dedup();
         }
@@ -294,14 +300,18 @@ fn depth_counts<G: Adjacency>(
 ) {
     counts.fill(0);
     if use_bitset {
-        scratch.visit_h_vicinity_bitset(g, &[v], max_level);
+        scratch
+            .visit_h_vicinity_bitset(g, &[v], max_level, &Budget::unlimited())
+            .expect("unlimited budget");
         for (d, &c) in scratch.level_counts().iter().enumerate() {
             counts[d] = c;
         }
     } else {
-        scratch.visit_h_vicinity(g, &[v], max_level, |_, d| {
-            counts[d as usize] += 1;
-        });
+        scratch
+            .visit_h_vicinity(g, &[v], max_level, &Budget::unlimited(), |_, d| {
+                counts[d as usize] += 1;
+            })
+            .expect("unlimited budget");
     }
 }
 

@@ -797,13 +797,13 @@ fn run_rank_on<G: Adjacency>(graph: &G, flags: &HashMap<String, String>) -> Resu
     if let Some(d) = deadline {
         engine = engine.with_budget(tesc::Budget::with_deadline(d));
     }
-    // The budgeted entry point surfaces the typed `Interrupted` error;
-    // under anytime + top-k an exhausted budget degrades to the best
-    // ranking decided in time instead (marked below the table).
-    let report = match tesc::rank_pairs_budgeted(&engine, &req) {
-        Ok(report) => report,
-        Err(i) => return Err(format!("interrupted: {i}")),
-    };
+    // An exhausted budget interrupts the whole request; under anytime
+    // + top-k it degrades to the best ranking decided in time instead
+    // (marked below the table).
+    let report = tesc::rank_pairs(&engine, &req);
+    if let Some(i) = report.interrupted {
+        return Err(format!("interrupted: {i}"));
+    }
     if report.degraded {
         eprintln!(
             "note: deadline of {:?} exhausted after {} round(s); showing the best ranking decided in time",
@@ -1222,12 +1222,10 @@ fn stream_commit(
     // within h of an event node, so an event with an occurrence inside
     // the 2h-ball around the touched endpoints may test differently.
     let dirty = (!touched.is_empty()).then(|| {
-        let mut mask = NodeMask::new(snap.graph().num_nodes());
-        let mut scratch = BfsScratch::new(snap.graph().num_nodes());
-        scratch.visit_h_vicinity(snap.graph(), &touched, 2 * cfg.h, |v, _| {
-            mask.insert(v);
-        });
-        mask
+        let n = snap.graph().num_nodes();
+        let mut ball = Vec::new();
+        BfsScratch::new(n).h_vicinity_into(snap.graph(), &touched, 2 * cfg.h, &mut ball);
+        NodeMask::from_nodes(n, &ball)
     });
     let event_in_dirty = |name: &str| -> bool {
         let (Some(dirty), Some(id)) = (dirty.as_ref(), snap.events().id_by_name(name)) else {

@@ -81,3 +81,64 @@ fn removed_relabel_flag_is_rejected() {
     assert_runs(&convert, "container:");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn malformed_rank_deadlines_are_rejected() {
+    let dir = demo_dir("deadline-flag");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (graph, events) = (file("graph.txt"), file("events.txt"));
+    for bad in ["0", "soon"] {
+        let out = cli(&[
+            "rank",
+            "--graph",
+            &graph,
+            "--events",
+            &events,
+            "--deadline",
+            bad,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--deadline {bad} succeeded");
+        assert!(
+            stderr.contains("--deadline must be a duration"),
+            "--deadline {bad}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tight_rank_deadline_prints_a_table_or_interrupts_and_never_panics() {
+    let dir = demo_dir("deadline-run");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (graph, events) = (file("graph.txt"), file("events.txt"));
+    let rank = [
+        "rank",
+        "--graph",
+        &graph,
+        "--events",
+        &events,
+        "--n",
+        "20000",
+        "--deadline",
+        "1ms",
+    ];
+    for mode in [&[][..], &["--mode", "anytime:0.05", "--top-k", "3"][..]] {
+        let out = cli(&[&rank[..], mode].concat());
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        match out.status.code() {
+            // A finished or degraded ranking prints its table; the
+            // degradation note goes to stderr, never into the table.
+            Some(0) => {
+                assert!(stdout.contains("summary:"), "{mode:?}: {stdout}");
+                assert!(!stdout.contains("note: deadline"), "{mode:?}: {stdout}");
+            }
+            Some(1) => assert!(stderr.contains("interrupted:"), "{mode:?}: {stderr}"),
+            other => panic!("{mode:?}: exit {other:?}, stderr: {stderr}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,7 +9,7 @@ use tesc_baselines::transaction_correlation;
 use tesc_events::NodeMask;
 use tesc_graph::generators::{barabasi_albert, erdos_renyi_gnm, grid};
 use tesc_graph::perturb::sample_nodes;
-use tesc_graph::{BfsScratch, VicinityIndex};
+use tesc_graph::{BfsScratch, Budget, VicinityIndex};
 use tesc_stats::kendall::{kendall_tau, KendallMethod};
 
 fn rng(seed: u64) -> StdRng {
@@ -56,7 +56,7 @@ fn density_counts_agree_with_naive_set_intersection() {
     let mut scratch = BfsScratch::new(300);
     for h in [0u32, 1, 2] {
         for &r in &[0u32, 50, 150, 299] {
-            let c = density_counts(&g, &mut scratch, r, h, &ma, &mb);
+            let c = density_counts(&g, &mut scratch, r, h, &ma, &mb, &Budget::unlimited()).unwrap();
             let vicinity = scratch.h_vicinity(&g, r, h);
             let naive_a = vicinity.iter().filter(|v| va.contains(v)).count();
             let naive_b = vicinity.iter().filter(|v| vb.contains(v)).count();

@@ -10,15 +10,15 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tesc::density::{
-    choose_route, density_counts, density_counts_bitset, density_vectors,
-    density_vectors_group_plan, density_vectors_plan, GroupKernelPlan, KernelPlan, Route,
+    choose_route, density_counts, density_vectors_group_plan, density_vectors_plan,
+    GroupKernelPlan, KernelPlan, Route,
 };
 use tesc::{
     BfsKernel, DensityCache, NodeMask, SamplerKind, Tail, TescConfig, TescEngine, TescResult,
 };
 use tesc_datasets::{DblpConfig, DblpScenario};
 use tesc_graph::perturb::{add_random_edges, remove_random_edges};
-use tesc_graph::{BfsScratch, CsrGraph, MsBfsScratch, NodeId, ScratchPool, VicinityIndex};
+use tesc_graph::{BfsScratch, Budget, CsrGraph, MsBfsScratch, NodeId, ScratchPool, VicinityIndex};
 
 const CASES: u64 = 128;
 
@@ -70,12 +70,13 @@ fn bitset_bfs_equals_scalar_on_random_graphs() {
         let mut s = BfsScratch::new(n);
         let mut scalar_nodes = Vec::new();
         let mut scalar_levels = vec![0u32; h as usize + 1];
-        let scalar_n = s.visit_h_vicinity(&g, &sources, h, |v, d| {
+        let free = Budget::unlimited();
+        let scalar_n = s.visit_h_vicinity(&g, &sources, h, &free, |v, d| {
             scalar_nodes.push(v);
             scalar_levels[d as usize] += 1;
         });
         scalar_nodes.sort_unstable();
-        let bitset_n = s.visit_h_vicinity_bitset(&g, &sources, h);
+        let bitset_n = s.visit_h_vicinity_bitset(&g, &sources, h, &free);
         assert_eq!(scalar_n, bitset_n, "case {case}: visited count");
         let mut bitset_nodes = Vec::new();
         for (w, &word) in s.visited_words().iter().enumerate() {
@@ -105,12 +106,20 @@ fn kernel_counts_equal_on_perturbed_generator_graphs() {
         let n = g.num_nodes();
         let (ma, mb) = (random_mask(&mut r, n), random_mask(&mut r, n));
         let mut s = BfsScratch::new(n);
+        let free = Budget::unlimited();
         for _ in 0..6 {
             let v = r.gen_range(0..n as u32);
             let h = r.gen_range(0u32..4);
-            let scalar = density_counts(&g, &mut s, v, h, &ma, &mb);
-            let bitset = density_counts_bitset(&g, &mut s, v, h, &ma, &mb);
-            assert_eq!(scalar, bitset, "case {case}: v = {v}, h = {h}");
+            let scalar = density_counts(&g, &mut s, v, h, &ma, &mb, &free);
+            let bitset = KernelPlan {
+                use_bitset: true,
+                ..KernelPlan::scalar(&g, &ma, &mb, h)
+            };
+            assert_eq!(
+                scalar,
+                bitset.counts(&mut s, v, &free),
+                "case {case}: v = {v}, h = {h}"
+            );
         }
     }
 }
@@ -118,15 +127,19 @@ fn kernel_counts_equal_on_perturbed_generator_graphs() {
 #[test]
 fn hybrid_switch_point_edge_cases() {
     let mut s = BfsScratch::new(256);
+    let free = Budget::unlimited();
     // Frontier = whole graph at h = 1 (star hub).
     let star = tesc_graph::generators::star(200);
-    assert_eq!(s.visit_h_vicinity_bitset(&star, &[0], 1), 200);
+    assert_eq!(s.visit_h_vicinity_bitset(&star, &[0], 1, &free), Ok(200));
     assert_eq!(s.level_counts(), &[1, 199]);
     // Isolated sources, duplicate sources, h = 0.
     let sparse = tesc_graph::csr::from_edges(130, &[(0, 1)]);
-    assert_eq!(s.visit_h_vicinity_bitset(&sparse, &[129], 3), 1);
-    assert_eq!(s.visit_h_vicinity_bitset(&sparse, &[0, 0, 1], 2), 2);
-    assert_eq!(s.visit_h_vicinity_bitset(&sparse, &[5], 0), 1);
+    assert_eq!(s.visit_h_vicinity_bitset(&sparse, &[129], 3, &free), Ok(1));
+    assert_eq!(
+        s.visit_h_vicinity_bitset(&sparse, &[0, 0, 1], 2, &free),
+        Ok(2)
+    );
+    assert_eq!(s.visit_h_vicinity_bitset(&sparse, &[5], 0, &free), Ok(1));
     // Dense blob reached through a tail: bottom-up mid-level, then a
     // final level — compared against scalar.
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -140,8 +153,8 @@ fn hybrid_switch_point_edge_cases() {
     let blob = tesc_graph::csr::from_edges(82, &edges);
     for h in 0..5u32 {
         let mut scalar = 0usize;
-        let want = s.visit_h_vicinity(&blob, &[81], h, |_, _| scalar += 1);
-        assert_eq!(s.visit_h_vicinity_bitset(&blob, &[81], h), want);
+        let want = s.visit_h_vicinity(&blob, &[81], h, &free, |_, _| scalar += 1);
+        assert_eq!(s.visit_h_vicinity_bitset(&blob, &[81], h, &free), want);
     }
 }
 
@@ -266,12 +279,13 @@ fn plan_density_vectors_equal_for_random_masks() {
         let refs: Vec<NodeId> = (0..n as u32).step_by(3).collect();
         let pool = ScratchPool::for_graph(&g);
         let scalar = KernelPlan::scalar(&g, &ma, &mb, h);
-        let reference = density_vectors_plan(&scalar, &pool, &refs, 1);
+        let free = Budget::unlimited();
+        let reference = density_vectors_plan(&scalar, &pool, &refs, 1, &free);
         let bitset = KernelPlan {
             use_bitset: true,
             ..scalar
         };
-        let got = density_vectors_plan(&bitset, &pool, &refs, 2);
+        let got = density_vectors_plan(&bitset, &pool, &refs, 2, &free);
         assert_eq!(reference, got, "case {case}: bitset");
     }
 }
@@ -310,20 +324,23 @@ fn multi_source_level_sets_equal_independent_scalar_on_random_graphs() {
         let mut ms = MsBfsScratch::new(n);
         let mut s = BfsScratch::new(n);
         let mut prev: Vec<Vec<NodeId>> = vec![Vec::new(); sources.len()];
+        let free = Budget::unlimited();
         for depth in 0..=h {
-            ms.visit_h_vicinity_multi(&g, &sources, depth);
+            ms.visit_h_vicinity_multi(&g, &sources, depth, &free)
+                .unwrap();
             let sets = lane_sets(&ms, sources.len());
             let mut sizes = vec![0u32; sources.len()];
             ms.lane_sizes(&mut sizes);
             for (lane, &src) in sources.iter().enumerate() {
                 let mut want = Vec::new();
                 let mut want_level = Vec::new();
-                s.visit_h_vicinity(&g, &[src], depth, |v, d| {
+                s.visit_h_vicinity(&g, &[src], depth, &free, |v, d| {
                     want.push(v);
                     if d == depth {
                         want_level.push(v);
                     }
-                });
+                })
+                .unwrap();
                 want.sort_unstable();
                 want_level.sort_unstable();
                 assert_eq!(
@@ -361,7 +378,8 @@ fn multi_source_lanes_equal_scalar_on_perturbed_generator_graphs() {
             .collect();
         let mut ms = MsBfsScratch::new(n);
         let mut s = BfsScratch::new(n);
-        ms.visit_h_vicinity_multi(&g, &sources, h);
+        ms.visit_h_vicinity_multi(&g, &sources, h, &Budget::unlimited())
+            .unwrap();
         let sets = lane_sets(&ms, sources.len());
         for (lane, &src) in sources.iter().enumerate() {
             let mut want = s.h_vicinity(&g, src, h);
@@ -390,7 +408,7 @@ fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
     let (a, b) = (norm(&va), norm(&vb));
     let (ma, mb) = (NodeMask::from_nodes(n, &a), NodeMask::from_nodes(n, &b));
     let pool = ScratchPool::for_graph(g);
-    let mut scratch = BfsScratch::new(n);
+    let free = Budget::unlimited();
     let slot_nodes = vec![a.clone(), b.clone()];
     let plan = GroupKernelPlan {
         graph: g,
@@ -409,9 +427,10 @@ fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
             let dup = refs[0];
             refs[workset / 2] = dup;
         }
-        let reference = density_vectors(g, &mut scratch, &refs, 2, &ma, &mb);
+        let scalar = KernelPlan::scalar(g, &ma, &mb, 2);
+        let reference = density_vectors_plan(&scalar, &pool, &refs, 1, &free);
         for group_size in [1usize, 63, 64] {
-            let got = density_vectors_group_plan(&plan, &pool, &refs, 2, group_size);
+            let got = density_vectors_group_plan(&plan, &pool, &refs, 2, group_size, &free);
             assert_eq!(reference, got, "workset={workset} group_size={group_size}");
         }
     }
@@ -648,7 +667,8 @@ fn event_side_densities_equal_set_intersection_oracle() {
             event_side: Some(&index),
         };
         let pool = ScratchPool::for_graph(&g);
-        let (sa, sb) = density_vectors_group_plan(&plan, &pool, &refs, 2, 64);
+        let (sa, sb) =
+            density_vectors_group_plan(&plan, &pool, &refs, 2, 64, &Budget::unlimited()).unwrap();
         for (i, &v) in refs.iter().enumerate() {
             let vicinity = ball(v);
             let density = |e: &BTreeSet<NodeId>| {

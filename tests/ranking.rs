@@ -296,7 +296,7 @@ fn doomed_budget_storm_never_poisons_shared_caches() {
     // a budget afterwards is bit-identical to a clean engine that
     // never saw an interruption.
     use std::time::Duration;
-    use tesc::rank::{rank_pairs_budgeted, RankMode};
+    use tesc::rank::RankMode;
     use tesc::{Budget, DensityCache, TescError};
 
     let s = DblpScenario::build(DblpConfig::small(), &mut rng(70));
@@ -323,7 +323,7 @@ fn doomed_budget_storm_never_poisons_shared_caches() {
             .with_density_cache(cache.clone())
             .with_budget(Budget::with_deadline(Duration::from_micros(round * 150)));
         for req in [&exact_req, &anytime_req] {
-            if let Err(i) = rank_pairs_budgeted(&doomed, req) {
+            if let Some(i) = rank_pairs(&doomed, req).interrupted {
                 assert!(!i.cancelled, "deadline exhaustion, not cancellation");
             }
         }
@@ -333,13 +333,14 @@ fn doomed_budget_storm_never_poisons_shared_caches() {
     let cancelled_engine = TescEngine::with_vicinity_index(&s.graph, &idx)
         .with_density_cache(cache.clone())
         .with_budget(cancel);
-    let err = rank_pairs_budgeted(&cancelled_engine, &exact_req)
-        .expect_err("a cancelled budget must interrupt");
+    let wrapped = rank_pairs(&cancelled_engine, &exact_req);
+    let err = wrapped
+        .interrupted
+        .expect("a cancelled budget must interrupt");
     assert!(err.cancelled);
 
-    // The infallible wrapper surfaces the same interruption as typed
-    // per-pair failures instead of panicking or returning junk.
-    let wrapped = rank_pairs(&cancelled_engine, &exact_req);
+    // The report surfaces the same interruption as typed per-pair
+    // failures instead of panicking or returning junk.
     assert!(wrapped.ranked.is_empty());
     assert_eq!(wrapped.failed.len(), pairs.len());
     assert!(wrapped
@@ -503,51 +504,120 @@ fn event_side_ranking_bit_identical_to_scalar_across_cache_threads_samplers() {
 
 #[test]
 fn interrupted_event_side_pass_inserts_nothing_and_the_rerun_is_bit_identical() {
+    // One table over route × cache × sampler × threads. Each row runs
+    // stage (a) under a cancellable engine budget, cancels it, and
+    // runs stage (b): the pass must record the interruption, fail
+    // every pair, and publish nothing into the cache — on every route.
+    // A call site that passed an unlimited budget instead of the
+    // engine's would complete here and fail the row.
     use std::time::Duration;
+    use tesc::density::Route;
     use tesc::planner::PairSetPlan;
-    use tesc::Budget;
+    use tesc::{Budget, TescError};
     let g = tesc_graph::generators::barabasi_albert(3000, 3, &mut rng(95));
     let idx = VicinityIndex::build(&g, 2);
     let pairs = private_event_pairs(3000, 96);
-    let cfg = TescConfig::new(2)
-        .with_sample_size(150)
-        .with_tail(Tail::Upper);
     let seeds: Vec<u64> = pairs.iter().map(|p| content_seed(23, &p.a, &p.b)).collect();
-    let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
-    let engine = TescEngine::with_vicinity_index(&g, &idx).with_density_cache(cache.clone());
-    let plan = PairSetPlan::build(&engine, &pairs, &cfg, &seeds, 2);
-
-    let cancelled = Budget::cancellable();
-    cancelled.cancel();
-    let expired = Budget::with_deadline(Duration::ZERO);
-    for (label, budget) in [("cancelled", &cancelled), ("deadline-cut", &expired)] {
-        for threads in [1usize, 4] {
-            assert!(
-                plan.run_density_budgeted(threads, budget).is_err(),
-                "{label} @ {threads}t must interrupt"
-            );
-            assert_eq!(
-                (cache.len(), cache.resident_bytes(), cache.bfs_invocations()),
-                (0, 0, 0),
-                "{label} @ {threads}t: an interrupted pass publishes nothing"
-            );
-        }
-    }
     let z_bits = |plan: &PairSetPlan<'_, '_>, fused| -> Vec<u64> {
         plan.finish(&fused)
             .into_iter()
             .map(|o| o.result.unwrap().z().to_bits())
             .collect()
     };
-    let rerun = plan.run_density(2);
-    assert_eq!(rerun.traversals(), plan.num_events() as u64, "event side");
-    let clean_engine =
-        TescEngine::with_vicinity_index(&g, &idx).with_density_kernel(BfsKernel::Scalar);
-    let clean_plan = PairSetPlan::build(&clean_engine, &pairs, &cfg, &seeds, 1);
-    assert_eq!(
-        z_bits(&plan, rerun),
-        z_bits(&clean_plan, clean_plan.run_density(1)),
-        "rerun after the interruptions is bit-identical to a clean scalar engine"
-    );
-    assert_eq!(cache.bfs_invocations(), plan.distinct_refs() as u64);
+    let all_interrupted = |plan: &PairSetPlan<'_, '_>, fused| {
+        plan.finish(&fused)
+            .iter()
+            .all(|o| matches!(o.result, Err(TescError::Interrupted(_))))
+    };
+    let routes = [
+        (BfsKernel::Scalar, Route::PerNode),
+        (BfsKernel::Bitset, Route::PerNode),
+        (BfsKernel::Multi, Route::RefLanes),
+        (BfsKernel::Auto, Route::EventLanes),
+    ];
+    for sampler in [
+        SamplerKind::BatchBfs,
+        SamplerKind::Importance { batch_size: 1 },
+    ] {
+        let cfg = TescConfig::new(2)
+            .with_sample_size(150)
+            .with_tail(Tail::Upper)
+            .with_sampler(sampler);
+        let scalar =
+            TescEngine::with_vicinity_index(&g, &idx).with_density_kernel(BfsKernel::Scalar);
+        let scalar_plan = PairSetPlan::build(&scalar, &pairs, &cfg, &seeds, 1);
+        let clean = z_bits(&scalar_plan, scalar_plan.run_density(1));
+        for (kernel, route) in routes {
+            for cached in [false, true] {
+                for threads in [1usize, 4] {
+                    let row = format!("{sampler} {kernel} {route:?} cache={cached} @ {threads}t");
+                    let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
+                    let engine = |budget: Budget| {
+                        let e = TescEngine::with_vicinity_index(&g, &idx)
+                            .with_density_kernel(kernel)
+                            .with_budget(budget);
+                        if cached {
+                            e.with_density_cache(cache.clone())
+                        } else {
+                            e
+                        }
+                    };
+                    let state = || (cache.len(), cache.resident_bytes(), cache.bfs_invocations());
+                    let before = state();
+
+                    // Cancelled after stage (a): stage (b) interrupts.
+                    let budget = Budget::cancellable();
+                    let doomed = engine(budget.clone());
+                    let plan = PairSetPlan::build(&doomed, &pairs, &cfg, &seeds, threads);
+                    budget.cancel();
+                    let fused = plan.run_density(threads);
+                    assert!(
+                        fused.interrupted().is_some_and(|i| i.cancelled),
+                        "{row}: the pass must record the cancellation"
+                    );
+                    assert!(
+                        all_interrupted(&plan, fused),
+                        "{row}: every pair interrupted"
+                    );
+                    assert_eq!(
+                        state(),
+                        before,
+                        "{row}: an interrupted pass publishes nothing"
+                    );
+
+                    // An expired deadline already fails stage (a).
+                    let expired = engine(Budget::with_deadline(Duration::ZERO));
+                    let plan = PairSetPlan::build(&expired, &pairs, &cfg, &seeds, threads);
+                    let fused = plan.run_density(threads);
+                    assert!(fused.interrupted().is_some(), "{row}: deadline-cut pass");
+                    assert!(all_interrupted(&plan, fused), "{row}: deadline-cut pairs");
+                    assert_eq!(
+                        state(),
+                        before,
+                        "{row}: a deadline-cut pass publishes nothing"
+                    );
+
+                    // A fresh unlimited engine over the same cache runs
+                    // the expected route and reproduces the clean run.
+                    let fresh = engine(Budget::cancellable());
+                    let plan = PairSetPlan::build(&fresh, &pairs, &cfg, &seeds, threads);
+                    let rerun = plan.run_density(threads);
+                    let want_traversals = match route {
+                        Route::PerNode => plan.distinct_refs() as u64,
+                        Route::RefLanes => plan.distinct_refs().div_ceil(64) as u64,
+                        Route::EventLanes => plan.num_events() as u64,
+                    };
+                    assert_eq!(rerun.traversals(), want_traversals, "{row}: route");
+                    assert_eq!(z_bits(&plan, rerun), clean, "{row}: rerun is bit-identical");
+                    if cached {
+                        assert_eq!(
+                            cache.bfs_invocations(),
+                            plan.distinct_refs() as u64,
+                            "{row}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
