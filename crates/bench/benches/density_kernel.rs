@@ -1,6 +1,7 @@
 //! Density-kernel shoot-out: **scalar** vs **bitset** vs **multi**
-//! (64-way source batching), the execution plans of the per-reference-node density
-//! hot path (`tesc::density::KernelPlan` / `GroupKernelPlan`).
+//! (64-way source batching) vs **event** lanes, the routes of the one
+//! density executor (`tesc::density::run_density`), each run on the
+//! same one-pair workset.
 //!
 //! For the DBLP-like and intrusion-like scenarios, at `h ∈ {1, 2, 3}`,
 //! the bench draws a fixed 300-node Batch-BFS reference sample and
@@ -43,19 +44,16 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tesc::density::{
-    choose_route, density_vectors_group_plan, density_vectors_plan, GroupKernelPlan, KernelPlan,
-    Route,
-};
+use tesc::density::{choose_route, run_density, Route, Workset};
 use tesc::sampler::batch_bfs_sample;
-use tesc::NodeMask;
+use tesc::{EventKey, TescEngine};
 use tesc_bench::timing::Harness;
 use tesc_bench::{dblp_scenario, Scale};
 use tesc_datasets::{
     DblpConfig, DblpScenario, IntrusionConfig, IntrusionScenario, TwitterConfig, TwitterScenario,
 };
 use tesc_events::store::merge_union;
-use tesc_graph::{BfsKernel, BfsScratch, Budget, CsrGraph, NodeId, ScratchPool, VicinityIndex};
+use tesc_graph::{BfsKernel, BfsScratch, CsrGraph, NodeId, VicinityIndex};
 
 /// Group size of the `multi` rows — the full lane word.
 const GROUP: usize = tesc_graph::SOURCE_GROUP_SIZE;
@@ -89,6 +87,46 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// The executor's density vectors `(s_a, s_b)` of the one-pair
+/// workset `work` on `route`, read back at `positions` (the sample
+/// order) the way `TescEngine::test` reads them.
+fn vectors(
+    engine: &TescEngine<'_>,
+    work: &Workset,
+    positions: &[usize],
+    route: Route,
+) -> (Vec<f64>, Vec<f64>) {
+    let d = run_density(engine, work, route, None, 1, GROUP).expect("unlimited budget");
+    positions
+        .iter()
+        .map(|&i| {
+            let (size, c) = d.at(work, i);
+            (c[0] as f64 / size as f64, c[1] as f64 / size as f64)
+        })
+        .unzip()
+}
+
+/// One engine per fixed kernel over `g` and its index: the `scalar`
+/// and `bitset` rows run the per-node route, `multi` and `event` the
+/// two grouped routes (whose kernel is fixed), `auto` resolves
+/// [`BfsKernel::Auto`] the way the engine does.
+struct Engines<'a> {
+    scalar: TescEngine<'a>,
+    bitset: TescEngine<'a>,
+    auto: TescEngine<'a>,
+}
+
+impl<'a> Engines<'a> {
+    fn new(g: &'a CsrGraph, index: &'a VicinityIndex) -> Self {
+        let engine = |kernel| TescEngine::with_vicinity_index(g, index).with_density_kernel(kernel);
+        Engines {
+            scalar: engine(BfsKernel::Scalar),
+            bitset: engine(BfsKernel::Bitset),
+            auto: engine(BfsKernel::Auto),
+        }
+    }
+}
+
 fn main() {
     let harness = Harness::new().with_samples(10);
     let mut summary: Vec<(String, f64, f64, f64)> = Vec::new();
@@ -103,15 +141,10 @@ fn main() {
             g.num_edges(),
             g.average_degree()
         );
-        let pool = ScratchPool::for_graph(g);
-        let unlimited = Budget::unlimited();
-        let ma = NodeMask::from_nodes(n, &s.va);
-        let mb = NodeMask::from_nodes(n, &s.vb);
-        let (a_norm, b_norm) = (normalize(&s.va), normalize(&s.vb));
-        let union = merge_union(&a_norm, &b_norm);
         let index = VicinityIndex::build_parallel(g, 3, threads());
-        // Occurrence-list slots for the grouped (multi-source) plans.
-        let slot_nodes = vec![a_norm.clone(), b_norm.clone()];
+        let engines = Engines::new(g, &index);
+        let union = merge_union(&normalize(&s.va), &normalize(&s.vb));
+        let keys = vec![EventKey::new(&s.va), EventKey::new(&s.vb)];
 
         for h in [1u32, 2, 3] {
             let refs = {
@@ -126,48 +159,27 @@ fn main() {
                 )
                 .nodes
             };
-            let scalar = KernelPlan::scalar(g, &ma, &mb, h);
-            let bitset = KernelPlan {
-                use_bitset: true,
-                ..scalar
-            };
-            let group = GroupKernelPlan {
-                graph: g,
-                slot_nodes: &slot_nodes,
-                h,
-                event_side: None,
-            };
-            let event = GroupKernelPlan {
-                event_side: Some(&index),
-                ..group
-            };
-            // Per-row identity verification: every plan must reproduce
+            let (work, at) = Workset::uniform(h, keys.clone(), &refs);
+            let rows = [
+                ("scalar", &engines.scalar, Route::PerNode),
+                ("bitset", &engines.bitset, Route::PerNode),
+                ("multi", &engines.auto, Route::RefLanes),
+                ("event", &engines.auto, Route::EventLanes),
+            ];
+            // Per-row identity verification: every route must reproduce
             // the scalar baseline bit-for-bit before it gets timed.
-            let baseline = density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited);
-            assert!(
-                baseline == density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited),
-                "{}/h{h}/bitset: density vectors diverged from scalar",
-                s.name
-            );
-            for (label, plan) in [("multi", &group), ("event", &event)] {
-                let got = density_vectors_group_plan(plan, &pool, &refs, 1, GROUP, &unlimited);
+            let baseline = vectors(&engines.scalar, &work, &at, Route::PerNode);
+            for (label, engine, route) in &rows[1..] {
                 assert!(
-                    baseline == got,
+                    baseline == vectors(engine, &work, &at, *route),
                     "{}/h{h}/{label}: density vectors diverged from scalar",
                     s.name
                 );
             }
-            let t_scalar = harness.bench(&format!("{}/h{h}/scalar", s.name), || {
-                density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited)
-            });
-            let t_bitset = harness.bench(&format!("{}/h{h}/bitset", s.name), || {
-                density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited)
-            });
-            let t_multi = harness.bench(&format!("{}/h{h}/multi", s.name), || {
-                density_vectors_group_plan(&group, &pool, &refs, 1, GROUP, &unlimited)
-            });
-            harness.bench(&format!("{}/h{h}/event", s.name), || {
-                density_vectors_group_plan(&event, &pool, &refs, 1, GROUP, &unlimited)
+            let [t_scalar, t_bitset, t_multi, _] = rows.map(|(label, engine, route)| {
+                harness.bench(&format!("{}/h{h}/{label}", s.name), || {
+                    vectors(engine, &work, &at, route)
+                })
             });
             if t_scalar.is_finite() && t_bitset.is_finite() {
                 summary.push((
@@ -208,10 +220,6 @@ fn sweep_point(
 ) -> f64 {
     let nodes = g.num_nodes();
     let (a, b) = (normalize(va), normalize(vb));
-    let (ma, mb) = (
-        NodeMask::from_nodes(nodes, &a),
-        NodeMask::from_nodes(nodes, &b),
-    );
     let refs = batch_bfs_sample(
         g,
         &mut BfsScratch::new(nodes),
@@ -229,61 +237,34 @@ fn sweep_point(
         refs.len(),
         index.sum_over(&refs, h),
     );
-    let pool = ScratchPool::for_graph(g);
-    let unlimited = Budget::unlimited();
-    let slot_nodes = vec![a.clone(), b.clone()];
-    let scalar = KernelPlan::scalar(g, &ma, &mb, h);
-    let bitset = KernelPlan {
-        use_bitset: true,
-        ..scalar
-    };
-    let multi = GroupKernelPlan {
-        graph: g,
-        slot_nodes: &slot_nodes,
-        h,
-        event_side: None,
-    };
-    let event = GroupKernelPlan {
-        event_side: Some(index),
-        ..multi
-    };
+    let engines = Engines::new(g, index);
+    let (work, at) = Workset::uniform(h, vec![EventKey::new(&a), EventKey::new(&b)], &refs);
     // `BfsKernel::Auto`, resolved the way the engine resolves it: one
-    // `choose_route` call per pass, then the route's executor.
-    let auto = || match choose_route(BfsKernel::Auto, g, Some(index), h, &refs, &[&a, &b]) {
-        Route::EventLanes => density_vectors_group_plan(&event, &pool, &refs, 1, GROUP, &unlimited),
-        Route::RefLanes => density_vectors_group_plan(&multi, &pool, &refs, 1, GROUP, &unlimited),
-        Route::PerNode if BfsKernel::Auto.use_bitset(g, h) => {
-            density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited)
-        }
-        Route::PerNode => density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited),
+    // `choose_route` call per pass, then the executor on that route.
+    let auto = || {
+        let route = choose_route(BfsKernel::Auto, g, Some(index), h, work.nodes(), &[&a, &b]);
+        vectors(&engines.auto, &work, &at, route)
     };
-    let baseline = density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited);
-    assert!(
-        baseline == density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited),
-        "{row}/bitset diverged from scalar"
-    );
-    for (label, plan) in [("multi", &multi), ("event", &event)] {
+    let rows = [
+        ("scalar", &engines.scalar, Route::PerNode),
+        ("bitset", &engines.bitset, Route::PerNode),
+        ("multi", &engines.auto, Route::RefLanes),
+        ("event", &engines.auto, Route::EventLanes),
+    ];
+    let baseline = vectors(&engines.scalar, &work, &at, Route::PerNode);
+    for (label, engine, route) in &rows[1..] {
         assert!(
-            baseline == density_vectors_group_plan(plan, &pool, &refs, 1, GROUP, &unlimited),
+            baseline == vectors(engine, &work, &at, *route),
             "{row}/{label} diverged from scalar"
         );
     }
     assert!(baseline == auto(), "{row}/auto diverged from scalar");
 
-    let fixed = [
-        harness.bench(&format!("{row}/scalar"), || {
-            density_vectors_plan(&scalar, &pool, &refs, 1, &unlimited)
-        }),
-        harness.bench(&format!("{row}/bitset"), || {
-            density_vectors_plan(&bitset, &pool, &refs, 1, &unlimited)
-        }),
-        harness.bench(&format!("{row}/multi"), || {
-            density_vectors_group_plan(&multi, &pool, &refs, 1, GROUP, &unlimited)
-        }),
-        harness.bench(&format!("{row}/event"), || {
-            density_vectors_group_plan(&event, &pool, &refs, 1, GROUP, &unlimited)
-        }),
-    ];
+    let fixed = rows.map(|(label, engine, route)| {
+        harness.bench(&format!("{row}/{label}"), || {
+            vectors(engine, &work, &at, route)
+        })
+    });
     let t_auto = harness.bench(&format!("{row}/auto"), auto);
     let regret = t_auto / fixed.iter().copied().fold(f64::INFINITY, f64::min);
     if regret.is_finite() {

@@ -11,10 +11,8 @@
 //! query planner ([`crate::planner`]): pairs are sampled in parallel
 //! with indexed output slots, the density work is **fused** into one
 //! BFS per distinct reference node of the whole set, and the counts
-//! are scattered back into per-pair statistics. (The pre-planner
-//! per-pair executor survives as [`run_batch_per_pair`].) Three
-//! invariants make every executor's result independent of thread
-//! count and schedule:
+//! are scattered back into per-pair statistics. Three invariants make
+//! every executor's result independent of thread count and schedule:
 //!
 //! 1. **Shared state is read-only.** Graph and vicinity index are
 //!    `Sync` and never written; the only mutable shared state is the
@@ -64,7 +62,6 @@
 use crate::engine::{TescConfig, TescEngine, TescError, TescResult};
 use rand::rngs::StdRng;
 use rand::{SeedableRng, SplitMix64};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use tesc_graph::{Adjacency, Interrupted, NodeId, PARALLEL_MIN_NODES};
 use tesc_stats::significance::Verdict;
@@ -335,61 +332,6 @@ pub fn run_batch<G: Adjacency>(engine: &TescEngine<'_, G>, req: &BatchRequest) -
     BatchReport::under_budget(engine, outcomes, threads, start)
 }
 
-/// The pre-planner parallel executor: scoped worker threads pulling
-/// test indices from an atomic work queue, each running the full
-/// per-pair engine path ([`TescEngine::test`]) independently (dynamic
-/// load balancing: event pairs with bigger vicinities cost more, so
-/// static chunking would straggle).
-///
-/// Bit-identical to [`run_batch`] and [`run_batch_serial`]; kept as
-/// the reference executor the planner is benchmarked against (the
-/// `rank_events` bench's `perpair` rows) and for workloads whose pairs
-/// share no events, where fusing has nothing to share.
-pub fn run_batch_per_pair<G: Adjacency>(
-    engine: &TescEngine<'_, G>,
-    req: &BatchRequest,
-) -> BatchReport {
-    let threads = req.effective_threads();
-    let tiny =
-        engine.graph().num_nodes() < PARALLEL_MIN_NODES && req.pairs.len() < PARALLEL_MIN_PAIRS;
-    if threads <= 1 || tiny {
-        return run_batch_serial(engine, req);
-    }
-    let start = Instant::now();
-    let n = req.pairs.len();
-    let mut slots: Vec<Option<PairOutcome>> = (0..n).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push(run_one(engine, req, i, &req.pairs[i]));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for worker in workers {
-            for outcome in worker.join().expect("batch worker panicked") {
-                let slot = outcome.index;
-                slots[slot] = Some(outcome);
-            }
-        }
-    });
-    let outcomes = slots
-        .into_iter()
-        .map(|s| s.expect("every index processed exactly once"))
-        .collect();
-    BatchReport::under_budget(engine, outcomes, threads, start)
-}
-
 fn run_one<G: Adjacency>(
     engine: &TescEngine<'_, G>,
     req: &BatchRequest,
@@ -433,20 +375,11 @@ mod tests {
             .with_pairs(pairs_on(12, 2, 2000));
         let serial = run_batch_serial(&engine, &req);
         for threads in [2, 4, 8] {
-            // Both executors — the fused planner path and the legacy
-            // per-pair queue — must reproduce the serial bits.
-            for (name, executor) in [
-                (
-                    "planner",
-                    run_batch as fn(&TescEngine<'_>, &BatchRequest) -> BatchReport,
-                ),
-                ("per-pair", run_batch_per_pair),
-            ] {
-                let par = executor(&engine, &req.clone().with_threads(threads));
-                assert_eq!(par.threads, threads.min(12));
-                for (s, p) in serial.outcomes.iter().zip(&par.outcomes) {
-                    assert_eq!(s, p, "{name} at {threads} threads changed an outcome");
-                }
+            // The fused planner path must reproduce the serial bits.
+            let par = run_batch(&engine, &req.clone().with_threads(threads));
+            assert_eq!(par.threads, threads.min(12));
+            for (s, p) in serial.outcomes.iter().zip(&par.outcomes) {
+                assert_eq!(s, p, "planner at {threads} threads changed an outcome");
             }
         }
     }

@@ -34,15 +34,17 @@
 //! graph versions) and shares the warm cache across event-only
 //! versions, where every entry remains valid.
 //!
-//! **Who fills it.** Every cached density executor follows one
-//! protocol — probe first, traverse only for what missed, insert only
-//! counts from completed traversals — on every route of
-//! [`crate::density::choose_route`]: the per-node and reference-lane
-//! one-pair paths of [`TescEngine::test`](crate::TescEngine::test) and
-//! all three routes of the pair-set planner, whose warm repeat is
-//! therefore probes only. The exception is the **one-pair bypass
-//! rule**: a single `TescEngine::test` that resolves from the *event
-//! side* neither probes nor inserts, like the importance and intensity
+//! **Who fills it.** The one density executor,
+//! [`crate::density::run_density`], owns the one protocol — probe
+//! first, traverse only for what missed, insert only counts from
+//! completed traversals — on every route of
+//! [`crate::density::choose_route`]; the caller only decides whether a
+//! pass uses the cache. The pair-set planner passes it on every route,
+//! so its warm repeat is probes only, and so does a one-pair
+//! [`TescEngine::test`](crate::TescEngine::test) that stays on the
+//! reference side. The exception is the **one-pair bypass rule**: a
+//! single `TescEngine::test` that resolves from the *event side*
+//! neither probes nor inserts, like the importance and intensity
 //! phases. Its entries could only skip work on an exact repeat of the
 //! same seeded sample, and that work is two cheap traversals — yet on
 //! a serving path those inserts are what fills the cache (measured:
@@ -305,8 +307,8 @@ struct SlotEntry {
 /// a flat `(EventKey, node, h)` tuple key, which must be constructed
 /// owned), and the inner key is one packed word. An event's entries
 /// for one reference node also share the outer bucket, so the batched
-/// probes ([`DensityCache::lookup_pair`] / [`DensityCache::lookup_many`])
-/// touch each event's inner map once. The fresh-compute tally lives in
+/// probe ([`DensityCache::lookup_many`]) touches each event's inner map
+/// once. The fresh-compute tally lives in
 /// the shard too, so an insert updates it under the lock it already
 /// holds instead of taking a second, global one.
 ///
@@ -532,52 +534,11 @@ impl DensityCache {
         misses == 0
     }
 
-    /// Two-event probe under **one** shard-lock acquisition — the
-    /// batched form of two [`DensityCache::lookup`] calls for the
-    /// per-pair density path, whose every reference node needs exactly
-    /// the `(a, r, h)` and `(b, r, h)` slots. Both slots live in `r`'s
-    /// shard, so resolving them together halves the lock traffic of
-    /// the dominant probe pattern (the batch-bench regression fix —
-    /// per-node locking cost more than the cache saved when cross-pair
-    /// sharing was low). Hit/miss counters advance per slot, exactly
-    /// like two `lookup` calls.
-    pub fn lookup_pair(
-        &self,
-        a: &EventKey,
-        b: &EventKey,
-        r: NodeId,
-        h: u32,
-    ) -> (Option<CachedCount>, Option<CachedCount>) {
-        let key = slot_key(r, h);
-        let (got_a, got_b) = {
-            let mut shard = self.shard(r).lock().expect("density cache poisoned");
-            (shard.probe(a, key), shard.probe(b, key))
-        };
-        let hits = got_a.is_some() as u64 + got_b.is_some() as u64;
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if hits < 2 {
-            self.misses.fetch_add(2 - hits, Ordering::Relaxed);
-        }
-        (got_a, got_b)
-    }
-
-    /// Insert a freshly measured count. Counts the insertion against
-    /// the event's fresh-compute tally only if the slot was empty
-    /// (under races two workers may measure the same slot; the value
-    /// is deterministic either way).
-    pub fn insert(&self, event: &EventKey, r: NodeId, h: u32, value: CachedCount) {
-        self.insert_many([(event, value)], r, h);
-    }
-
-    /// Insert several freshly measured counts for one reference node
-    /// under **one** shard-lock acquisition — the batched form of
-    /// repeated [`DensityCache::insert`] calls, used by the fused and
-    /// grouped density passes that measure every missing slot of a
-    /// node with a single BFS. Semantics per entry are identical to
-    /// `insert`.
-    pub fn insert_many<'k>(
+    /// Insert freshly measured counts for reference node `r` under
+    /// **one** shard-lock acquisition. Counts an insertion against the
+    /// event's fresh-compute tally only if the slot was empty (a
+    /// re-inserted slot holds the same deterministic value either way).
+    pub fn insert<'k>(
         &self,
         entries: impl IntoIterator<Item = (&'k EventKey, CachedCount)>,
         r: NodeId,
@@ -594,8 +555,8 @@ impl DensityCache {
     /// Bulk insertion across many reference nodes, bucketed by shard
     /// so a whole grouped density pass pays one lock acquisition per
     /// *shard* (16) instead of one per node (thousands). Used by the
-    /// scatter stages of the grouped executors; semantics per entry
-    /// are identical to [`DensityCache::insert`].
+    /// density executor's fill stage; semantics per entry are identical
+    /// to [`DensityCache::insert`].
     pub fn insert_bulk<'k>(
         &self,
         h: u32,
@@ -618,14 +579,8 @@ impl DensityCache {
         }
     }
 
-    /// Record one density BFS executed through the cache.
-    #[inline]
-    pub fn record_bfs(&self) {
-        self.record_bfs_n(1);
-    }
-
     /// Record `n` density BFS lanes executed through the cache in one
-    /// counter update (the grouped executors' bulk form).
+    /// counter update.
     #[inline]
     pub fn record_bfs_n(&self, n: u64) {
         self.bfs_invocations.fetch_add(n, Ordering::Relaxed);
@@ -753,7 +708,7 @@ mod tests {
             vicinity_size: 3,
             count: 2,
         };
-        cache.insert(&e, 1, 1, v);
+        cache.insert([(&e, v)], 1, 1);
         assert_eq!(cache.lookup(&e, 1, 1), Some(v));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.fresh_computes(&e), 1);
@@ -761,7 +716,7 @@ mod tests {
         // Same node, different h → distinct slot.
         assert_eq!(cache.lookup(&e, 1, 2), None);
         // Re-inserting the same slot does not double-count freshness.
-        cache.insert(&e, 1, 1, v);
+        cache.insert([(&e, v)], 1, 1);
         assert_eq!(cache.fresh_computes(&e), 1);
     }
 
@@ -781,8 +736,8 @@ mod tests {
             vicinity_size: 3,
             count: 2,
         };
-        cache.insert(&e1, 2, 1, v1);
-        cache.insert(&e3, 2, 1, v3);
+        cache.insert([(&e1, v1)], 2, 1);
+        cache.insert([(&e3, v3)], 2, 1);
         let mut out = Vec::new();
         // Partial hit: slot order preserved, missing slot is None.
         let all = cache.lookup_many([&e1, &e2, &e3], 2, 1, &mut out);
@@ -790,7 +745,7 @@ mod tests {
         assert_eq!(out, vec![Some(v1), None, Some(v3)]);
         assert_eq!((cache.hits(), cache.misses()), (2, 1));
         // Full hit after the gap is filled.
-        cache.insert(&e2, 2, 1, v1);
+        cache.insert([(&e2, v1)], 2, 1);
         let all = cache.lookup_many([&e1, &e2, &e3], 2, 1, &mut out);
         assert!(all, "every slot memoized ⇒ BFS skippable");
         assert_eq!(out.len(), 3);
@@ -801,20 +756,24 @@ mod tests {
     }
 
     #[test]
-    fn lookup_pair_matches_two_lookups() {
+    fn two_event_lookup_many_matches_two_lookups() {
         let cache = DensityCache::for_graph(&g());
         let (ea, eb) = (EventKey::new(&[0, 1]), EventKey::new(&[2, 3]));
         let v = CachedCount {
             vicinity_size: 4,
             count: 2,
         };
-        assert_eq!(cache.lookup_pair(&ea, &eb, 1, 1), (None, None));
+        let mut out = Vec::new();
+        assert!(!cache.lookup_many([&ea, &eb], 1, 1, &mut out));
+        assert_eq!(out, [None, None]);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        cache.insert(&ea, 1, 1, v);
-        assert_eq!(cache.lookup_pair(&ea, &eb, 1, 1), (Some(v), None));
+        cache.insert([(&ea, v)], 1, 1);
+        assert!(!cache.lookup_many([&ea, &eb], 1, 1, &mut out));
+        assert_eq!(out, [Some(v), None]);
         assert_eq!((cache.hits(), cache.misses()), (1, 3));
-        cache.insert(&eb, 1, 1, v);
-        assert_eq!(cache.lookup_pair(&ea, &eb, 1, 1), (Some(v), Some(v)));
+        cache.insert([(&eb, v)], 1, 1);
+        assert!(cache.lookup_many([&ea, &eb], 1, 1, &mut out));
+        assert_eq!(out, [Some(v), Some(v)]);
         assert_eq!((cache.hits(), cache.misses()), (3, 3));
     }
 
@@ -826,12 +785,12 @@ mod tests {
             vicinity_size: 3,
             count: 1,
         };
-        cache.insert_many([(&ea, v), (&eb, v)], 2, 1);
+        cache.insert([(&ea, v), (&eb, v)], 2, 1);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.fresh_computes(&ea), 1);
         assert_eq!(cache.fresh_computes(&eb), 1);
         // Re-inserting occupied slots does not double-count freshness.
-        cache.insert_many([(&ea, v), (&eb, v)], 2, 1);
+        cache.insert([(&ea, v), (&eb, v)], 2, 1);
         assert_eq!(cache.fresh_computes(&ea), 1);
         assert_eq!(cache.lookup(&ea, 2, 1), Some(v));
     }
@@ -873,7 +832,7 @@ mod tests {
             count: 1,
         };
         for r in 0..4u32 {
-            cache.insert(&e, r, 1, v);
+            cache.insert([(&e, v)], r, 1);
         }
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 4);
@@ -896,7 +855,7 @@ mod tests {
             count: 1,
         };
         for h in 1..=20u32 {
-            cache.insert(&e, 1, h, v);
+            cache.insert([(&e, v)], 1, h);
         }
         assert!(cache.evictions() > 0, "budget forced evictions");
         assert!(
@@ -911,7 +870,7 @@ mod tests {
         );
         // Evicted slots simply miss again; re-inserting works.
         assert_eq!(cache.lookup(&e, 1, 1), None);
-        cache.insert(&e, 1, 1, v);
+        cache.insert([(&e, v)], 1, 1);
         assert_eq!(cache.lookup(&e, 1, 1), Some(v));
     }
 
@@ -927,12 +886,12 @@ mod tests {
             vicinity_size: 3,
             count: 2,
         };
-        cache.insert(&e, 1, 1, v);
+        cache.insert([(&e, v)], 1, 1);
         for h in 2..=12u32 {
             // Touch the hot slot before each insert so its referenced
             // bit is set whenever the sweep reaches it.
             assert_eq!(cache.lookup(&e, 1, 1), Some(v), "hot slot at h={h}");
-            cache.insert(&e, 1, h, v);
+            cache.insert([(&e, v)], 1, h);
         }
         assert!(cache.evictions() > 0);
         assert_eq!(
@@ -953,9 +912,9 @@ mod tests {
             vicinity_size: 2,
             count: 1,
         };
-        cache.insert(&ea, 1, 1, v);
+        cache.insert([(&ea, v)], 1, 1);
         let with_a = cache.resident_bytes();
-        cache.insert(&eb, 1, 1, v);
+        cache.insert([(&eb, v)], 1, 1);
         // `ea`'s only slot was evicted, so its slab went with it.
         assert_eq!(cache.lookup(&ea, 1, 1), None);
         assert_eq!(cache.lookup(&eb, 1, 1), Some(v));

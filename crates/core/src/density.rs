@@ -4,27 +4,33 @@
 //! normalized by the vicinity's node count, the graph analogue of
 //! density per unit area. One `h`-hop BFS per reference node collects
 //! every count the test needs (size, `a` hits, `b` hits, union hits),
-//! so the density phase costs exactly `n` BFS searches.
+//! so the density phase costs at most `n` BFS searches.
 //!
-//! The `n` searches are independent, which makes this the test's
-//! embarrassingly parallel hot path: the per-node executors
-//! ([`density_counts_plan`], [`density_vectors_cached_plan`]) fan the
-//! reference nodes out over scoped worker threads ([`map_refs_pooled`]),
-//! each with its own [`BfsScratch`] checked out of a shared
-//! [`ScratchPool`], bit-identical to a serial loop over
-//! [`density_counts`] (no RNG is involved and every output slot is
-//! written by exactly one worker); the grouped executors batch the
-//! nodes into multi-source traversals ([`GroupKernelPlan`]).
+//! Every density pass — one [`TescEngine::test`], its importance and
+//! exact variants, and the pair-set planner's stage (b) — runs through
+//! **one executor**, [`run_density`]: the input is a [`Workset`]
+//! (distinct reference nodes, each with the event slots it is scored
+//! against), the output is flat sizes and counts ([`FusedDensities`]).
+//! The executor owns the one cache protocol (probe, traverse what
+//! missed, insert only counts from completed traversals) and resolves
+//! the traversals by the pass's [`Route`]: one BFS per node fanned out
+//! over scoped workers, each with its own [`BfsScratch`] checked out
+//! of a shared [`ScratchPool`], or 64-lane
+//! multi-source traversals from either side of the join. No RNG is
+//! involved and every output slot is written by exactly one worker, so
+//! every route and thread count is bit-identical to a serial loop over
+//! [`density_counts`].
 //!
 //! Every executor takes the request's [`Budget`], checked per BFS
 //! frontier level: an exhausted budget yields the typed
 //! [`Interrupted`] error, never partial counts.
 
 use crate::cache::{CachedCount, DensityCache, EventKey, ProbeGovernor};
+use crate::engine::TescEngine;
+use std::ops::Range;
 use tesc_events::NodeMask;
 use tesc_graph::bfs::{BfsKernel, BfsScratch, MsBfsScratch};
 use tesc_graph::budget::{Budget, Interrupted};
-use tesc_graph::csr::CsrGraph;
 use tesc_graph::{Adjacency, NodeId, ScratchPool, VicinityIndex, MAX_GROUP_SOURCES};
 
 /// All per-reference-node counts gathered in a single BFS.
@@ -93,234 +99,87 @@ pub fn density_counts<G: Adjacency>(
     })
 }
 
-/// One test's resolved density execution plan: the graph the
-/// per-reference-node BFS runs on, the two event masks and whether the
-/// bitset kernel is engaged. Every count is bit-identical across both
-/// kernels (they visit identical sets).
+/// The per-node kernel: one `h`-hop BFS per reference node scored
+/// against **M** event masks, so a single search serves every event
+/// slot that touches the node. The kernel may be scalar (per-node
+/// membership probes) or bitset (one hybrid bitmap BFS + one
+/// word-major multi-mask sweep via [`tesc_graph::multi_mask_counts`]);
+/// both produce the identical integers as M separate
+/// [`density_counts`] calls — the kernels visit identical sets.
 #[derive(Debug, Clone, Copy)]
-pub struct KernelPlan<'a, G = CsrGraph> {
+struct MultiKernelPlan<'a, G> {
     /// The graph the BFS runs on.
-    pub graph: &'a G,
-    /// `V_a` membership.
-    pub mask_a: &'a NodeMask,
-    /// `V_b` membership.
-    pub mask_b: &'a NodeMask,
-    /// Engage the bitset kernel instead of the scalar one (see
-    /// [`KernelPlan::counts`]).
-    pub use_bitset: bool,
-    /// Vicinity level `h`.
-    pub h: u32,
-}
-
-impl<'a, G: Adjacency> KernelPlan<'a, G> {
-    /// The scalar plan — the reference configuration every other plan
-    /// must match bit-for-bit.
-    pub fn scalar(g: &'a G, mask_a: &'a NodeMask, mask_b: &'a NodeMask, h: u32) -> Self {
-        KernelPlan {
-            graph: g,
-            mask_a,
-            mask_b,
-            use_bitset: false,
-            h,
-        }
-    }
-
-    /// [`DensityCounts`] for reference node `r`. The scalar kernel is
-    /// [`density_counts`]; the bitset kernel runs one hybrid
-    /// top-down/bottom-up bitmap BFS
-    /// ([`BfsScratch::visit_h_vicinity_bitset`]), then all three counts
-    /// in a single word-wise sweep — `visited & a`, `visited & b` and
-    /// the `a | b` union, AND + popcount 64 nodes at a time. Both visit
-    /// the identical node set, so the integers are bit-identical.
-    /// `budget` is checked per frontier level; an interrupted search
-    /// returns the typed error instead of partial counts.
-    pub fn counts(
-        &self,
-        scratch: &mut BfsScratch,
-        r: NodeId,
-        budget: &Budget,
-    ) -> Result<DensityCounts, Interrupted> {
-        if !self.use_bitset {
-            let (g, h) = (self.graph, self.h);
-            return density_counts(g, scratch, r, h, self.mask_a, self.mask_b, budget);
-        }
-        let vicinity_size = scratch.visit_h_vicinity_bitset(self.graph, &[r], self.h, budget)?;
-        let (aw, bw) = (self.mask_a.words(), self.mask_b.words());
-        let mut count_a = 0usize;
-        let mut count_b = 0usize;
-        let mut count_union = 0usize;
-        for (i, &vw) in scratch.visited_words().iter().enumerate() {
-            if vw == 0 {
-                continue;
-            }
-            let (a, b) = (aw[i], bw[i]);
-            count_a += (vw & a).count_ones() as usize;
-            count_b += (vw & b).count_ones() as usize;
-            count_union += (vw & (a | b)).count_ones() as usize;
-        }
-        Ok(DensityCounts {
-            vicinity_size,
-            count_a,
-            count_b,
-            count_union,
-        })
-    }
-}
-
-/// The fused multi-event generalization of [`KernelPlan`]: one density
-/// execution plan over **M** event masks instead of two, so a single
-/// `h`-hop BFS per reference node can be scored against every event
-/// that touches that node (the pair-set planner's stage-(b) kernel —
-/// see `tesc::planner`).
-///
-/// Composition mirrors [`KernelPlan`]: the kernel may be scalar
-/// (per-node membership probes) or bitset (one hybrid bitmap BFS + one
-/// word-major multi-mask sweep via [`tesc_graph::multi_mask_counts`]).
-/// Both produce the identical integers as M separate
-/// [`density_counts`] calls — the kernels visit identical sets — so
-/// fused densities are bit-identical to the per-pair engine path.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiKernelPlan<'a, G = CsrGraph> {
-    /// The graph the BFS runs on.
-    pub graph: &'a G,
+    graph: &'a G,
     /// Every registered event mask; a per-reference-node *slot list*
     /// selects which of these one BFS scores.
-    pub masks: &'a [NodeMask],
+    masks: &'a [NodeMask],
     /// Engage the bitset kernel + word-level multi-mask sweep.
-    pub use_bitset: bool,
+    use_bitset: bool,
     /// Vicinity level `h`.
-    pub h: u32,
+    h: u32,
 }
 
-impl<G: Adjacency> MultiKernelPlan<'_, G> {
+impl<'a, G: Adjacency> MultiKernelPlan<'a, G> {
     /// Count `|V_e ∩ V^h_r|` for every event slot in `slots` with one
-    /// BFS from reference node `r`. `counts` is cleared and receives
-    /// one count per slot, in slot order; the return value is
-    /// `|V^h_r|`. `budget` is checked per frontier level; an
-    /// interrupted search returns the typed error and `counts` must be
-    /// discarded.
-    pub fn counts_for(
+    /// BFS from reference node `r` into `counts` (one cell per slot, in
+    /// slot order); the return value is `|V^h_r|`. `words` is the
+    /// caller's reusable buffer for the slots' mask words. `budget` is
+    /// checked per frontier level; an interrupted search returns the
+    /// typed error and `counts` must be discarded.
+    fn counts_for(
         &self,
         scratch: &mut BfsScratch,
+        words: &mut Vec<&'a [u64]>,
         r: NodeId,
         slots: &[u32],
-        counts: &mut Vec<u32>,
+        counts: &mut [u32],
         budget: &Budget,
     ) -> Result<usize, Interrupted> {
-        counts.clear();
-        counts.resize(slots.len(), 0);
+        words.clear();
+        words.extend(slots.iter().map(|&s| self.masks[s as usize].words()));
+        counts.fill(0);
         if self.use_bitset {
             let size = scratch.visit_h_vicinity_bitset(self.graph, &[r], self.h, budget)?;
-            let mask_words: Vec<&[u64]> = slots
-                .iter()
-                .map(|&s| self.masks[s as usize].words())
-                .collect();
-            scratch.visited_multi_mask_counts(&mask_words, counts);
+            scratch.visited_multi_mask_counts(words, counts);
             Ok(size)
         } else {
             scratch.visit_h_vicinity(self.graph, &[r], self.h, budget, |v, _| {
-                for (i, &s) in slots.iter().enumerate() {
-                    counts[i] += self.masks[s as usize].contains(v) as u32;
+                let (word, bit) = ((v >> 6) as usize, v & 63);
+                for (c, w) in counts.iter_mut().zip(words.iter()) {
+                    *c += (w[word] >> bit) as u32 & 1;
                 }
             })
         }
     }
 }
 
-/// The **source-grouped** generalization of [`MultiKernelPlan`]: one
-/// density execution plan that batches up to
-/// [`tesc_graph::MAX_GROUP_SOURCES`] sources into a single multi-source
-/// traversal ([`MsBfsScratch::visit_h_vicinity_multi`]), one bit-lane
-/// per source, so one edge scan serves every grouped source — the
-/// data-movement lever the per-source kernels cannot reach (see
-/// `docs/PERFORMANCE.md`).
-///
-/// The plan runs in one of two **directions** over that one kernel:
-///
-/// * **reference lanes** (`event_side: None`) — the lanes are reference
-///   nodes; per-lane scoring reads only an event's members
-///   ([`MsBfsScratch::lane_member_counts`]), `O(|V_e|)` per (event,
-///   group), and `|V^h_r|` is a positional popcount of the lane words.
-/// * **event lanes** (`event_side: Some(index)`) — the lanes are an
-///   event's occurrence nodes, ≤ 64 per traversal. On an undirected
-///   graph `r ∈ V^h_v ⇔ v ∈ V^h_r`, so `|V_e ∩ V^h_r|` is the number of
-///   event lanes that reached `r`:
-///   [`MsBfsScratch::reached_lanes`]`(r).count_ones()`, summed over the
-///   event's chunks. `|V^h_r|` is read from the index, which must
-///   [`cover`](VicinityIndex::covers) `h`. The cost is `⌈|V_e|/64⌉`
-///   traversals per event however many reference nodes ask — the
-///   smaller side of the reachability join drives it.
-///
-/// Every recovered integer equals what independent single-source
-/// searches produce, so grouped densities are bit-identical to every
-/// other configuration, in either direction.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupKernelPlan<'a, G = CsrGraph> {
-    /// The graph the traversals run on.
-    pub graph: &'a G,
-    /// Occurrence node lists, one per event slot (duplicate-free; any
-    /// order).
-    pub slot_nodes: &'a [Vec<NodeId>],
-    /// Vicinity level `h`.
-    pub h: u32,
-    /// `Some(index)` drives the pass from the event side (see the type
-    /// docs); the index must cover `h`.
-    pub event_side: Option<&'a VicinityIndex>,
-}
-
-impl<G: Adjacency> GroupKernelPlan<'_, G> {
-    /// Score one group of up to 64 reference nodes with
-    /// a single multi-source traversal (the reference-lane direction).
-    /// `slot_lists[i]` names the event slots node `nodes[i]` must be
-    /// scored against (**sorted ascending**); returns the per-lane
-    /// `|V^h_{nodes[i]}|` and the lane-major flat counts (lane `i`'s
-    /// `slot_lists[i].len()` cells, in slot order).
-    ///
-    /// Each distinct slot of the group is scored **once** against all
-    /// lanes and scattered to the members that asked for it. The
-    /// traversal checks the budget per frontier level; an interrupted
-    /// group returns the typed error.
-    fn counts_for_group(
-        &self,
-        scratch: &mut MsBfsScratch,
-        nodes: &[NodeId],
-        slot_lists: &[&[u32]],
-        budget: &Budget,
-    ) -> Result<(Vec<u32>, Vec<u32>), Interrupted> {
-        debug_assert_eq!(nodes.len(), slot_lists.len());
-        scratch.visit_h_vicinity_multi(self.graph, nodes, self.h, budget)?;
-        let mut sizes = vec![0u32; nodes.len()];
-        scratch.lane_sizes(&mut sizes);
-        let lane_start = GroupSlots::PerNode(slot_lists).cell_starts(nodes.len());
-        let mut counts = vec![0u32; lane_start[nodes.len()]];
-        // Distinct slots of the whole group, each scored once.
-        let mut group_slots: Vec<u32> = slot_lists.iter().flat_map(|s| s.iter().copied()).collect();
-        group_slots.sort_unstable();
-        group_slots.dedup();
-        let mut lane_counts = vec![0u32; nodes.len()];
-        for &slot in &group_slots {
-            scratch.lane_member_counts(&self.slot_nodes[slot as usize], &mut lane_counts);
-            for (lane, slots) in slot_lists.iter().enumerate() {
-                if let Ok(j) = slots.binary_search(&slot) {
-                    counts[lane_start[lane] + j] = lane_counts[lane];
-                }
-            }
-        }
-        Ok((sizes, counts))
-    }
-}
-
 /// How a density pass resolves its `(reference node, event)` counts.
 /// Chosen once per pass by [`choose_route`]; every route produces the
 /// identical integers.
+///
+/// The two grouped routes share one kernel, the 64-lane multi-source
+/// traversal ([`MsBfsScratch::visit_h_vicinity_multi`], one bit-lane
+/// per source, so one edge scan serves every grouped source — the
+/// data-movement lever the per-source kernels cannot reach, see
+/// `docs/PERFORMANCE.md`), run in one of two **directions**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// One single-source BFS per reference node
-    /// ([`KernelPlan`] / [`MultiKernelPlan`]).
+    /// One single-source BFS per reference node, scored against all of
+    /// the node's event slots in one pass (scalar or bitset kernel).
     PerNode,
-    /// [`GroupKernelPlan`] with reference nodes as lanes.
+    /// Reference nodes as lanes, in groups of up to 64: per-lane
+    /// scoring reads only an event's members
+    /// ([`MsBfsScratch::lane_member_counts`]), `O(|V_e|)` per (event,
+    /// group), and `|V^h_r|` is a positional popcount of the lane words.
     RefLanes,
-    /// [`GroupKernelPlan`] with event nodes as lanes.
+    /// Event occurrence nodes as lanes, ≤ 64 per traversal. On an
+    /// undirected graph `r ∈ V^h_v ⇔ v ∈ V^h_r`, so `|V_e ∩ V^h_r|` is
+    /// the number of event lanes that reached `r`
+    /// ([`MsBfsScratch::reached_lanes`]), summed over the event's
+    /// chunks, and `|V^h_r|` is read from the engine's vicinity index,
+    /// which must [`cover`](VicinityIndex::covers) `h`. The cost is
+    /// `⌈|V_e|/64⌉` traversals per event however many reference nodes
+    /// ask — the smaller side of the reachability join drives it.
     EventLanes,
 }
 
@@ -348,7 +207,7 @@ const EVENT_MARGIN: f64 = 0.92;
 /// event slot the pass scores).
 ///
 /// Explicit kernels force the reference side — `Scalar`/`Bitset` the
-/// per-node executors, `Multi` reference lanes — so they stay the
+/// per-node route, `Multi` reference lanes — so they stay the
 /// oracles every other route is compared against. `Auto` takes the
 /// **event side** when the index covers `h` and the cost estimate says
 /// so with margin: `⌈|V_e|/64⌉·|V|` lane words reset plus
@@ -395,50 +254,219 @@ pub fn choose_route<G: Adjacency>(
     }
 }
 
-/// Per-node slot assignments for a grouped density run: every node
-/// scored against the same slots (the per-pair engine path) or each
-/// node carrying its own sorted list (the planner's fused workset).
-pub(crate) enum GroupSlots<'a> {
-    /// Every node uses this one sorted slot list.
-    Same(&'a [u32]),
-    /// `lists[i]` is node `i`'s sorted slot list.
-    PerNode(&'a [&'a [u32]]),
+/// The input of a density pass — the `(reference node × event)` join
+/// to resolve at level `h`: the registered events (slot `s` is
+/// `keys()[s]`) and the distinct reference nodes, ascending, each with
+/// the sorted, distinct slots it is scored against. Node `i`'s slots —
+/// and, in the pass's [`FusedDensities`], its counts — occupy the flat
+/// cells `starts[i]..starts[i + 1]`.
+#[derive(Debug, Clone)]
+pub struct Workset {
+    h: u32,
+    keys: Vec<EventKey>,
+    nodes: Vec<NodeId>,
+    starts: Vec<u32>,
+    slots: Vec<u32>,
 }
 
-impl GroupSlots<'_> {
+impl Workset {
+    /// The workset of every `(node, slot)` incidence (any order,
+    /// repeats allowed): packed into one word each, sorted and
+    /// deduplicated — distinct nodes ascending, each with its sorted
+    /// distinct slots.
+    pub(crate) fn new(
+        h: u32,
+        keys: Vec<EventKey>,
+        incidences: impl IntoIterator<Item = (NodeId, u32)>,
+    ) -> Self {
+        let mut cells: Vec<u64> = incidences
+            .into_iter()
+            .map(|(r, s)| (r as u64) << 32 | s as u64)
+            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        let mut nodes: Vec<NodeId> = Vec::new();
+        let mut starts: Vec<u32> = Vec::new();
+        let mut slots: Vec<u32> = Vec::with_capacity(cells.len());
+        for cell in cells {
+            let r = (cell >> 32) as NodeId;
+            if nodes.last() != Some(&r) {
+                nodes.push(r);
+                starts.push(slots.len() as u32);
+            }
+            debug_assert!((cell as u32 as usize) < keys.len(), "unregistered slot");
+            slots.push(cell as u32);
+        }
+        starts.push(slots.len() as u32);
+        Workset {
+            h,
+            keys,
+            nodes,
+            starts,
+            slots,
+        }
+    }
+
+    /// The one-pair shape: the distinct nodes of `refs` (any order,
+    /// repeats allowed), each scored against every key in key order.
+    /// Also returns each `refs[i]`'s position in the workset, so the
+    /// caller reads its counts back in its own order without a search
+    /// ([`FusedDensities::at`]).
+    pub fn uniform(h: u32, keys: Vec<EventKey>, refs: &[NodeId]) -> (Self, Vec<usize>) {
+        // (node, index) packed into one word: one sort orders the nodes
+        // and carries each index along.
+        let mut order: Vec<u64> = refs
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| (r as u64) << 32 | i as u64)
+            .collect();
+        order.sort_unstable();
+        let mut nodes: Vec<NodeId> = Vec::with_capacity(refs.len());
+        let mut positions = vec![0usize; refs.len()];
+        for packed in order {
+            let r = (packed >> 32) as NodeId;
+            if nodes.last() != Some(&r) {
+                nodes.push(r);
+            }
+            positions[packed as u32 as usize] = nodes.len() - 1;
+        }
+        let k = keys.len();
+        let work = Workset {
+            h,
+            starts: (0..=nodes.len()).map(|i| (i * k) as u32).collect(),
+            slots: (0..nodes.len()).flat_map(|_| 0..k as u32).collect(),
+            keys,
+            nodes,
+        };
+        (work, positions)
+    }
+
+    /// Vicinity level `h` of the pass.
     #[inline]
-    fn get(&self, i: usize) -> &[u32] {
-        match self {
-            GroupSlots::Same(s) => s,
-            GroupSlots::PerNode(lists) => lists[i],
-        }
+    pub(crate) fn h(&self) -> u32 {
+        self.h
     }
 
-    /// Node-major cell layout of `n` nodes: node `i`'s counts occupy
-    /// `starts[i]..starts[i + 1]`, one cell per slot in slot order.
-    fn cell_starts(&self, n: usize) -> Vec<usize> {
-        let mut starts = Vec::with_capacity(n + 1);
-        let mut cells = 0usize;
-        for i in 0..n {
-            starts.push(cells);
-            cells += self.get(i).len();
-        }
-        starts.push(cells);
-        starts
+    /// The registered events, indexed by slot.
+    #[inline]
+    pub(crate) fn keys(&self) -> &[EventKey] {
+        &self.keys
+    }
+
+    /// The distinct reference nodes, ascending.
+    #[inline]
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// Position of workset node `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not in the workset.
+    #[inline]
+    pub(crate) fn position(&self, r: NodeId) -> usize {
+        self.nodes.binary_search(&r).expect("node in the workset")
+    }
+
+    /// Flat cell range of node `i`.
+    #[inline]
+    fn cells(&self, i: usize) -> Range<usize> {
+        self.starts[i] as usize..self.starts[i + 1] as usize
+    }
+
+    /// The sorted distinct slots node `i` is scored against.
+    #[inline]
+    pub(crate) fn slots_of(&self, i: usize) -> &[u32] {
+        &self.slots[self.cells(i)]
     }
 }
 
-/// Output of [`run_grouped`], positionally aligned with its `nodes`.
-pub(crate) struct GroupedCounts {
-    /// `|V^h_r|` per node.
-    pub sizes: Vec<u32>,
-    /// Node-major flat counts: node `i`'s cells follow node `i − 1`'s,
-    /// one per slot of its slot list, in slot order.
-    pub counts: Vec<u32>,
-    /// Multi-source traversals physically executed: source groups on
-    /// the reference-lane direction, event chunks on the event-lane
-    /// direction.
-    pub traversals: u64,
+/// The output of [`run_density`]: per workset node, `|V^h_r|` and one
+/// intersection count per event slot of that node (flat, in the
+/// workset's cell layout).
+#[derive(Debug, Clone, Default)]
+pub struct FusedDensities {
+    sizes: Vec<u32>,
+    counts: Vec<u32>,
+    bfs_run: u64,
+    traversals: u64,
+    interrupted: Option<Interrupted>,
+}
+
+impl FusedDensities {
+    /// The output of a pass the budget interrupted: no counts.
+    pub(crate) fn interrupted_by(i: Interrupted) -> Self {
+        FusedDensities {
+            interrupted: Some(i),
+            ..FusedDensities::default()
+        }
+    }
+
+    /// How many reference nodes the pass resolved by traversal (nodes
+    /// whose every slot hit an attached cache are skipped). Counted per
+    /// **node**, not per traversal, so cache accounting is identical
+    /// whether those nodes ran one single-source search each, were
+    /// batched 64 to a multi-source traversal, or were reached by
+    /// event lanes — see [`FusedDensities::traversals`] for the
+    /// physical count.
+    #[inline]
+    pub fn bfs_run(&self) -> u64 {
+        self.bfs_run
+    }
+
+    /// How many graph traversals the pass physically executed: equals
+    /// [`FusedDensities::bfs_run`] on the per-node route, the number of
+    /// source groups (`⌈bfs_run / 64⌉`) on the reference-lane route,
+    /// and the number of event chunks (`Σ ⌈|V_e|/64⌉` over the events
+    /// with an unresolved count) on the event-lane route.
+    #[inline]
+    pub fn traversals(&self) -> u64 {
+        self.traversals
+    }
+
+    /// `Some` when the engine's [`Budget`] ran out during the pass. The
+    /// pass then published nothing — no counts, no cache entries — and
+    /// [`crate::planner::PairSetPlan::finish`] reports every pair as
+    /// `Err(Interrupted)`.
+    #[inline]
+    pub fn interrupted(&self) -> Option<Interrupted> {
+        self.interrupted
+    }
+
+    /// `|V^h_r|` and the counts of the workset's node `i`, one per slot
+    /// of the node in slot order.
+    #[inline]
+    pub fn at(&self, work: &Workset, i: usize) -> (u32, &[u32]) {
+        (self.sizes[i], &self.counts[work.cells(i)])
+    }
+
+    /// `(|V^h_r|, |V_e ∩ V^h_r|)` for workset node `r` and event slot
+    /// `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the workset scores `r` against `slot`.
+    pub fn count(&self, work: &Workset, r: NodeId, slot: u32) -> (u32, u32) {
+        let i = work.position(r);
+        let j = work
+            .slots_of(i)
+            .binary_search(&slot)
+            .expect("slot scored at this node");
+        (self.sizes[i], self.counts[work.cells(i).start + j])
+    }
+
+    /// `s^h_e(r) = |V_e ∩ V^h_r| / |V^h_r|` (Eq. 2) of event slot `slot`
+    /// at every node of `refs` (workset nodes, any order), in `refs`
+    /// order — the vectors the rank-correlation stage consumes.
+    pub fn densities(&self, work: &Workset, refs: &[NodeId], slot: u32) -> Vec<f64> {
+        refs.iter()
+            .map(|&r| {
+                let (size, count) = self.count(work, r, slot);
+                count as f64 / size as f64
+            })
+            .collect()
+    }
 }
 
 /// Apply `f(state, i)` to every index in `0..count`, fanned out over
@@ -460,35 +488,53 @@ where
     T: Clone + Send,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(count.max(1));
     let mut out = vec![default; count];
-    if threads == 1 || count < serial_below {
-        let mut st = state();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(&mut st, i);
-        }
-        return out;
-    }
-    let chunk = count.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, out_c) in out.chunks_mut(chunk).enumerate() {
-            let (f, state) = (&f, &state);
-            scope.spawn(move || {
-                let mut st = state();
-                for (off, slot) in out_c.iter_mut().enumerate() {
-                    *slot = f(&mut st, ci * chunk + off);
-                }
-            });
-        }
+    fan_out_mut(&mut out, threads, serial_below, state, |st, i, slot| {
+        *slot = f(st, i)
     });
     out
 }
 
+/// [`fan_out`] over caller-owned items: `f(state, i, &mut items[i])`
+/// for every item, same chunking, same determinism contract.
+fn fan_out_mut<S, T, F>(
+    items: &mut [T],
+    threads: usize,
+    serial_below: usize,
+    state: impl Fn() -> S + Sync,
+    f: F,
+) where
+    T: Send,
+    F: Fn(&mut S, usize, &mut T) + Sync,
+{
+    let count = items.len();
+    let threads = threads.max(1).min(count.max(1));
+    if threads == 1 || count < serial_below {
+        let mut st = state();
+        for (i, item) in items.iter_mut().enumerate() {
+            f(&mut st, i, item);
+        }
+        return;
+    }
+    let chunk = count.div_ceil(threads);
+    std::thread::scope(|scope| {
+        for (ci, items_c) in items.chunks_mut(chunk).enumerate() {
+            let (f, state) = (&f, &state);
+            scope.spawn(move || {
+                let mut st = state();
+                for (off, item) in items_c.iter_mut().enumerate() {
+                    f(&mut st, ci * chunk + off, item);
+                }
+            });
+        }
+    });
+}
+
 /// Apply `f(i)` for every index in `0..count` over `threads` workers
 /// ([`fan_out`] with no per-worker state) — used by the planner's
-/// stage (a) and the cache-probe stages of the grouped executors (a
-/// probe takes locks, not a BFS scratch, and a warm pass is *nothing
-/// but* probes, so it must not serialize).
+/// stage (a) and the executor's cache-probe stage (a probe takes
+/// locks, not a BFS scratch, and a warm pass is *nothing but* probes,
+/// so it must not serialize).
 pub(crate) fn map_indexed<T, F>(count: usize, threads: usize, default: T, f: F) -> Vec<T>
 where
     T: Clone + Send,
@@ -497,373 +543,14 @@ where
     fan_out(count, threads, 2 * threads, default, || (), |_, i| f(i))
 }
 
-/// Grouped density executor — where every grouped caller ends (the
-/// planner's stage (b) and the engine's uniform, cached and importance
-/// group paths). Returns per-node `|V^h_r|` and the per-(node, slot)
-/// counts, positionally aligned with `nodes` and deterministic at any
-/// thread count, in the direction the plan names
-/// ([`GroupKernelPlan::event_side`]).
-///
-/// **Reference lanes.** `nodes` are partitioned into source groups of
-/// at most `group_size`, one multi-source traversal per group (parallel
-/// over groups). Nodes are grouped in **id order** (a stable argsort;
-/// the output order is unchanged): nearby ids share vicinities strongly
-/// in practice on generated and real graphs, so sorting maximizes the
-/// per-group lane overlap the shared edge scan amortizes over. Grouping
-/// order cannot affect any count (each lane is an independent
-/// traversal), so this is purely a locality optimization.
-///
-/// **Event lanes.** Per wanted slot (parallel over slots), the slot's
-/// occurrence nodes traverse in chunks of ≤ 64 lanes and every chunk
-/// adds `reached_lanes(r).count_ones()` into the slot's one
-/// accumulator. Temporaries are flat and `O(cells)`: a slot-major
-/// inversion of the node-major cell layout, one accumulator per slot.
-pub(crate) fn run_grouped<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    pool: &ScratchPool,
-    nodes: &[NodeId],
-    slots: &GroupSlots<'_>,
-    threads: usize,
-    group_size: usize,
-    budget: &Budget,
-) -> Result<GroupedCounts, Interrupted> {
-    if nodes.is_empty() {
-        // Nothing to traverse (say, a warm cache resolved every node),
-        // yet an exhausted budget fails the pass like any other.
-        budget.check()?;
-        return Ok(GroupedCounts {
-            sizes: Vec::new(),
-            counts: Vec::new(),
-            traversals: 0,
-        });
-    }
-    match plan.event_side {
-        Some(index) => run_event_lanes(plan, index, pool, nodes, slots, threads, budget),
-        None => run_ref_lanes(plan, pool, nodes, slots, threads, group_size, budget),
-    }
-}
-
-fn run_ref_lanes<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    pool: &ScratchPool,
-    nodes: &[NodeId],
-    slots: &GroupSlots<'_>,
-    threads: usize,
-    group_size: usize,
-    budget: &Budget,
-) -> Result<GroupedCounts, Interrupted> {
-    let group_size = group_size.clamp(1, MAX_GROUP_SOURCES);
-    let mut order: Vec<usize> = (0..nodes.len()).collect();
-    order.sort_by_key(|&i| nodes[i]);
-    let num_groups = nodes.len().div_ceil(group_size);
-    // One group already holds up to 64 sources' worth of BFS work, so
-    // even two groups are worth a second worker.
-    let per_group = fan_out(
-        num_groups,
-        threads,
-        2,
-        (Vec::new(), Vec::new()),
-        || pool.acquire_multi(),
-        |scratch, gi| {
-            // Exhaustion is sticky: skipped groups leave empty sentinel
-            // results, and the post-map check below is then guaranteed
-            // to discard the whole pass.
-            if budget.is_exhausted() {
-                return (Vec::new(), Vec::new());
-            }
-            let start = gi * group_size;
-            let end = (start + group_size).min(nodes.len());
-            let idx = &order[start..end];
-            let group: Vec<NodeId> = idx.iter().map(|&i| nodes[i]).collect();
-            let slot_lists: Vec<&[u32]> = idx.iter().map(|&i| slots.get(i)).collect();
-            plan.counts_for_group(scratch, &group, &slot_lists, budget)
-                .unwrap_or_default()
-        },
-    );
-    budget.check()?;
-    let starts = slots.cell_starts(nodes.len());
-    let mut sizes = vec![0u32; nodes.len()];
-    let mut counts = vec![0u32; starts[nodes.len()]];
-    for (gi, (group_sizes, group_counts)) in per_group.into_iter().enumerate() {
-        let mut lane_start = 0usize;
-        for (off, s) in group_sizes.into_iter().enumerate() {
-            let i = order[gi * group_size + off];
-            sizes[i] = s;
-            let cells = starts[i + 1] - starts[i];
-            counts[starts[i]..starts[i + 1]]
-                .copy_from_slice(&group_counts[lane_start..lane_start + cells]);
-            lane_start += cells;
-        }
-    }
-    Ok(GroupedCounts {
-        sizes,
-        counts,
-        traversals: num_groups as u64,
-    })
-}
-
-fn run_event_lanes<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    index: &VicinityIndex,
-    pool: &ScratchPool,
-    nodes: &[NodeId],
-    slots: &GroupSlots<'_>,
-    threads: usize,
-    budget: &Budget,
-) -> Result<GroupedCounts, Interrupted> {
-    let h = plan.h;
-    assert!(
-        index.covers(h),
-        "event-side density needs an index covering h = {h}"
-    );
-    let starts = slots.cell_starts(nodes.len());
-    let cells = starts[nodes.len()];
-    // Slot-major inversion of the node-major cell layout (a counting
-    // sort): slot `s` owns `by_slot[slot_start[s]..slot_start[s + 1]]`,
-    // each entry a (reference node, node-major cell) pair.
-    let num_slots = plan.slot_nodes.len();
-    let mut slot_start = vec![0usize; num_slots + 1];
-    for i in 0..nodes.len() {
-        for &s in slots.get(i) {
-            slot_start[s as usize + 1] += 1;
-        }
-    }
-    for s in 0..num_slots {
-        slot_start[s + 1] += slot_start[s];
-    }
-    let mut cursor = slot_start.clone();
-    let mut by_slot = vec![(0 as NodeId, 0u32); cells];
-    for (i, &r) in nodes.iter().enumerate() {
-        for (j, &s) in slots.get(i).iter().enumerate() {
-            by_slot[cursor[s as usize]] = (r, (starts[i] + j) as u32);
-            cursor[s as usize] += 1;
-        }
-    }
-    let wanted: Vec<usize> = (0..num_slots)
-        .filter(|&s| slot_start[s + 1] > slot_start[s])
-        .collect();
-    let multi = || pool.acquire_multi();
-    let per_slot = fan_out(
-        wanted.len(),
-        threads,
-        2,
-        Vec::new(),
-        multi,
-        |scratch, wi| {
-            let s = wanted[wi];
-            let cells = &by_slot[slot_start[s]..slot_start[s + 1]];
-            let mut acc = vec![0u32; cells.len()];
-            for chunk in plan.slot_nodes[s].chunks(MAX_GROUP_SOURCES) {
-                // An interrupted (or skipped: exhaustion is sticky) chunk
-                // leaves partial sums that the post-map check discards.
-                if budget.is_exhausted()
-                    || scratch
-                        .visit_h_vicinity_multi(plan.graph, chunk, h, budget)
-                        .is_err()
-                {
-                    break;
-                }
-                for (a, &(r, _)) in acc.iter_mut().zip(cells) {
-                    *a += scratch.reached_lanes(r).count_ones();
-                }
-            }
-            acc
-        },
-    );
-    budget.check()?;
-    let mut counts = vec![0u32; cells];
-    let mut traversals = 0u64;
-    for (&s, acc) in wanted.iter().zip(per_slot) {
-        traversals += plan.slot_nodes[s].len().div_ceil(MAX_GROUP_SOURCES) as u64;
-        for (&(_, cell), c) in by_slot[slot_start[s]..].iter().zip(acc) {
-            counts[cell as usize] = c;
-        }
-    }
-    Ok(GroupedCounts {
-        sizes: nodes.iter().map(|&r| index.size(r, h) as u32).collect(),
-        counts,
-        traversals,
-    })
-}
-
-/// Parallel density vectors through the **source-grouped multi-source
-/// kernel**, in the plan's direction: `plan.slot_nodes` must hold
-/// exactly `[V_a, V_b]`, and the returned vectors are bit-identical to
-/// [`density_vectors_plan`] on the corresponding two-mask plan (same
-/// integers, same `count as f64 / size as f64` arithmetic) — asserted
-/// in `tests/kernels.rs` and per `density_kernel` bench row. An
-/// interrupted pass returns the typed error with no partial output.
-pub fn density_vectors_group_plan<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    threads: usize,
-    group_size: usize,
-    budget: &Budget,
-) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
-    assert_eq!(plan.slot_nodes.len(), 2, "expects the [a, b] slot pair");
-    let g = run_grouped(
-        plan,
-        pool,
-        refs,
-        &GroupSlots::Same(&[0, 1]),
-        threads,
-        group_size,
-        budget,
-    )?;
-    Ok(g.sizes
-        .iter()
-        .zip(g.counts.chunks_exact(2))
-        .map(|(&size, c)| (c[0] as f64 / size as f64, c[1] as f64 / size as f64))
-        .unzip())
-}
-
-/// Grouped [`DensityCounts`] (including the `a∪b` union count) for the
-/// importance-sampling path: `plan.slot_nodes` must hold exactly
-/// `[V_a, V_b, V_{a∪b}]`. The grouped sibling of
-/// [`density_counts_plan`]; an interrupted pass returns the typed
-/// error with no partial output.
-pub fn density_counts_group_plan<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    threads: usize,
-    group_size: usize,
-    budget: &Budget,
-) -> Result<Vec<DensityCounts>, Interrupted> {
-    assert_eq!(plan.slot_nodes.len(), 3, "expects [a, b, union] slots");
-    let g = run_grouped(
-        plan,
-        pool,
-        refs,
-        &GroupSlots::Same(&[0, 1, 2]),
-        threads,
-        group_size,
-        budget,
-    )?;
-    Ok(g.sizes
-        .iter()
-        .zip(g.counts.chunks_exact(3))
-        .map(|(&size, c)| DensityCounts {
-            vicinity_size: size as usize,
-            count_a: c[0] as usize,
-            count_b: c[1] as usize,
-            count_union: c[2] as usize,
-        })
-        .collect())
-}
-
-/// [`density_vectors_group_plan`] through a cross-pair
-/// [`DensityCache`]: every reference node's two slots are probed first
-/// under one shard lock ([`DensityCache::lookup_pair`]); only nodes
-/// with at least one miss join the grouped traversals, and their fresh
-/// integers fill the missing slots ([`DensityCache::insert_many`]).
-/// Bit-identical to every other cached/uncached configuration; the
-/// BFS counter advances once per *lane* measured, so cache accounting
-/// is executor-independent.
-///
-/// The budget is re-checked *before* the scatter/insert stage, so the
-/// cache only ever absorbs counts from fully completed traversals — an
-/// interrupted pass returns the typed error and leaves it untouched
-/// (completed counts are exact content-addressed integers, so
-/// successful warming stays semantically invisible either way).
-#[allow(clippy::too_many_arguments)] // the grouped plan + cache keys + budget
-pub fn density_vectors_cached_group_plan<G: Adjacency>(
-    plan: &GroupKernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    key_a: &EventKey,
-    key_b: &EventKey,
-    threads: usize,
-    group_size: usize,
-    cache: &DensityCache,
-    budget: &Budget,
-) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
-    assert_eq!(plan.slot_nodes.len(), 2, "expects the [a, b] slot pair");
-    let h = plan.h;
-    let governor = ProbeGovernor::new();
-    // Probe stage, parallel: a warm pass is nothing but probes, so it
-    // must fan out like the BFS stage does. Probe outcomes are
-    // (None, None) when the pass's governor dropped the probe — the
-    // node is then simply treated as a full miss; its fresh counts
-    // still warm the cache.
-    let probes = map_indexed(refs.len(), threads, (None, None), |i| {
-        if !governor.engaged() {
-            return (None, None);
-        }
-        let probe = cache.lookup_pair(key_a, key_b, refs[i], h);
-        governor.record(probe.0.is_some() && probe.1.is_some());
-        probe
-    });
-    let mut sa = vec![0.0f64; refs.len()];
-    let mut sb = vec![0.0f64; refs.len()];
-    let mut pending: Vec<usize> = Vec::new();
-    let mut hits: Vec<(Option<CachedCount>, Option<CachedCount>)> = Vec::new();
-    for (i, &(hit_a, hit_b)) in probes.iter().enumerate() {
-        if let (Some(a), Some(b)) = (hit_a, hit_b) {
-            debug_assert_eq!(a.vicinity_size, b.vicinity_size, "inconsistent cache");
-            sa[i] = a.density();
-            sb[i] = b.density();
-        } else {
-            pending.push(i);
-            hits.push((hit_a, hit_b));
-        }
-    }
-    let nodes: Vec<NodeId> = pending.iter().map(|&i| refs[i]).collect();
-    let g = run_grouped(
-        plan,
-        pool,
-        &nodes,
-        &GroupSlots::Same(&[0, 1]),
-        threads,
-        group_size,
-        budget,
-    )?;
-    // Scatter, collecting the missing slots for one bulk insertion
-    // (one lock per shard for the whole pass, not one per node).
-    let mut bulk: Vec<(NodeId, &EventKey, CachedCount)> = Vec::new();
-    for (((&i, &r), (&size, c)), &(hit_a, hit_b)) in pending
-        .iter()
-        .zip(&nodes)
-        .zip(g.sizes.iter().zip(g.counts.chunks_exact(2)))
-        .zip(&hits)
-    {
-        let fresh_a = CachedCount {
-            vicinity_size: size,
-            count: c[0],
-        };
-        let fresh_b = CachedCount {
-            vicinity_size: size,
-            count: c[1],
-        };
-        if hit_a.is_none() {
-            bulk.push((r, key_a, fresh_a));
-        }
-        if hit_b.is_none() {
-            bulk.push((r, key_b, fresh_b));
-        }
-        // Same policy as the per-node cached path: prefer the memoized
-        // integer where a slot hit (identical value either way).
-        let a = hit_a.unwrap_or(fresh_a);
-        let b = hit_b.unwrap_or(fresh_b);
-        debug_assert_eq!(a.vicinity_size, size, "inconsistent cache");
-        debug_assert_eq!(b.vicinity_size, size, "inconsistent cache");
-        sa[i] = a.density();
-        sb[i] = b.density();
-    }
-    cache.record_bfs_n(pending.len() as u64);
-    cache.insert_bulk(h, bulk);
-    Ok((sa, sb))
-}
-
 /// Apply `f(scratch, r)` to every reference node over `threads`
 /// scoped workers in contiguous chunks, each with its own scratch
 /// checked out of `pool`; output slot `i` holds `f`'s result for
 /// `refs[i]` at any thread count (the per-node work must not consume
 /// shared randomness, which holds for every density/count computation
 /// in this crate). This is the engine's `density_threads` primitive,
-/// shared by every per-node density loop (presence, importance,
-/// intensity and the planner's fused pass).
+/// shared by every per-node loop (the executor's per-node route and
+/// the intensity densities).
 ///
 /// `f` runs under `budget`: once it exhausts, the remaining nodes are
 /// skipped and an interrupted node's slot holds `T::default()`.
@@ -897,129 +584,362 @@ where
     Ok(out)
 }
 
-/// [`DensityCounts`] (including the `a∪b` union count) for every
-/// reference node with one [`KernelPlan`] BFS each, via
-/// [`map_refs_pooled`] — the per-node pass shared by the uniform and
-/// importance paths. Positionally identical to a serial
-/// [`density_counts`] loop at any thread count, for every plan
-/// configuration.
-pub fn density_counts_plan<G: Adjacency>(
-    plan: &KernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
+/// The density executor — the one place `|V^h_r|` and `|V_e ∩ V^h_r|`
+/// are computed, for one pair and for a pair set alike. Resolves every
+/// cell of `work` with `engine`'s graph, kernel, vicinity index,
+/// scratch pool and budget, over `threads` workers, by `route`
+/// (reference lanes group up to `group_size` nodes per traversal; the
+/// engine and the planner use [`tesc_graph::SOURCE_GROUP_SIZE`]). The
+/// output is positionally deterministic at any thread count and
+/// bit-identical on every route.
+///
+/// With a `cache`, every node's slots are probed first under one
+/// shard lock ([`DensityCache::lookup_many`]; the pass's
+/// [`ProbeGovernor`] drops the probes once measured sharing stops
+/// paying for them); only nodes with a miss are traversed for, and
+/// once every traversal completed the missing cells are inserted — so
+/// a warm repeat is probes only. The caller decides whether a pass
+/// uses the cache (the one-pair bypass rule, see [`crate::cache`]).
+///
+/// The budget is checked per BFS frontier level and per source group;
+/// an interrupted pass returns the typed error, inserts nothing and
+/// publishes no counts.
+pub fn run_density<G: Adjacency>(
+    engine: &TescEngine<'_, G>,
+    work: &Workset,
+    route: Route,
+    cache: Option<&DensityCache>,
     threads: usize,
-    budget: &Budget,
-) -> Result<Vec<DensityCounts>, Interrupted> {
-    map_refs_pooled(pool, refs, threads, budget, |scratch, r| {
-        plan.counts(scratch, r, budget)
-    })
+    group_size: usize,
+) -> Result<FusedDensities, Interrupted> {
+    let (n, h) = (work.nodes.len(), work.h);
+    let mut out = FusedDensities {
+        sizes: vec![0; n],
+        counts: vec![0; work.slots.len()],
+        ..FusedDensities::default()
+    };
+    // Cache-probe stage: fully memoized nodes resolve without a
+    // traversal; the rest stay pending with their hit vectors (empty
+    // when every slot missed or the governor dropped the probe — the
+    // node is then a full miss whose fresh counts still warm the cache).
+    let (pending, pending_hits): (Vec<usize>, Vec<Vec<Option<CachedCount>>>) = match cache {
+        None => ((0..n).collect(), Vec::new()),
+        Some(cache) => {
+            let governor = ProbeGovernor::new();
+            let probes = map_indexed(n, threads, Vec::new(), |i| {
+                let mut hits: Vec<Option<CachedCount>> = Vec::new();
+                if governor.engaged() {
+                    let slots = work.slots_of(i).iter();
+                    let keys = slots.map(|&s| &work.keys[s as usize]);
+                    governor.record(cache.lookup_many(keys, work.nodes[i], h, &mut hits));
+                    if hits.iter().all(Option::is_none) {
+                        hits = Vec::new();
+                    }
+                }
+                hits
+            });
+            let mut pending = (Vec::new(), Vec::new());
+            for (i, hits) in probes.into_iter().enumerate() {
+                if hits.is_empty() || hits.iter().any(Option::is_none) {
+                    pending.0.push(i);
+                    pending.1.push(hits);
+                    continue;
+                }
+                let size = hits[0].expect("all slots hit").vicinity_size;
+                out.sizes[i] = size;
+                for (cell, hit) in out.counts[work.cells(i)].iter_mut().zip(&hits) {
+                    let hit = hit.expect("all slots hit");
+                    debug_assert_eq!(hit.vicinity_size, size, "inconsistent cache");
+                    *cell = hit.count;
+                }
+            }
+            pending
+        }
+    };
+
+    let budget = engine.budget();
+    out.traversals = if pending.is_empty() {
+        // Nothing to traverse (say, a warm cache resolved every node),
+        // yet an exhausted budget fails the pass like any other.
+        budget.check()?;
+        0
+    } else {
+        match route {
+            Route::PerNode => per_node(engine, work, &pending, threads, &mut out)?,
+            Route::RefLanes => ref_lanes(engine, work, &pending, threads, group_size, &mut out)?,
+            Route::EventLanes => event_lanes(engine, work, &pending, threads, &mut out)?,
+        }
+    };
+    out.bfs_run = pending.len() as u64;
+
+    // Every traversal completed: insert the cells that missed, in
+    // bounded batches — one lock per shard per batch, never a
+    // pass-wide staging vector. A slot that hit holds the same integer
+    // the traversal measured.
+    if let Some(cache) = cache {
+        const FILL_BATCH: usize = 4096;
+        let mut batch: Vec<(NodeId, &EventKey, CachedCount)> = Vec::new();
+        for (&i, hits) in pending.iter().zip(&pending_hits) {
+            let size = out.sizes[i];
+            for (j, cell) in work.cells(i).enumerate() {
+                let fresh = CachedCount {
+                    vicinity_size: size,
+                    count: out.counts[cell],
+                };
+                match hits.get(j).copied().flatten() {
+                    Some(hit) => debug_assert_eq!(hit, fresh, "inconsistent cache"),
+                    None => {
+                        batch.push((work.nodes[i], &work.keys[work.slots[cell] as usize], fresh))
+                    }
+                }
+            }
+            if batch.len() >= FILL_BATCH {
+                cache.insert_bulk(h, batch.drain(..));
+            }
+        }
+        cache.record_bfs_n(pending.len() as u64);
+        cache.insert_bulk(h, batch);
+    }
+    Ok(out)
 }
 
-/// [`density_counts_plan`] as the two paired vectors (`s^h_a`,
-/// `s^h_b`) the Kendall machinery consumes.
-pub fn density_vectors_plan<G: Adjacency>(
-    plan: &KernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
+/// [`Route::PerNode`]: one `h`-hop BFS per pending node (fanned out
+/// over `threads` pooled workers), scored against all of the node's
+/// slots in one sweep. The event masks are built here, the only route
+/// that reads them. Returns the traversal count.
+fn per_node<G: Adjacency>(
+    engine: &TescEngine<'_, G>,
+    work: &Workset,
+    pending: &[usize],
     threads: usize,
-    budget: &Budget,
-) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
-    Ok(density_counts_plan(plan, pool, refs, threads, budget)?
+    out: &mut FusedDensities,
+) -> Result<u64, Interrupted> {
+    let (g, h, budget) = (engine.graph(), work.h, engine.budget());
+    let masks: Vec<NodeMask> = work
+        .keys
         .iter()
-        .map(|c| (c.density_a(), c.density_b()))
-        .unzip())
+        .map(|k| NodeMask::from_nodes(g.num_nodes(), k.nodes()))
+        .collect();
+    let plan = MultiKernelPlan {
+        graph: g,
+        masks: &masks,
+        use_bitset: engine.density_kernel().use_bitset(g, h),
+        h,
+    };
+    // Each pending node's own output cells (disjoint, ascending), so
+    // the workers write the counts in place.
+    let mut targets: Vec<(usize, &mut u32, &mut [u32])> = Vec::with_capacity(pending.len());
+    let (mut sizes, mut counts) = (&mut out.sizes[..], &mut out.counts[..]);
+    let (mut next_node, mut next_cell) = (0, 0);
+    for &i in pending {
+        let cells = work.cells(i);
+        let (size, rest) = std::mem::take(&mut sizes)[i - next_node..]
+            .split_first_mut()
+            .expect("pending node in the workset");
+        let (cell_counts, tail) =
+            std::mem::take(&mut counts)[cells.start - next_cell..].split_at_mut(cells.len());
+        (sizes, counts, next_node, next_cell) = (rest, tail, i + 1, cells.end);
+        targets.push((i, size, cell_counts));
+    }
+    let state = || (engine.pool().acquire(), Vec::new());
+    fan_out_mut(
+        &mut targets,
+        threads,
+        2 * threads,
+        state,
+        |(scratch, words), _, target| {
+            // Exhaustion is sticky: skipped and interrupted nodes leave
+            // partial cells that the post-map check below discards.
+            let (i, size, cell_counts) = target;
+            if !budget.is_exhausted() {
+                let r = work.nodes[*i];
+                let got =
+                    plan.counts_for(scratch, words, r, work.slots_of(*i), cell_counts, budget);
+                **size = got.unwrap_or_default() as u32;
+            }
+        },
+    );
+    budget.check()?;
+    Ok(pending.len() as u64)
 }
 
-/// [`density_vectors_plan`] through a cross-pair [`DensityCache`]:
-/// per reference node, the two `(event, node, h)` slots are looked up
-/// first and a single BFS runs only if either misses, filling both
-/// missing slots. Results are **bit-identical** to the uncached path —
-/// cached slots hold the exact integer counts the BFS would have
-/// produced (whatever the plan's kernel: entries are
-/// kernel-independent integers, so one cache serves every plan over
-/// the same graph version), and densities are derived with the same
-/// `count as f64 / size as f64` arithmetic.
-///
-/// With `k` pairs sharing an event over overlapping reference sets,
-/// the shared event's counts are measured once per distinct reference
-/// node instead of once per pair (asserted via
-/// [`DensityCache::fresh_computes`] in `tests/pipeline.rs`).
-///
-/// Cache lookups stay budget-free (they are cheap and their hits are
-/// exact), but fresh counts are inserted only when their BFS ran to
-/// completion — an interrupted node contributes nothing, and the pass
-/// returns the typed error.
-#[allow(clippy::too_many_arguments)] // the plan + cache keys + budget
-pub fn density_vectors_cached_plan<G: Adjacency>(
-    plan: &KernelPlan<'_, G>,
-    pool: &ScratchPool,
-    refs: &[NodeId],
-    key_a: &EventKey,
-    key_b: &EventKey,
+/// [`Route::RefLanes`]: the pending nodes (ascending, so nearby ids —
+/// which share vicinities strongly in practice — share a group) in
+/// groups of at most `group_size`, one multi-source traversal per
+/// group, parallel over groups. Grouping cannot affect any count (each
+/// lane is an independent traversal). Returns the traversal count.
+fn ref_lanes<G: Adjacency>(
+    engine: &TescEngine<'_, G>,
+    work: &Workset,
+    pending: &[usize],
     threads: usize,
-    cache: &DensityCache,
+    group_size: usize,
+    out: &mut FusedDensities,
+) -> Result<u64, Interrupted> {
+    let budget = engine.budget();
+    let groups: Vec<&[usize]> = pending
+        .chunks(group_size.clamp(1, MAX_GROUP_SOURCES))
+        .collect();
+    // One group already holds up to 64 sources' worth of BFS work, so
+    // even two groups are worth a second worker.
+    let per_group = fan_out(
+        groups.len(),
+        threads,
+        2,
+        (Vec::new(), Vec::new()),
+        || engine.pool().acquire_multi(),
+        |scratch, gi| {
+            // Exhaustion is sticky: skipped groups leave empty sentinel
+            // results, and the post-map check below is then guaranteed
+            // to discard the whole pass.
+            if budget.is_exhausted() {
+                return (Vec::new(), Vec::new());
+            }
+            group_counts(engine.graph(), work, groups[gi], scratch, budget).unwrap_or_default()
+        },
+    );
+    budget.check()?;
+    for (group, (sizes, counts)) in groups.iter().zip(per_group) {
+        let mut lane_cells = counts.into_iter();
+        for (&i, size) in group.iter().zip(sizes) {
+            out.sizes[i] = size;
+            for cell in &mut out.counts[work.cells(i)] {
+                *cell = lane_cells.next().expect("one count per lane cell");
+            }
+        }
+    }
+    Ok(groups.len() as u64)
+}
+
+/// Score one group of up to 64 workset nodes with a single
+/// multi-source traversal: the per-lane `|V^h_r|` and the lane-major
+/// flat counts (lane `k`'s cells in its slot order). Each distinct slot
+/// of the group is scored **once** against all lanes and scattered to
+/// the lanes that asked for it.
+fn group_counts<G: Adjacency>(
+    g: &G,
+    work: &Workset,
+    group: &[usize],
+    scratch: &mut MsBfsScratch,
     budget: &Budget,
-) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
-    let h = plan.h;
-    let governor = ProbeGovernor::new();
-    let densities = map_refs_pooled(pool, refs, threads, budget, |scratch, r| {
-        // Both of a pair's slots live in r's shard — resolve them
-        // under one lock acquisition (lookup_pair), and fill the
-        // missing ones the same way (insert_many): per-node lock
-        // traffic, not per-slot. The pass's governor drops the probe
-        // (treating the node as all-miss; inserts still warm the
-        // cache) once measured sharing stops paying for the lookups.
-        let (hit_a, hit_b) = if governor.engaged() {
-            let hits = cache.lookup_pair(key_a, key_b, r, h);
-            governor.record(hits.0.is_some() && hits.1.is_some());
-            hits
-        } else {
-            (None, None)
-        };
-        if let (Some(a), Some(b)) = (hit_a, hit_b) {
-            debug_assert_eq!(a.vicinity_size, b.vicinity_size, "inconsistent cache");
-            return Ok((a.density(), b.density()));
+) -> Result<(Vec<u32>, Vec<u32>), Interrupted> {
+    let nodes: Vec<NodeId> = group.iter().map(|&i| work.nodes[i]).collect();
+    scratch.visit_h_vicinity_multi(g, &nodes, work.h, budget)?;
+    let mut sizes = vec![0u32; nodes.len()];
+    scratch.lane_sizes(&mut sizes);
+    let mut lane_start = Vec::with_capacity(group.len());
+    let mut cells = 0usize;
+    for &i in group {
+        lane_start.push(cells);
+        cells += work.cells(i).len();
+    }
+    let mut counts = vec![0u32; cells];
+    let mut group_slots: Vec<u32> = group
+        .iter()
+        .flat_map(|&i| work.slots_of(i).iter().copied())
+        .collect();
+    group_slots.sort_unstable();
+    group_slots.dedup();
+    let mut lane_counts = vec![0u32; nodes.len()];
+    for &slot in &group_slots {
+        scratch.lane_member_counts(work.keys[slot as usize].nodes(), &mut lane_counts);
+        for (lane, &i) in group.iter().enumerate() {
+            if let Ok(j) = work.slots_of(i).binary_search(&slot) {
+                counts[lane_start[lane] + j] = lane_counts[lane];
+            }
         }
-        // Only a completed BFS may warm the cache: an interrupted
-        // traversal's counts are partial and must never be memoized.
-        let c = plan.counts(scratch, r, budget)?;
-        cache.record_bfs();
-        let size = c.vicinity_size as u32;
-        let mut fresh: [Option<(&EventKey, CachedCount)>; 2] = [None, None];
-        if hit_a.is_none() {
-            fresh[0] = Some((
-                key_a,
-                CachedCount {
-                    vicinity_size: size,
-                    count: c.count_a as u32,
-                },
-            ));
+    }
+    Ok((sizes, counts))
+}
+
+/// [`Route::EventLanes`]: per wanted slot (parallel over slots), the
+/// slot's occurrence nodes traverse in chunks of ≤ 64 lanes and every
+/// chunk adds `reached_lanes(r).count_ones()` into the slot's one
+/// accumulator; `|V^h_r|` is read from the engine's index. Temporaries
+/// are flat and `O(cells)`: a slot-major inversion of the pending
+/// cells, one accumulator per slot. Returns the traversal count.
+fn event_lanes<G: Adjacency>(
+    engine: &TescEngine<'_, G>,
+    work: &Workset,
+    pending: &[usize],
+    threads: usize,
+    out: &mut FusedDensities,
+) -> Result<u64, Interrupted> {
+    let (h, budget) = (work.h, engine.budget());
+    let index = engine
+        .vicinity_index()
+        .filter(|i| i.covers(h))
+        .unwrap_or_else(|| panic!("event-side density needs an index covering h = {h}"));
+    // Slot-major inversion of the pending cells (a counting sort): slot
+    // `s` owns `by_slot[slot_start[s]..slot_start[s + 1]]`, each entry
+    // a (reference node, cell) pair.
+    let num_slots = work.keys.len();
+    let mut slot_start = vec![0usize; num_slots + 1];
+    for &i in pending {
+        for &s in work.slots_of(i) {
+            slot_start[s as usize + 1] += 1;
         }
-        if hit_b.is_none() {
-            fresh[1] = Some((
-                key_b,
-                CachedCount {
-                    vicinity_size: size,
-                    count: c.count_b as u32,
-                },
-            ));
+    }
+    for s in 0..num_slots {
+        slot_start[s + 1] += slot_start[s];
+    }
+    let mut cursor = slot_start.clone();
+    let mut by_slot = vec![(0 as NodeId, 0u32); slot_start[num_slots]];
+    for &i in pending {
+        for cell in work.cells(i) {
+            let s = work.slots[cell] as usize;
+            by_slot[cursor[s]] = (work.nodes[i], cell as u32);
+            cursor[s] += 1;
         }
-        cache.insert_many(fresh.into_iter().flatten(), r, h);
-        // Prefer the cached slot when one side hit: same integers,
-        // same arithmetic, so the choice is observationally moot — but
-        // using it exercises the consistency debug-assert above.
-        Ok((
-            hit_a.map_or_else(|| c.density_a(), |a| a.density()),
-            hit_b.map_or_else(|| c.density_b(), |b| b.density()),
-        ))
-    })?;
-    Ok(densities.into_iter().unzip())
+    }
+    let wanted: Vec<usize> = (0..num_slots)
+        .filter(|&s| slot_start[s + 1] > slot_start[s])
+        .collect();
+    let per_slot = fan_out(
+        wanted.len(),
+        threads,
+        2,
+        Vec::new(),
+        || engine.pool().acquire_multi(),
+        |scratch, wi| {
+            let s = wanted[wi];
+            let cells = &by_slot[slot_start[s]..slot_start[s + 1]];
+            let mut acc = vec![0u32; cells.len()];
+            for chunk in work.keys[s].nodes().chunks(MAX_GROUP_SOURCES) {
+                // An interrupted (or skipped: exhaustion is sticky) chunk
+                // leaves partial sums that the post-map check discards.
+                if budget.is_exhausted()
+                    || scratch
+                        .visit_h_vicinity_multi(engine.graph(), chunk, h, budget)
+                        .is_err()
+                {
+                    break;
+                }
+                for (a, &(r, _)) in acc.iter_mut().zip(cells) {
+                    *a += scratch.reached_lanes(r).count_ones();
+                }
+            }
+            acc
+        },
+    );
+    budget.check()?;
+    let mut traversals = 0u64;
+    for (&s, acc) in wanted.iter().zip(per_slot) {
+        traversals += work.keys[s].nodes().len().div_ceil(MAX_GROUP_SOURCES) as u64;
+        for (&(_, cell), c) in by_slot[slot_start[s]..].iter().zip(acc) {
+            out.counts[cell as usize] = c;
+        }
+    }
+    for &i in pending {
+        out.sizes[i] = index.size(work.nodes[i], h) as u32;
+    }
+    Ok(traversals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesc_graph::csr::from_edges;
+    use tesc_graph::csr::{from_edges, CsrGraph};
     use tesc_graph::generators::{path, star};
 
     fn masks(n: usize, a: &[NodeId], b: &[NodeId]) -> (NodeMask, NodeMask) {
@@ -1054,6 +974,48 @@ mod tests {
             })
             .unzip()
     }
+
+    /// The one-pair workset of `refs` × `[a, b]`.
+    fn pair_work(h: u32, a: &[NodeId], b: &[NodeId], refs: &[NodeId]) -> Workset {
+        Workset::uniform(h, vec![EventKey::new(a), EventKey::new(b)], refs).0
+    }
+
+    /// [`run_density`] over a one-pair workset, read back as
+    /// `(s_a, s_b)` in `refs` order.
+    fn vectors(
+        engine: &TescEngine<'_>,
+        work: &Workset,
+        refs: &[NodeId],
+        route: Route,
+        cache: Option<&DensityCache>,
+        threads: usize,
+        group_size: usize,
+    ) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
+        let d = run_density(engine, work, route, cache, threads, group_size)?;
+        Ok((d.densities(work, refs, 0), d.densities(work, refs, 1)))
+    }
+
+    /// The executor's [`DensityCounts`] of workset node `r` over the
+    /// slots `[a, b, a∪b]`.
+    fn executor_counts(d: &FusedDensities, work: &Workset, r: NodeId) -> DensityCounts {
+        let (size, count_a) = d.count(work, r, 0);
+        DensityCounts {
+            vicinity_size: size as usize,
+            count_a: count_a as usize,
+            count_b: d.count(work, r, 1).1 as usize,
+            count_union: d.count(work, r, 2).1 as usize,
+        }
+    }
+
+    fn scalar(g: &CsrGraph) -> TescEngine<'_> {
+        TescEngine::new(g).with_density_kernel(BfsKernel::Scalar)
+    }
+
+    fn bitset(g: &CsrGraph) -> TescEngine<'_> {
+        TescEngine::new(g).with_density_kernel(BfsKernel::Bitset)
+    }
+
+    const GROUP: usize = MAX_GROUP_SOURCES;
 
     #[test]
     fn counts_on_path() {
@@ -1113,11 +1075,9 @@ mod tests {
     #[test]
     fn density_vectors_align_with_refs() {
         let g = from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let (ma, mb) = masks(6, &[0], &[5]);
         let refs = [0u32, 2, 5];
-        let pool = ScratchPool::for_graph(&g);
-        let plan = KernelPlan::scalar(&g, &ma, &mb, 1);
-        let (sa, sb) = density_vectors_plan(&plan, &pool, &refs, 1, &Budget::unlimited()).unwrap();
+        let work = pair_work(1, &[0], &[5], &refs);
+        let (sa, sb) = vectors(&scalar(&g), &work, &refs, Route::PerNode, None, 1, GROUP).unwrap();
         assert_eq!(sa.len(), 3);
         // ref 0: V^1 = {0,1}, a-hit 1 → 0.5 ; b-hit 0.
         assert!((sa[0] - 0.5).abs() < 1e-12);
@@ -1128,6 +1088,18 @@ mod tests {
         // ref 5: V^1 = {4,5}: b-hit 1 → 0.5.
         assert_eq!(sa[2], 0.0);
         assert!((sb[2] - 0.5).abs() < 1e-12);
+        // Unsorted, repeated refs: the workset holds each node once,
+        // ascending, and the returned positions read every ref back.
+        let refs = [5u32, 0, 2, 5];
+        let (work, positions) =
+            Workset::uniform(1, vec![EventKey::new(&[0]), EventKey::new(&[5])], &refs);
+        assert_eq!(work.nodes(), [0, 2, 5]);
+        assert_eq!(positions, [2, 0, 1, 2]);
+        let d = run_density(&scalar(&g), &work, Route::PerNode, None, 1, GROUP).unwrap();
+        for (&r, &i) in refs.iter().zip(&positions) {
+            let (size, cells) = d.at(&work, i);
+            assert_eq!((size, cells[1]), d.count(&work, r, 1), "r = {r}");
+        }
     }
 
     #[test]
@@ -1150,13 +1122,13 @@ mod tests {
                 (3, 9),
             ],
         );
-        let (ma, mb) = masks(12, &[0, 4, 8], &[2, 9]);
+        let (a, b) = ([0u32, 4, 8], [2u32, 9]);
+        let (ma, mb) = masks(12, &a, &b);
         let refs: Vec<NodeId> = (0..12).collect();
         let serial = serial_vectors(&g, &refs, 2, &ma, &mb);
-        let pool = ScratchPool::for_graph(&g);
-        let plan = KernelPlan::scalar(&g, &ma, &mb, 2);
+        let (engine, work) = (scalar(&g), pair_work(2, &a, &b, &refs));
         for threads in [1, 2, 3, 5, 16] {
-            let pooled = density_vectors_plan(&plan, &pool, &refs, threads, &Budget::unlimited());
+            let pooled = vectors(&engine, &work, &refs, Route::PerNode, None, threads, GROUP);
             assert_eq!(Ok(serial.clone()), pooled, "threads = {threads}");
         }
     }
@@ -1185,25 +1157,26 @@ mod tests {
         let mb2 = NodeMask::from_nodes(10, &b2);
         let (ka, kb1, kb2) = (EventKey::new(&a), EventKey::new(&b1), EventKey::new(&b2));
         let refs: Vec<NodeId> = (0..10).collect();
-        let pool = ScratchPool::for_graph(&g);
         let cache = DensityCache::for_graph(&g);
+        let engine = scalar(&g);
 
         let serial1 = serial_vectors(&g, &refs, 2, &ma, &mb1);
         let serial2 = serial_vectors(&g, &refs, 2, &ma, &mb2);
-        let (plan1, plan2) = (
-            KernelPlan::scalar(&g, &ma, &mb1, 2),
-            KernelPlan::scalar(&g, &ma, &mb2, 2),
-        );
-        let unlimited = Budget::unlimited();
+        let (work1, work2) = (pair_work(2, &a, &b1, &refs), pair_work(2, &a, &b2, &refs));
         for threads in [1, 3] {
-            let c1 = density_vectors_cached_plan(
-                &plan1, &pool, &refs, &ka, &kb1, threads, &cache, &unlimited,
-            );
-            let c2 = density_vectors_cached_plan(
-                &plan2, &pool, &refs, &ka, &kb2, threads, &cache, &unlimited,
-            );
-            assert_eq!(Ok(serial1.clone()), c1, "threads = {threads}");
-            assert_eq!(Ok(serial2.clone()), c2, "threads = {threads}");
+            let run = |work| {
+                vectors(
+                    &engine,
+                    work,
+                    &refs,
+                    Route::PerNode,
+                    Some(&cache),
+                    threads,
+                    GROUP,
+                )
+            };
+            assert_eq!(Ok(serial1.clone()), run(&work1), "threads = {threads}");
+            assert_eq!(Ok(serial2.clone()), run(&work2), "threads = {threads}");
         }
         // Pair 1 measured every slot (10 BFS); pair 2 hit event a
         // everywhere but had to re-BFS each node for b2; the repeat
@@ -1240,16 +1213,21 @@ mod tests {
                 (0, 70),
             ],
         );
-        let (ma, mb) = masks(140, &[0, 64, 129, 139], &[2, 65, 70]);
+        let (a, b) = ([0u32, 64, 129, 139], [2u32, 65, 70]);
+        let (ma, mb) = masks(140, &a, &b);
+        let keys = vec![
+            EventKey::new(&a),
+            EventKey::new(&b),
+            EventKey::new(&[&a[..], &b].concat()),
+        ];
+        let engine = bitset(&g);
         let mut s = BfsScratch::new(140);
         for r in [0u32, 3, 65, 100, 139] {
             for h in 0..5 {
                 let scalar = counts(&g, &mut s, r, h, &ma, &mb);
-                let bitset = KernelPlan {
-                    use_bitset: true,
-                    ..KernelPlan::scalar(&g, &ma, &mb, h)
-                };
-                let got = bitset.counts(&mut s, r, &Budget::unlimited());
+                let work = Workset::uniform(h, keys.clone(), &[r]).0;
+                let got = run_density(&engine, &work, Route::PerNode, None, 1, GROUP)
+                    .map(|d| executor_counts(&d, &work, r));
                 assert_eq!(Ok(scalar), got, "r = {r}, h = {h}");
             }
         }
@@ -1275,18 +1253,12 @@ mod tests {
                 (3, 9),
             ],
         );
-        let (ma, mb) = masks(12, &[0, 4, 8], &[2, 9]);
         let refs: Vec<NodeId> = (0..12).collect();
-        let pool = ScratchPool::for_graph(&g);
-        let unlimited = Budget::unlimited();
-        let scalar_plan = KernelPlan::scalar(&g, &ma, &mb, 2);
-        let reference = density_vectors_plan(&scalar_plan, &pool, &refs, 1, &unlimited);
-        let bitset_plan = KernelPlan {
-            use_bitset: true,
-            ..scalar_plan
-        };
+        let work = pair_work(2, &[0, 4, 8], &[2, 9], &refs);
+        let reference = vectors(&scalar(&g), &work, &refs, Route::PerNode, None, 1, GROUP);
+        let bitset = bitset(&g);
         for threads in [1usize, 3] {
-            let got = density_vectors_plan(&bitset_plan, &pool, &refs, threads, &unlimited);
+            let got = vectors(&bitset, &work, &refs, Route::PerNode, None, threads, GROUP);
             assert_eq!(reference, got, "bitset at {threads} threads");
         }
     }
@@ -1311,41 +1283,32 @@ mod tests {
         let a = [0u32, 4, 8];
         let b = [2u32, 9];
         let (ma, mb) = masks(10, &a, &b);
-        let (ka, kb) = (EventKey::new(&a), EventKey::new(&b));
         let refs: Vec<NodeId> = (0..10).collect();
-        let pool = ScratchPool::for_graph(&g);
         let cache = DensityCache::for_graph(&g);
-        let bitset_plan = KernelPlan {
-            use_bitset: true,
-            ..KernelPlan::scalar(&g, &ma, &mb, 2)
-        };
+        let work = pair_work(2, &a, &b, &refs);
         let serial = Ok(serial_vectors(&g, &refs, 2, &ma, &mb));
-        let unlimited = Budget::unlimited();
-        // Cold pass through the bitset plan fills the cache…
-        let cold = density_vectors_cached_plan(
-            &bitset_plan,
-            &pool,
+        // Cold pass through the bitset kernel fills the cache…
+        let cold = vectors(
+            &bitset(&g),
+            &work,
             &refs,
-            &ka,
-            &kb,
+            Route::PerNode,
+            Some(&cache),
             1,
-            &cache,
-            &unlimited,
+            GROUP,
         );
         assert_eq!(serial, cold);
         assert_eq!(cache.bfs_invocations(), 10);
-        // …and a scalar-plan pass over the same cache is pure hits:
+        // …and a scalar-kernel pass over the same cache is pure hits:
         // entries are kernel-independent integers.
-        let scalar_plan = KernelPlan::scalar(&g, &ma, &mb, 2);
-        let warm = density_vectors_cached_plan(
-            &scalar_plan,
-            &pool,
+        let warm = vectors(
+            &scalar(&g),
+            &work,
             &refs,
-            &ka,
-            &kb,
+            Route::PerNode,
+            Some(&cache),
             1,
-            &cache,
-            &unlimited,
+            GROUP,
         );
         assert_eq!(serial, warm);
         assert_eq!(cache.bfs_invocations(), 10, "warm pass ran no BFS");
@@ -1388,7 +1351,7 @@ mod tests {
             ..scalar
         };
         let mut s = BfsScratch::new(140);
-        let mut got = Vec::new();
+        let mut words = Vec::new();
         for r in [0u32, 3, 65, 100, 139] {
             for slots in [&[0u32, 1, 2, 3][..], &[2, 0], &[3]] {
                 // Reference: one pairwise BFS per slot pair.
@@ -1400,8 +1363,12 @@ mod tests {
                     .collect();
                 let mut sizes = Vec::new();
                 for (label, plan) in [("scalar", &scalar), ("bitset", &bitset)] {
+                    // Stale cells from the previous slot list must be
+                    // overwritten, not added to.
+                    let mut got = vec![7u32; slots.len()];
+                    let free = Budget::unlimited();
                     let size = plan
-                        .counts_for(&mut s, r, slots, &mut got, &Budget::unlimited())
+                        .counts_for(&mut s, &mut words, r, slots, &mut got, &free)
                         .unwrap();
                     assert_eq!(got, expect, "r={r} slots={slots:?} {label}");
                     sizes.push(size);
@@ -1431,24 +1398,18 @@ mod tests {
         let b = vec![2u32, 65, 70];
         let (ma, mb) = masks(140, &a, &b);
         let refs: Vec<NodeId> = (0..140).collect();
-        let pool = ScratchPool::for_graph(&g);
         let reference = Ok(serial_vectors(&g, &refs, 2, &ma, &mb));
-        let slot_nodes = vec![a.clone(), b.clone()];
-        let plan = GroupKernelPlan {
-            graph: &g,
-            slot_nodes: &slot_nodes,
-            h: 2,
-            event_side: None,
-        };
+        let (engine, work) = (TescEngine::new(&g), pair_work(2, &a, &b, &refs));
         for group_size in [1usize, 7, 63, 64, 200] {
             for threads in [1usize, 3] {
-                let got = density_vectors_group_plan(
-                    &plan,
-                    &pool,
+                let got = vectors(
+                    &engine,
+                    &work,
                     &refs,
+                    Route::RefLanes,
+                    None,
                     threads,
                     group_size,
-                    &Budget::unlimited(),
                 );
                 assert_eq!(reference, got, "group_size={group_size} threads={threads}");
             }
@@ -1463,20 +1424,14 @@ mod tests {
         let union = vec![0u32, 2, 4];
         let (ma, mb) = masks(10, &a, &b);
         let refs: Vec<NodeId> = (0..10).collect();
-        let pool = ScratchPool::for_graph(&g);
         let mut s = BfsScratch::new(10);
-        let slot_nodes = vec![a, b, union];
-        let plan = GroupKernelPlan {
-            graph: &g,
-            slot_nodes: &slot_nodes,
-            h: 2,
-            event_side: None,
-        };
+        let keys = [a, b, union].map(|e| EventKey::new(&e)).to_vec();
+        let work = Workset::uniform(2, keys, &refs).0;
         let grouped =
-            density_counts_group_plan(&plan, &pool, &refs, 1, 4, &Budget::unlimited()).unwrap();
-        for (&r, got) in refs.iter().zip(&grouped) {
+            run_density(&TescEngine::new(&g), &work, Route::RefLanes, None, 1, 4).unwrap();
+        for &r in &refs {
             let want = counts(&g, &mut s, r, 2, &ma, &mb);
-            assert_eq!(&want, got, "r = {r}");
+            assert_eq!(want, executor_counts(&grouped, &work, r), "r = {r}");
         }
     }
 
@@ -1500,45 +1455,27 @@ mod tests {
         let a = vec![0u32, 4, 8];
         let b = vec![2u32, 9];
         let (ma, mb) = masks(10, &a, &b);
-        let (ka, kb) = (EventKey::new(&a), EventKey::new(&b));
+        let ka = EventKey::new(&a);
         let refs: Vec<NodeId> = (0..10).collect();
-        let pool = ScratchPool::for_graph(&g);
         let cache = DensityCache::for_graph(&g);
         let serial = Ok(serial_vectors(&g, &refs, 2, &ma, &mb));
-        let unlimited = Budget::unlimited();
-        let slot_nodes = vec![a.clone(), b.clone()];
-        let plan = GroupKernelPlan {
-            graph: &g,
-            slot_nodes: &slot_nodes,
-            h: 2,
-            event_side: None,
-        };
+        let (engine, work) = (TescEngine::new(&g), pair_work(2, &a, &b, &refs));
         // Pre-memoize event a at a few nodes (partially-memoized
         // group: some lanes hit one slot, none hit both).
-        let kplan = KernelPlan::scalar(&g, &ma, &mb, 2);
-        let mut scratch = pool.acquire();
+        let mut scratch = BfsScratch::new(10);
         for &r in &refs[0..4] {
-            let c = kplan.counts(&mut scratch, r, &unlimited).unwrap();
-            cache.insert(
-                &ka,
-                r,
-                2,
-                CachedCount {
-                    vicinity_size: c.vicinity_size as u32,
-                    count: c.count_a as u32,
-                },
-            );
+            let c = counts(&g, &mut scratch, r, 2, &ma, &mb);
+            let count = CachedCount {
+                vicinity_size: c.vicinity_size as u32,
+                count: c.count_a as u32,
+            };
+            cache.insert([(&ka, count)], r, 2);
         }
-        drop(scratch);
-        let cold = density_vectors_cached_group_plan(
-            &plan, &pool, &refs, &ka, &kb, 1, 4, &cache, &unlimited,
-        );
+        let cold = vectors(&engine, &work, &refs, Route::RefLanes, Some(&cache), 1, 4);
         assert_eq!(serial, cold, "partially-memoized grouped pass");
         assert_eq!(cache.bfs_invocations(), 10, "every node still BFSed once");
         // Warm pass: every slot memoized, zero BFS, identical bits.
-        let warm = density_vectors_cached_group_plan(
-            &plan, &pool, &refs, &ka, &kb, 2, 4, &cache, &unlimited,
-        );
+        let warm = vectors(&engine, &work, &refs, Route::RefLanes, Some(&cache), 2, 4);
         assert_eq!(serial, warm);
         assert_eq!(cache.bfs_invocations(), 10, "warm grouped pass ran no BFS");
     }
@@ -1573,7 +1510,7 @@ mod tests {
         let mut events: Vec<Vec<NodeId>> = [1usize, 63, 64, 65, 200, rng.gen_range(0..40)]
             .iter()
             .map(|&size| {
-                // Raw occurrence lists repeat nodes; the plan's lists
+                // Raw occurrence lists repeat nodes; the registered keys
                 // are normalized, like every caller's.
                 let raw: Vec<NodeId> = (0..size + size / 3)
                     .map(|_| rng.gen_range(0..n as NodeId))
@@ -1585,6 +1522,10 @@ mod tests {
             .collect();
         events[0] = vec![(n - 1) as NodeId]; // an isolated one-node event
         let masks: Vec<NodeMask> = events.iter().map(|e| NodeMask::from_nodes(n, e)).collect();
+        let keys: Vec<EventKey> = events
+            .iter()
+            .map(|e| EventKey::from_normalized(e.clone()))
+            .collect();
 
         let mut nodes: Vec<NodeId> = (0..rng.gen_range(1usize..90))
             .map(|_| rng.gen_range(0..n as NodeId))
@@ -1600,7 +1541,6 @@ mod tests {
                 _ => vec![(i % 6) as u32],    // private only
             })
             .collect();
-        let slot_refs: Vec<&[u32]> = slot_lists.iter().map(Vec::as_slice).collect();
 
         let mut scratch = BfsScratch::new(n);
         let mut want_sizes = Vec::new();
@@ -1613,13 +1553,12 @@ mod tests {
             want_sizes.push(scratch.vicinity_size(&g, r, h) as u32);
         }
 
-        let pool = ScratchPool::for_graph(&g);
-        let plain = GroupKernelPlan {
-            graph: &g,
-            slot_nodes: &events,
-            h,
-            event_side: Some(&index),
-        };
+        let engine = TescEngine::with_vicinity_index(&g, &index);
+        let incidences = nodes
+            .iter()
+            .zip(&slot_lists)
+            .flat_map(|(&r, slots)| slots.iter().map(move |&s| (r, s)));
+        let work = Workset::new(h, keys.clone(), incidences);
         let chunks = |wanted: &[u32]| -> u64 {
             wanted
                 .iter()
@@ -1627,37 +1566,33 @@ mod tests {
                 .sum()
         };
         for threads in [1usize, 3] {
-            let got = run_grouped(
-                &plain,
-                &pool,
-                &nodes,
-                &GroupSlots::PerNode(&slot_refs),
-                threads,
-                MAX_GROUP_SOURCES,
-                &Budget::unlimited(),
-            )
-            .expect("unlimited budget");
+            let got = run_density(&engine, &work, Route::EventLanes, None, threads, GROUP)
+                .expect("unlimited budget");
             let ctx = format!("seed {seed} h={h} threads={threads}");
-            assert_eq!(got.sizes, want_sizes, "{ctx}: sizes");
-            assert_eq!(got.counts, want_counts, "{ctx}: counts");
-            assert_eq!(got.traversals, chunks(&[0, 1, 2, 3, 4, 5]), "{ctx}");
+            let (mut got_sizes, mut got_counts) = (Vec::new(), Vec::new());
+            for (&r, slots) in nodes.iter().zip(&slot_lists) {
+                for &s in slots {
+                    got_counts.push(got.count(&work, r, s).1);
+                }
+                got_sizes.push(got.count(&work, r, slots[0]).0);
+            }
+            assert_eq!(got_sizes, want_sizes, "{ctx}: sizes");
+            assert_eq!(got_counts, want_counts, "{ctx}: counts");
+            assert_eq!(got.traversals(), chunks(&[0, 1, 2, 3, 4, 5]), "{ctx}");
         }
         // Same slots for every node (the one-pair shape): only the
         // wanted slots traverse.
-        let got = run_grouped(
-            &plain,
-            &pool,
-            &nodes,
-            &GroupSlots::Same(&[1, 4]),
-            1,
-            MAX_GROUP_SOURCES,
-            &Budget::unlimited(),
-        )
-        .expect("unlimited budget");
-        assert_eq!(got.traversals, chunks(&[1, 4]), "seed {seed}: pair chunks");
-        for (i, &r) in nodes.iter().enumerate() {
+        let pair = Workset::uniform(h, vec![keys[1].clone(), keys[4].clone()], &nodes).0;
+        let got = run_density(&engine, &pair, Route::EventLanes, None, 1, GROUP)
+            .expect("unlimited budget");
+        assert_eq!(
+            got.traversals(),
+            chunks(&[1, 4]),
+            "seed {seed}: pair chunks"
+        );
+        for &r in &nodes {
             let c = counts(&g, &mut scratch, r, h, &masks[1], &masks[4]);
-            let cell = &got.counts[2 * i..2 * i + 2];
+            let cell = [got.count(&pair, r, 0).1, got.count(&pair, r, 1).1];
             assert_eq!(cell, [c.count_a as u32, c.count_b as u32], "seed {seed}");
         }
     }
@@ -1673,34 +1608,34 @@ mod tests {
     fn interrupted_event_lanes_return_no_counts() {
         let g = tesc_graph::generators::grid(12, 12);
         let index = VicinityIndex::build(&g, 2);
-        let events = vec![(0..70).collect::<Vec<NodeId>>(), vec![100, 101]];
-        let plan = GroupKernelPlan {
-            graph: &g,
-            slot_nodes: &events,
-            h: 2,
-            event_side: Some(&index),
-        };
-        let pool = ScratchPool::for_graph(&g);
+        let keys = vec![
+            EventKey::new(&(0..70).collect::<Vec<NodeId>>()),
+            EventKey::new(&[100, 101]),
+        ];
         let nodes: Vec<NodeId> = (0..144).collect();
-        let run = |budget: &Budget| {
-            run_grouped(
-                &plan,
-                &pool,
-                &nodes,
-                &GroupSlots::Same(&[0, 1]),
-                2,
-                MAX_GROUP_SOURCES,
-                budget,
-            )
+        let work = Workset::uniform(2, keys, &nodes).0;
+        // One pool for every engine: the interrupted pass and the
+        // reruns check out the same scratches.
+        let pool = std::sync::Arc::new(ScratchPool::for_graph(&g));
+        let engine = |budget: Budget| {
+            TescEngine::with_vicinity_index(&g, &index)
+                .with_scratch_pool(pool.clone())
+                .with_budget(budget)
         };
+        let run =
+            |engine: &TescEngine<'_>| run_density(engine, &work, Route::EventLanes, None, 2, GROUP);
         let cancelled = Budget::cancellable();
         cancelled.cancel();
-        assert!(run(&cancelled).is_err(), "cancelled pass publishes nothing");
-        let done = run(&Budget::unlimited()).expect("unlimited budget");
-        assert_eq!(done.traversals, 3, "⌈70/64⌉ + ⌈2/64⌉ chunks");
+        assert!(
+            run(&engine(cancelled)).is_err(),
+            "cancelled pass publishes nothing"
+        );
+        let free = engine(Budget::unlimited());
+        let done = run(&free).expect("unlimited budget");
+        assert_eq!(done.traversals(), 3, "⌈70/64⌉ + ⌈2/64⌉ chunks");
         assert_eq!(
             done.counts,
-            run(&Budget::unlimited()).expect("rerun").counts,
+            run(&free).expect("rerun").counts,
             "the pooled scratch stays reusable after an interruption"
         );
     }

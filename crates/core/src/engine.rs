@@ -14,7 +14,7 @@
 //! randomness.
 
 use crate::cache::{DensityCache, EventKey};
-use crate::density::{choose_route, DensityCounts, GroupKernelPlan, KernelPlan, Route};
+use crate::density::{choose_route, run_density, Route, Workset};
 use crate::sampler::{
     importance_sample, mask_sample, rejection_sample, whole_graph_sample, ReachMemo, SamplerKind,
     UniformSample, WeightedSample,
@@ -442,77 +442,73 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         if union.is_empty() {
             return Err(TescError::NoEventNodes);
         }
+        // Content-addressed keys from the normalized occurrence sets:
+        // they address the reach memo and, when one is attached, the
+        // density cache.
+        let key_a = EventKey::from_normalized(a_sorted);
+        let key_b = EventKey::from_normalized(b_sorted);
         match cfg.sampler {
             SamplerKind::Importance { batch_size } => {
                 if cfg.statistic != Statistic::KendallTau {
                     return Err(TescError::StatisticUnsupportedBySampler);
                 }
-                self.test_importance(&union, &a_sorted, &b_sorted, cfg, batch_size, rng)
+                self.test_importance(union, key_a, key_b, cfg, batch_size, rng)
             }
             _ => {
-                // Content-addressed keys from the normalized occurrence
-                // sets: they address the reach memo and, when one is
-                // attached, the density cache.
-                let key_a = EventKey::from_normalized(a_sorted);
-                let key_b = EventKey::from_normalized(b_sorted);
                 let sample = self.sample_uniform(&key_a, &key_b, &union, cfg, rng)?;
-                let cache = self.cache.as_deref();
-                let (sa, sb) = self.density_vectors(&sample.nodes, &key_a, &key_b, cfg.h, cache)?;
+                let counts =
+                    self.one_pair_counts(vec![key_a, key_b], &sample.nodes, cfg.h, true)?;
+                let (sa, sb) = pair_densities(&counts);
                 Ok(Self::finish_uniform(&sa, &sb, &sample, cfg))
             }
         }
     }
 
-    /// The one route decision of a density pass over `refs` × `events`
-    /// (occurrence lists) — see [`choose_route`]. Shared
-    /// with the planner's fused stage (b).
-    pub(crate) fn route(&self, h: u32, refs: &[NodeId], events: &[&[NodeId]]) -> Route {
+    /// The one route decision of a density pass over `work` — see
+    /// [`choose_route`]. Shared with the planner's stage (b).
+    pub(crate) fn route(&self, work: &Workset) -> Route {
+        let events: Vec<&[NodeId]> = work.keys().iter().map(EventKey::nodes).collect();
         choose_route(
             self.kernel,
             self.graph,
             self.vicinity_index(),
-            h,
-            refs,
-            events,
+            work.h(),
+            work.nodes(),
+            &events,
         )
     }
 
-    /// Resolve this engine's grouped density execution plan for a
-    /// grouped `route` (event lanes read `|V^h_r|` off the engine's
-    /// index, which [`TescEngine::route`] has checked covers `h`).
-    /// Shared with the planner's fused stage (b).
-    pub(crate) fn group_plan<'p>(
-        &'p self,
-        slot_nodes: &'p [Vec<NodeId>],
+    /// One pair's density pass: every node of `refs` scored against
+    /// every key of `keys` (at most three) by the density executor, on
+    /// this engine's route and `density_threads`. Returns, per
+    /// `refs[i]` in order, `|V^h_r|` and its counts in key order. The
+    /// engine's cache is consulted only when `cached` and the pass
+    /// stays on the reference side — the one-pair bypass rule (see
+    /// [`crate::cache`]).
+    fn one_pair_counts(
+        &self,
+        keys: Vec<EventKey>,
+        refs: &[NodeId],
         h: u32,
-        route: Route,
-    ) -> GroupKernelPlan<'p, G> {
-        GroupKernelPlan {
-            graph: self.graph,
-            slot_nodes,
-            h,
-            event_side: match route {
-                Route::EventLanes => self.vicinity_index(),
-                _ => None,
-            },
-        }
-    }
-
-    /// Resolve this engine's density execution plan for one test: the
-    /// two event masks and the kernel.
-    fn density_plan<'p>(
-        &'p self,
-        mask_a: &'p NodeMask,
-        mask_b: &'p NodeMask,
-        h: u32,
-    ) -> KernelPlan<'p, G> {
-        KernelPlan {
-            graph: self.graph,
-            mask_a,
-            mask_b,
-            use_bitset: self.kernel.use_bitset(self.graph, h),
-            h,
-        }
+        cached: bool,
+    ) -> Result<Vec<(u32, [u32; 3])>, Interrupted> {
+        let (work, positions) = Workset::uniform(h, keys, refs);
+        let route = self.route(&work);
+        let cache = match route {
+            Route::EventLanes => None,
+            _ => self.cache.as_deref().filter(|_| cached),
+        };
+        let threads = self.density_threads;
+        let d = run_density(self, &work, route, cache, threads, SOURCE_GROUP_SIZE)?;
+        Ok(positions
+            .into_iter()
+            .map(|i| {
+                let (size, cells) = d.at(&work, i);
+                let mut counts = [0; 3];
+                counts[..cells.len()].copy_from_slice(cells);
+                (size, counts)
+            })
+            .collect())
     }
 
     /// Resolve the reach sets `V^h_e` of `events` into the request's
@@ -655,68 +651,6 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
         }
     }
 
-    /// Density vectors (`s^h_a`, `s^h_b`) at `refs` through the route
-    /// [`TescEngine::route`] picks: one BFS per node, the nodes batched
-    /// into 64-way multi-source traversals, or the two events'
-    /// occurrence nodes traversing as lanes; every configuration is
-    /// bit-identical. With a `cache`, the reference side memoizes
-    /// per-`(event, node, h)` counts.
-    fn density_vectors(
-        &self,
-        refs: &[NodeId],
-        key_a: &EventKey,
-        key_b: &EventKey,
-        h: u32,
-        cache: Option<&DensityCache>,
-    ) -> Result<(Vec<f64>, Vec<f64>), Interrupted> {
-        use crate::density::{
-            density_vectors_cached_group_plan, density_vectors_cached_plan,
-            density_vectors_group_plan, density_vectors_plan,
-        };
-        let (a, b) = (key_a.nodes(), key_b.nodes());
-        let (pool, threads, budget) = (&*self.pool, self.density_threads, &self.budget);
-        let route = self.route(h, refs, &[a, b]);
-        if route != Route::PerNode {
-            let slot_nodes = [a.to_vec(), b.to_vec()];
-            let gplan = self.group_plan(&slot_nodes, h, route);
-            // A one-pair pass resolved from the event side bypasses the
-            // cache, like the importance and intensity phases: its
-            // entries could only ever skip work on an exact repeat of
-            // this seeded sample (two traversals), yet they are what
-            // fills a serving cache (docs/PERFORMANCE.md §9).
-            return match (cache, route) {
-                (Some(cache), Route::RefLanes) => density_vectors_cached_group_plan(
-                    &gplan,
-                    pool,
-                    refs,
-                    key_a,
-                    key_b,
-                    threads,
-                    SOURCE_GROUP_SIZE,
-                    cache,
-                    budget,
-                ),
-                _ => density_vectors_group_plan(
-                    &gplan,
-                    pool,
-                    refs,
-                    threads,
-                    SOURCE_GROUP_SIZE,
-                    budget,
-                ),
-            };
-        }
-        let n = self.graph.num_nodes();
-        let (mask_a, mask_b) = (NodeMask::from_nodes(n, a), NodeMask::from_nodes(n, b));
-        let plan = self.density_plan(&mask_a, &mask_b, h);
-        match cache {
-            Some(cache) => {
-                density_vectors_cached_plan(&plan, pool, refs, key_a, key_b, threads, cache, budget)
-            }
-            None => density_vectors_plan(&plan, pool, refs, threads, budget),
-        }
-    }
-
     /// Intensity-weighted TESC test — the Sec. 6 extension. Densities
     /// use the events' intensity mass (see [`crate::intensity`]);
     /// reference eligibility and sampling are presence-based and
@@ -822,57 +756,33 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
     /// (Eq. 8) → z against the tie-corrected null variance.
     fn test_importance(
         &self,
-        union: &[NodeId],
-        a_nodes: &[NodeId],
-        b_nodes: &[NodeId],
+        union: Vec<NodeId>,
+        key_a: EventKey,
+        key_b: EventKey,
         cfg: &TescConfig,
         batch_size: usize,
         rng: &mut impl Rng,
     ) -> Result<TescResult, TescError> {
-        let sample = self.draw_importance_sample(union, cfg, batch_size, rng)?;
+        let sample = self.draw_importance_sample(&union, cfg, batch_size, rng)?;
         let n = sample.nodes.len();
-        // One BFS per distinct node gathers densities AND the inclusion
-        // weight ingredient |V^h_r ∩ V_{a∪b}| (RejectSamp's `c`); the
-        // loop honors `density_threads` like every other density phase
-        // and runs through the same kernel plan. Source
-        // grouping fuses the union set as a third slot, so one
-        // multi-source traversal still yields all four integers.
-        let route = self.route(cfg.h, &sample.nodes, &[a_nodes, b_nodes, union]);
-        let counts: Vec<DensityCounts> = if route != Route::PerNode {
-            let slot_nodes = [a_nodes.to_vec(), b_nodes.to_vec(), union.to_vec()];
-            let gplan = self.group_plan(&slot_nodes, cfg.h, route);
-            crate::density::density_counts_group_plan(
-                &gplan,
-                &self.pool,
-                &sample.nodes,
-                self.density_threads,
-                SOURCE_GROUP_SIZE,
-                &self.budget,
-            )?
-        } else {
-            let num_nodes = self.graph.num_nodes();
-            let (mask_a, mask_b) = (
-                NodeMask::from_nodes(num_nodes, a_nodes),
-                NodeMask::from_nodes(num_nodes, b_nodes),
-            );
-            crate::density::density_counts_plan(
-                &self.density_plan(&mask_a, &mask_b, cfg.h),
-                &self.pool,
-                &sample.nodes,
-                self.density_threads,
-                &self.budget,
-            )?
-        };
+        // One pass gathers densities AND the inclusion weight ingredient
+        // |V^h_r ∩ V_{a∪b}| (RejectSamp's `c`): the union set is a third
+        // slot of the workset. The pass bypasses the cache — its
+        // per-node quantities are pair-specific.
+        let keys = vec![key_a, key_b, EventKey::from_normalized(union)];
+        let counts = self.one_pair_counts(keys, &sample.nodes, cfg.h, false)?;
         let mut sa = Vec::with_capacity(n);
         let mut sb = Vec::with_capacity(n);
         let mut omega = Vec::with_capacity(n);
-        for (i, c) in counts.iter().enumerate() {
-            debug_assert!(c.count_union > 0, "sampled node must see an event");
-            sa.push(c.density_a());
-            sb.push(c.density_b());
+        for (&(size, [count_a, count_b, count_union]), &w) in
+            counts.iter().zip(&sample.multiplicities)
+        {
+            debug_assert!(count_union > 0, "sampled node must see an event");
+            sa.push(count_a as f64 / size as f64);
+            sb.push(count_b as f64 / size as f64);
             // ω_i = w_i / p(r_i); p(r_i) = count_union / N_sum and the
             // constant N_sum cancels in Eq. 8.
-            omega.push(sample.multiplicities[i] as f64 / c.count_union as f64);
+            omega.push(w as f64 / count_union as f64);
         }
         // Significance "accordingly" (Sec. 4.2): the same tie-corrected
         // null variance as the unweighted statistic over n distinct
@@ -903,11 +813,11 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
                 found: population.len(),
             });
         }
-        let (key_a, key_b) = (
+        let keys = vec![
             EventKey::from_normalized(a_sorted),
             EventKey::from_normalized(b_sorted),
-        );
-        let (sa, sb) = self.density_vectors(&population, &key_a, &key_b, h, None)?;
+        ];
+        let (sa, sb) = pair_densities(&self.one_pair_counts(keys, &population, h, false)?);
         Ok(kendall_tau(&sa, &sb, KendallMethod::MergeSort))
     }
 
@@ -917,6 +827,15 @@ impl<'a, G: Adjacency> TescEngine<'a, G> {
             _ => Err(TescError::MissingVicinityIndex { needed_h: h }),
         }
     }
+}
+
+/// `s^h_a(r) = |V_a ∩ V^h_r| / |V^h_r|` and `s^h_b(r)` (Eq. 2) from a
+/// one-pair pass's counts.
+fn pair_densities(counts: &[(u32, [u32; 3])]) -> (Vec<f64>, Vec<f64>) {
+    counts
+        .iter()
+        .map(|&(size, [a, b, _])| (a as f64 / size as f64, b as f64 / size as f64))
+        .unzip()
 }
 
 pub(crate) fn normalize(nodes: &[NodeId]) -> Vec<NodeId> {

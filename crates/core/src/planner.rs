@@ -5,7 +5,7 @@
 //! *shared*. A realistic request ("rank every keyword pair of this
 //! scenario") names far fewer distinct events than pairs, and the
 //! per-pair engine path re-walks the same reference vicinities once
-//! per pair — the cross-pair [`DensityCache`] recovers some of that
+//! per pair — the cross-pair [`DensityCache`](crate::cache::DensityCache) recovers some of that
 //! after the fact, but a cache can only skip a BFS when *every* slot
 //! of a pair already hit. A planner can do better by looking at the
 //! whole pair set before executing anything, the way a database
@@ -31,28 +31,25 @@
 //!   enumerated: 276 pairs over 24 events cost 24 traversals and 276
 //!   draws.
 //! * **fused density (stage b).** Every `(distinct reference node,
-//!   event)` count of the set, resolved once by one of three
-//!   **routes** — chosen once per pass by the engine's one route
-//!   decision ([`crate::density::choose_route`], a pure function of
-//!   the plan and the vicinity index):
-//!   *per-node*, ONE `h`-hop BFS per distinct reference node scored
-//!   against *all* its events in a single word sweep over the visited
-//!   bitmap ([`crate::density::MultiKernelPlan`], the M-event
-//!   generalization of `KernelPlan::counts`); *reference lanes*,
-//!   those nodes batched 64 to a multi-source traversal; or *event
-//!   lanes*, the same multi-source kernel driven from the smaller side
-//!   of the join — each event's occurrence nodes traverse as lanes,
-//!   `⌈|V_e|/64⌉` traversals per event however many nodes ask, with
-//!   `|V^h_r|` read from the index
-//!   ([`crate::density::GroupKernelPlan`]). Kernel × cache compose
-//!   exactly as in the per-pair path: traversals run with the engine's
-//!   kernel, and an attached [`DensityCache`] is consulted first via
-//!   its multi-event probe ([`DensityCache::lookup_many`]) — a node
-//!   whose every slot is memoized is not traversed for, on any route,
-//!   and completed passes insert what they measured (so a warm repeat
-//!   is probes only). [`FusedDensities::bfs_run`] counts nodes resolved by
-//!   traversal; [`FusedDensities::traversals`] counts what physically
-//!   ran (nodes, source groups or event chunks).
+//!   event)` count of the set, resolved once by the one density
+//!   executor ([`crate::density::run_density`], the same one a single
+//!   [`TescEngine::test`] runs) on the route the engine's one route
+//!   decision picks ([`crate::density::choose_route`], a pure function
+//!   of the workset and the vicinity index): *per-node*, ONE `h`-hop
+//!   BFS per distinct reference node scored against *all* its events
+//!   in a single sweep; *reference lanes*, those nodes batched 64 to a
+//!   multi-source traversal; or *event lanes*, the same multi-source
+//!   kernel driven from the smaller side of the join — each event's
+//!   occurrence nodes traverse as lanes, `⌈|V_e|/64⌉` traversals per
+//!   event however many nodes ask, with `|V^h_r|` read from the index.
+//!   Traversals run with the engine's kernel, and an attached
+//!   cache is consulted first via its multi-event probe
+//!   ([`DensityCache::lookup_many`](crate::cache::DensityCache::lookup_many)) — a node whose every slot is
+//!   memoized is not traversed for, on any route, and completed passes
+//!   insert what they measured (so a warm repeat is probes only).
+//!   [`FusedDensities::bfs_run`] counts nodes resolved by traversal;
+//!   [`FusedDensities::traversals`] counts what physically ran (nodes,
+//!   source groups or event chunks).
 //! * **scatter + correlate (stage c).** The per-(event, node) counts
 //!   are scattered back into each pair's density vectors (in that
 //!   pair's own sample order) and the existing correlate/significance
@@ -80,17 +77,16 @@
 //! the [`crate::rank`] top-K subsystem.
 
 use crate::batch::{EventPair, PairOutcome};
-use crate::cache::{CachedCount, DensityCache, EventKey, ProbeGovernor};
-use crate::density::{
-    map_indexed, map_refs_pooled, run_grouped, GroupSlots, MultiKernelPlan, Route,
-};
+use crate::cache::EventKey;
+pub use crate::density::FusedDensities;
+use crate::density::{map_indexed, run_density, Workset};
 use crate::engine::{normalize, Statistic, TescConfig, TescEngine, TescError, TescResult};
 use crate::sampler::{ReachMemo, SamplerKind, UniformSample, WeightedSample};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use tesc_events::{store::merge_union, NodeMask};
-use tesc_graph::{Adjacency, CsrGraph, Interrupted, NodeId, SOURCE_GROUP_SIZE};
+use tesc_events::store::merge_union;
+use tesc_graph::{Adjacency, CsrGraph, NodeId, SOURCE_GROUP_SIZE};
 
 /// One pair normalized and validated, before any sampling: the
 /// content keys of its two events and their merged occurrence set.
@@ -129,65 +125,30 @@ enum PlannedState {
     },
 }
 
+impl PlannedState {
+    /// The pair's reference sample and the first `k` of the returned
+    /// registry slots: `a`, `b` and, for importance pairs, the union.
+    fn cells(&self) -> (&[NodeId], [u32; 3], usize) {
+        match *self {
+            PlannedState::Uniform {
+                ref sample,
+                slot_a,
+                slot_b,
+            } => (&sample.nodes, [slot_a, slot_b, 0], 2),
+            PlannedState::Weighted {
+                ref sample,
+                slot_a,
+                slot_b,
+                slot_union,
+            } => (&sample.nodes, [slot_a, slot_b, slot_union], 3),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct PlannedPair {
     label: String,
     state: Result<PlannedState, TescError>,
-}
-
-/// Per-distinct-node result of the fused density pass.
-#[derive(Debug, Clone, Default)]
-struct NodeDensity {
-    size: u32,
-    counts: Vec<u32>,
-    did_bfs: bool,
-}
-
-/// The materialized output of [`PairSetPlan::run_density`]: per
-/// distinct reference node, `|V^h_r|` and one intersection count per
-/// event slot touching that node (flat, aligned with the plan's slot
-/// lists).
-#[derive(Debug, Clone, Default)]
-pub struct FusedDensities {
-    sizes: Vec<u32>,
-    counts: Vec<u32>,
-    bfs_run: u64,
-    traversals: u64,
-    interrupted: Option<Interrupted>,
-}
-
-impl FusedDensities {
-    /// How many reference nodes the fused pass resolved by traversal
-    /// (nodes whose every slot hit an attached cache are skipped).
-    /// Counted per **node**, not per traversal, so cache accounting is
-    /// identical whether those nodes ran one single-source search
-    /// each, were batched 64 to a multi-source traversal, or were
-    /// reached by event lanes — see [`FusedDensities::traversals`] for
-    /// the physical count.
-    #[inline]
-    pub fn bfs_run(&self) -> u64 {
-        self.bfs_run
-    }
-
-    /// How many graph traversals the fused pass physically executed:
-    /// equals [`FusedDensities::bfs_run`] on the per-node route, the
-    /// number of source groups (`⌈bfs_run / 64⌉`) on the
-    /// reference-lane route, and the number of event chunks
-    /// (`Σ ⌈|V_e|/64⌉` over the events with an unresolved count) on the
-    /// event-lane route.
-    #[inline]
-    pub fn traversals(&self) -> u64 {
-        self.traversals
-    }
-
-    /// `Some` when the engine's [`tesc_graph::Budget`] ran out during
-    /// the pass. The pass then published nothing — no counts, no cache
-    /// entries — and [`PairSetPlan::finish`] reports every pair as
-    /// `Err(Interrupted)`.
-    #[inline]
-    pub fn interrupted(&self) -> Option<Interrupted> {
-        self.interrupted
-    }
 }
 
 /// A planned pair set: stage (a) complete, ready for the fused density
@@ -197,17 +158,9 @@ pub struct PairSetPlan<'e, 'g, G = CsrGraph> {
     engine: &'e TescEngine<'g, G>,
     cfg: TescConfig,
     pairs: Vec<PlannedPair>,
-    /// Content-addressed registry of distinct events (+ importance
-    /// unions); `keys[s]` and `masks[s]` describe slot `s`.
-    keys: Vec<EventKey>,
-    masks: Vec<NodeMask>,
-    /// Distinct reference-node workset, ascending.
-    nodes: Vec<NodeId>,
-    /// The sorted distinct event slots node `nodes[i]` must be scored
-    /// against are `slot_flat[slot_starts[i]..slot_starts[i + 1]]`
-    /// (see [`PairSetPlan::slots_of`]); fused counts share the layout.
-    slot_starts: Vec<u32>,
-    slot_flat: Vec<u32>,
+    /// The deduplicated reference workset over the content-addressed
+    /// registry of distinct events (+ importance unions).
+    work: Workset,
     sampled_refs: usize,
 }
 
@@ -261,16 +214,12 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
 
         // Content-addressed event registration (serial: deterministic
         // slot numbering in first-appearance order).
-        let num_nodes = engine.graph().num_nodes();
         let mut keys: Vec<EventKey> = Vec::new();
-        let mut masks: Vec<NodeMask> = Vec::new();
         let mut slot_of: HashMap<EventKey, u32> = HashMap::new();
         let mut register = |key: &EventKey| -> u32 {
             *slot_of.entry(key.clone()).or_insert_with(|| {
-                let slot = keys.len() as u32;
-                masks.push(NodeMask::from_nodes(num_nodes, key.nodes()));
                 keys.push(key.clone());
-                slot
+                keys.len() as u32 - 1
             })
         };
         let weighted = matches!(cfg.sampler, SamplerKind::Importance { .. });
@@ -324,74 +273,30 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             .collect();
 
         // Deduplicated reference workset: every (node, slot) incidence
-        // packed into one word, sorted and deduplicated — distinct
-        // nodes ascending, each with its sorted distinct slots, flat.
-        let mut cells: Vec<u64> = Vec::new();
-        let mut sampled_refs = 0usize;
-        for p in &planned {
-            let (sample_nodes, slots): (&[NodeId], [Option<u32>; 3]) = match &p.state {
-                Err(_) => continue,
-                Ok(PlannedState::Uniform {
-                    sample,
-                    slot_a,
-                    slot_b,
-                }) => (&sample.nodes, [Some(*slot_a), Some(*slot_b), None]),
-                Ok(PlannedState::Weighted {
-                    sample,
-                    slot_a,
-                    slot_b,
-                    slot_union,
-                }) => (
-                    &sample.nodes,
-                    [Some(*slot_a), Some(*slot_b), Some(*slot_union)],
-                ),
-            };
-            sampled_refs += sample_nodes.len();
-            for &r in sample_nodes {
-                for slot in slots.into_iter().flatten() {
-                    cells.push((r as u64) << 32 | slot as u64);
-                }
-            }
-        }
-        cells.sort_unstable();
-        cells.dedup();
-        let mut nodes: Vec<NodeId> = Vec::new();
-        let mut slot_starts: Vec<u32> = Vec::new();
-        let mut slot_flat: Vec<u32> = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let r = (cell >> 32) as NodeId;
-            if nodes.last() != Some(&r) {
-                nodes.push(r);
-                slot_starts.push(slot_flat.len() as u32);
-            }
-            slot_flat.push(cell as u32);
-        }
-        slot_starts.push(slot_flat.len() as u32);
+        // of every planned pair, streamed into the workset's packing.
+        let sampled_refs = planned
+            .iter()
+            .filter_map(|p| p.state.as_ref().ok())
+            .map(|state| state.cells().0.len())
+            .sum();
+        let incidences = planned
+            .iter()
+            .filter_map(|p| p.state.as_ref().ok())
+            .flat_map(|state| {
+                let (nodes, slots, k) = state.cells();
+                nodes
+                    .iter()
+                    .flat_map(move |&r| (0..k).map(move |j| (r, slots[j])))
+            });
 
+        let work = Workset::new(cfg.h, keys, incidences);
         PairSetPlan {
             engine,
             cfg: *cfg,
             pairs: planned,
-            keys,
-            masks,
-            nodes,
-            slot_starts,
-            slot_flat,
+            work,
             sampled_refs,
         }
-    }
-
-    /// Range of node `i`'s cells in the flat slot/count layout.
-    #[inline]
-    fn cells_of(&self, i: usize) -> std::ops::Range<usize> {
-        self.slot_starts[i] as usize..self.slot_starts[i + 1] as usize
-    }
-
-    /// The sorted distinct event slots workset node `i` is scored
-    /// against.
-    #[inline]
-    fn slots_of(&self, i: usize) -> &[u32] {
-        &self.slot_flat[self.cells_of(i)]
     }
 
     /// Number of pairs in the plan (request order is preserved
@@ -405,7 +310,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// across the pair set.
     #[inline]
     pub fn num_events(&self) -> usize {
-        self.keys.len()
+        self.work.keys().len()
     }
 
     /// Size of the deduplicated reference workset — the number of
@@ -413,7 +318,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// can skip some).
     #[inline]
     pub fn distinct_refs(&self) -> usize {
-        self.nodes.len()
+        self.work.nodes().len()
     }
 
     /// Total sampled reference nodes across all pairs (`Σ_i n_i`) —
@@ -424,47 +329,13 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         self.sampled_refs
     }
 
-    /// Resolve the fused density execution plan with the engine's
-    /// kernel, mirroring the per-pair `density_plan`.
-    fn multi_plan(&self) -> MultiKernelPlan<'_, G> {
-        let (graph, h) = (self.engine.graph(), self.cfg.h);
-        MultiKernelPlan {
-            graph,
-            masks: &self.masks,
-            use_bitset: self.engine.density_kernel().use_bitset(graph, h),
-            h,
-        }
-    }
-
-    /// Stage (b): the fused density pass, scored against all of each
-    /// node's event slots. With an attached [`DensityCache`], every
-    /// slot is probed first ([`DensityCache::lookup_many`] — all slots
-    /// of one node under one shard lock) and cache-pending nodes only
-    /// proceed to BFS; fresh counts fill the missing slots per lane.
-    /// Output is positionally deterministic at any thread count.
-    ///
-    /// Three routes, chosen once per pass by the engine's one route
-    /// decision ([`crate::density::choose_route`], a pure function of
-    /// the plan and the engine's vicinity index), all bit-identical:
-    ///
-    /// * **per-node** — one `h`-hop BFS per pending node
-    ///   ([`MultiKernelPlan`], a single visited-bitmap word sweep per
-    ///   node);
-    /// * **reference lanes** — pending nodes batched up to 64 per
-    ///   multi-source traversal ([`crate::density::GroupKernelPlan`]),
-    ///   one bit-lane each, so adjacent workset nodes stop re-streaming
-    ///   the same edge lists (the `fused` rows of the `rank_events`
-    ///   bench measure the effect);
-    /// * **event lanes** — the same kernel driven from the smaller side
-    ///   of the join: each event's occurrence nodes traverse as lanes,
-    ///   `⌈|V_e|/64⌉` traversals per event however many reference nodes
-    ///   ask, and `|V^h_r|` is read from the vicinity index
-    ///   (`Auto` only, when the index covers `h` and the cost estimate
-    ///   says so with margin — `docs/PERFORMANCE.md` §9).
-    ///
-    /// The cache rule is the same on both grouped routes: probe first,
-    /// traverse only for the pending nodes, insert only after the pass
-    /// completed — so a warm repeat runs zero traversals.
+    /// Stage (b): the fused density pass — the density executor
+    /// ([`crate::density::run_density`]) over the plan's workset, on the
+    /// engine's route, with the engine's cache (if any) on every route:
+    /// probe first, traverse only for the pending nodes, insert only
+    /// after the pass completed — so a warm repeat runs zero
+    /// traversals. Output is positionally deterministic at any thread
+    /// count and bit-identical on every route.
     ///
     /// The pass runs under the engine's [`tesc_graph::Budget`],
     /// checked per BFS frontier level and per source group. An
@@ -472,254 +343,11 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// holding only counts from completed traversals, and records the
     /// interruption in [`FusedDensities::interrupted`].
     pub fn run_density(&self, threads: usize) -> FusedDensities {
-        let key_sets: Vec<&[NodeId]> = self.keys.iter().map(|k| k.nodes()).collect();
-        let fused = match self.engine.route(self.cfg.h, &self.nodes, &key_sets) {
-            Route::PerNode => self.run_density_per_node(threads),
-            route => self.run_density_grouped(threads, route, &key_sets),
-        };
-        fused.unwrap_or_else(|i| FusedDensities {
-            interrupted: Some(i),
-            ..FusedDensities::default()
-        })
-    }
-
-    /// Stage (b), grouped executor: cache probe per node, then the
-    /// pending workset resolved by multi-source traversals in the
-    /// route's direction.
-    fn run_density_grouped(
-        &self,
-        threads: usize,
-        route: Route,
-        key_sets: &[&[NodeId]],
-    ) -> Result<FusedDensities, Interrupted> {
-        let h = self.cfg.h;
-        let slot_nodes: Vec<Vec<NodeId>> = key_sets.iter().map(|s| s.to_vec()).collect();
-        let gplan = self.engine.group_plan(&slot_nodes, h, route);
-        // `run_grouped` re-checks the budget after the traversals, so
-        // its `Ok` means every count is from a completed search — safe
-        // to publish and to memoize.
-        let run = |nodes: &[NodeId], slot_refs: &[&[u32]]| {
-            run_grouped(
-                &gplan,
-                self.engine.pool(),
-                nodes,
-                &GroupSlots::PerNode(slot_refs),
-                threads,
-                SOURCE_GROUP_SIZE,
-                self.engine.budget(),
-            )
-        };
-        let n = self.nodes.len();
-        let Some(cache) = self.engine.density_cache() else {
-            // No cache: the whole workset is pending, in workset order,
-            // so the grouped result *is* the fused result.
-            let slot_refs: Vec<&[u32]> = (0..n).map(|i| self.slots_of(i)).collect();
-            let fresh = run(&self.nodes, &slot_refs)?;
-            return Ok(FusedDensities {
-                sizes: fresh.sizes,
-                counts: fresh.counts,
-                bfs_run: n as u64,
-                traversals: fresh.traversals,
-                interrupted: None,
-            });
-        };
-
-        // Cache-probe stage: fully-memoized nodes resolve without a
-        // traversal; the rest stay pending with their hit vectors kept
-        // for the per-cell fill (empty when every slot missed or the
-        // pass's governor dropped the probe — the node is treated as a
-        // full miss and its fresh counts still warm the cache). Probes
-        // run in parallel (crate::density::map_indexed): on a warm
-        // cache the whole pass is nothing but probes, so they fan out
-        // like the BFS stage does.
-        let governor = ProbeGovernor::new();
-        let probes = map_indexed(n, threads, Vec::new(), |i| {
-            let mut hits: Vec<Option<CachedCount>> = Vec::new();
-            if governor.engaged() {
-                let all = cache.lookup_many(
-                    self.slots_of(i).iter().map(|&s| &self.keys[s as usize]),
-                    self.nodes[i],
-                    h,
-                    &mut hits,
-                );
-                governor.record(all);
-                if hits.iter().all(Option::is_none) {
-                    hits = Vec::new();
-                }
-            }
-            hits
-        });
-        let mut sizes = vec![0u32; n];
-        let mut counts = vec![0u32; self.slot_flat.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        let mut pending_hits: Vec<Vec<Option<CachedCount>>> = Vec::new();
-        for (i, hits) in probes.into_iter().enumerate() {
-            if !hits.is_empty() && hits.iter().all(Option::is_some) {
-                let size = hits[0].expect("all slots hit").vicinity_size;
-                debug_assert!(
-                    hits.iter().all(|c| c.expect("hit").vicinity_size == size),
-                    "inconsistent cache"
-                );
-                sizes[i] = size;
-                for (cell, hit) in counts[self.cells_of(i)].iter_mut().zip(&hits) {
-                    *cell = hit.expect("hit").count;
-                }
-            } else {
-                pending.push(i);
-                pending_hits.push(hits);
-            }
-        }
-
-        let nodes: Vec<NodeId> = pending.iter().map(|&i| self.nodes[i]).collect();
-        let slot_refs: Vec<&[u32]> = pending.iter().map(|&i| self.slots_of(i)).collect();
-        let fresh = run(&nodes, &slot_refs)?;
-
-        // Scatter + cache fill, per cell: prefer the memoized integer
-        // where a slot hit (same value, same policy as the per-node
-        // path); the fresh ones go to the cache in bounded batches —
-        // one lock per shard per batch, not one per node, and never a
-        // pass-wide staging vector.
-        const FILL_BATCH: usize = 4096;
-        let mut batch: Vec<(NodeId, &EventKey, CachedCount)> = Vec::new();
-        let mut fresh_counts = fresh.counts.iter();
-        for ((&i, hits), &size) in pending.iter().zip(&pending_hits).zip(&fresh.sizes) {
-            sizes[i] = size;
-            let cells = self.cells_of(i);
-            for (j, cell) in counts[cells.clone()].iter_mut().enumerate() {
-                let count = *fresh_counts.next().expect("one fresh count per cell");
-                *cell = match hits.get(j).copied().flatten() {
-                    Some(c) => {
-                        debug_assert_eq!(c.vicinity_size, size, "inconsistent cache");
-                        c.count
-                    }
-                    None => {
-                        let slot = self.slot_flat[cells.start + j];
-                        batch.push((
-                            self.nodes[i],
-                            &self.keys[slot as usize],
-                            CachedCount {
-                                vicinity_size: size,
-                                count,
-                            },
-                        ));
-                        count
-                    }
-                };
-            }
-            if batch.len() >= FILL_BATCH {
-                cache.insert_bulk(h, batch.drain(..));
-            }
-        }
-        cache.record_bfs_n(pending.len() as u64);
-        cache.insert_bulk(h, batch);
-        Ok(FusedDensities {
-            sizes,
-            counts,
-            bfs_run: pending.len() as u64,
-            traversals: fresh.traversals,
-            interrupted: None,
-        })
-    }
-
-    /// Stage (b), per-node executor: one BFS per pending reference
-    /// node (fanned out over `threads` pooled workers), scored against
-    /// all of that node's event slots in a single visited-bitmap
-    /// sweep.
-    fn run_density_per_node(&self, threads: usize) -> Result<FusedDensities, Interrupted> {
-        let mplan = self.multi_plan();
-        let cache: Option<&DensityCache> = self.engine.density_cache().map(|c| c.as_ref());
-        let (h, budget) = (self.cfg.h, self.engine.budget());
-        let governor = ProbeGovernor::new();
-        let per_node = map_refs_pooled(self.engine.pool(), &self.nodes, threads, budget, {
-            |scratch, r| {
-                let i = self.nodes.binary_search(&r).expect("workset node");
-                let slots = self.slots_of(i);
-                let Some(cache) = cache else {
-                    let mut counts = Vec::new();
-                    let size = mplan.counts_for(scratch, r, slots, &mut counts, budget)?;
-                    return Ok(NodeDensity {
-                        size: size as u32,
-                        counts,
-                        did_bfs: true,
-                    });
-                };
-                let mut hits: Vec<Option<CachedCount>> = Vec::with_capacity(slots.len());
-                // The pass's governor drops the probe — but never the
-                // insert — once measured sharing stops paying for it.
-                let all = if governor.engaged() {
-                    let all = cache.lookup_many(
-                        slots.iter().map(|&s| &self.keys[s as usize]),
-                        r,
-                        h,
-                        &mut hits,
-                    );
-                    governor.record(all);
-                    all
-                } else {
-                    hits.clear();
-                    hits.resize(slots.len(), None);
-                    false
-                };
-                if all {
-                    let size = hits[0].expect("all slots hit").vicinity_size;
-                    debug_assert!(
-                        hits.iter().all(|c| c.expect("hit").vicinity_size == size),
-                        "inconsistent cache"
-                    );
-                    return Ok(NodeDensity {
-                        size,
-                        counts: hits.iter().map(|c| c.expect("hit").count).collect(),
-                        did_bfs: false,
-                    });
-                }
-                let mut fresh = Vec::new();
-                // Only a completed BFS may warm the cache: partial
-                // counts from an interrupted traversal are never
-                // memoized.
-                let size = mplan.counts_for(scratch, r, slots, &mut fresh, budget)? as u32;
-                cache.record_bfs();
-                // Prefer the memoized integer where a slot hit (same
-                // value, same policy as the per-pair cached path);
-                // insert the fresh ones.
-                let counts: Vec<u32> = slots
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &s)| match hits[j] {
-                        Some(c) => {
-                            debug_assert_eq!(c.vicinity_size, size, "inconsistent cache");
-                            c.count
-                        }
-                        None => {
-                            cache.insert(
-                                &self.keys[s as usize],
-                                r,
-                                h,
-                                CachedCount {
-                                    vicinity_size: size,
-                                    count: fresh[j],
-                                },
-                            );
-                            fresh[j]
-                        }
-                    })
-                    .collect();
-                Ok(NodeDensity {
-                    size,
-                    counts,
-                    did_bfs: true,
-                })
-            }
-        })?;
-        let bfs_run = per_node.iter().filter(|d| d.did_bfs).count() as u64;
-        let sizes = per_node.iter().map(|d| d.size).collect();
-        let counts = per_node.into_iter().flat_map(|d| d.counts).collect();
-        Ok(FusedDensities {
-            sizes,
-            counts,
-            bfs_run,
-            traversals: bfs_run,
-            interrupted: None,
-        })
+        let (engine, work) = (self.engine, &self.work);
+        let cache = engine.density_cache().map(|c| c.as_ref());
+        let route = engine.route(work);
+        run_density(engine, work, route, cache, threads, SOURCE_GROUP_SIZE)
+            .unwrap_or_else(FusedDensities::interrupted_by)
     }
 
     /// Stage (c) for the whole set: scatter + correlate every pair, in
@@ -764,22 +392,6 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         }
     }
 
-    /// Fused count for `(slot, r)`: `(|V^h_r|, |V_slot ∩ V^h_r|)`.
-    fn count_at(&self, fused: &FusedDensities, r: NodeId, slot: u32) -> (u32, u32) {
-        let i = self
-            .nodes
-            .binary_search(&r)
-            .expect("sampled node in workset");
-        let j = self
-            .slots_of(i)
-            .binary_search(&slot)
-            .expect("pair slot registered for node");
-        (
-            fused.sizes[i],
-            fused.counts[self.slot_starts[i] as usize + j],
-        )
-    }
-
     /// Scatter one pair's density vectors (and ω weights for
     /// importance pairs) out of the fused counts, in the pair's own
     /// sample order — the input of the correlate stage and of the
@@ -790,26 +402,20 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         index: usize,
         fused: &FusedDensities,
     ) -> Result<PairVectors, TescError> {
-        if let Some(i) = fused.interrupted {
+        if let Some(i) = fused.interrupted() {
             return Err(TescError::Interrupted(i));
         }
+        let work = &self.work;
         match &self.pairs[index].state {
             Err(e) => Err(e.clone()),
             Ok(PlannedState::Uniform {
                 sample,
                 slot_a,
                 slot_b,
-            }) => {
-                let n = sample.nodes.len();
-                let (mut sa, mut sb) = (Vec::with_capacity(n), Vec::with_capacity(n));
-                for &r in &sample.nodes {
-                    let (size, ca) = self.count_at(fused, r, *slot_a);
-                    let (_, cb) = self.count_at(fused, r, *slot_b);
-                    sa.push(ca as f64 / size as f64);
-                    sb.push(cb as f64 / size as f64);
-                }
-                Ok(PairVectors::Uniform { sa, sb })
-            }
+            }) => Ok(PairVectors::Uniform {
+                sa: fused.densities(work, &sample.nodes, *slot_a),
+                sb: fused.densities(work, &sample.nodes, *slot_b),
+            }),
             Ok(PlannedState::Weighted {
                 sample,
                 slot_a,
@@ -820,9 +426,9 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                 let (mut sa, mut sb) = (Vec::with_capacity(n), Vec::with_capacity(n));
                 let mut omega = Vec::with_capacity(n);
                 for (i, &r) in sample.nodes.iter().enumerate() {
-                    let (size, ca) = self.count_at(fused, r, *slot_a);
-                    let (_, cb) = self.count_at(fused, r, *slot_b);
-                    let (_, cu) = self.count_at(fused, r, *slot_union);
+                    let (size, ca) = fused.count(work, r, *slot_a);
+                    let (_, cb) = fused.count(work, r, *slot_b);
+                    let (_, cu) = fused.count(work, r, *slot_union);
                     debug_assert!(cu > 0, "sampled node must see an event");
                     sa.push(ca as f64 / size as f64);
                     sb.push(cb as f64 / size as f64);
@@ -984,7 +590,7 @@ mod tests {
         let pairs = pairs_sharing_events(1500, 4);
         let cfg = TescConfig::new(2).with_sample_size(120);
         let reference = TescEngine::new(&g);
-        let cache = std::sync::Arc::new(DensityCache::for_graph(&g));
+        let cache = std::sync::Arc::new(crate::cache::DensityCache::for_graph(&g));
         let configured = TescEngine::new(&g)
             .with_density_kernel(BfsKernel::Bitset)
             .with_density_cache(cache.clone());

@@ -435,9 +435,9 @@ impl NodeMask {
     /// `|self ∩ W|` where `W` is a visited bitmap over the same id
     /// space (shorter slices are treated as zero-padded). One word-wise
     /// AND + popcount sweep — the single-mask form of the word-level
-    /// intersection; the density hot path fuses three of these (both
-    /// event masks plus their `a | b` union) into one sweep over
-    /// [`NodeMask::words`] instead (`tesc::density::KernelPlan::counts`).
+    /// intersection; the density hot path fuses every event mask a
+    /// reference node is scored against into one sweep over
+    /// [`NodeMask::words`] instead (`tesc_graph::multi_mask_counts`).
     pub fn intersection_count_words(&self, words: &[u64]) -> usize {
         self.bits
             .iter()

@@ -520,8 +520,8 @@ impl BfsScratch {
     /// Multi-mask word sweep over the visited bitmap of the most
     /// recent [`BfsScratch::visit_h_vicinity_bitset`] search: one
     /// AND + popcount pass that intersects the bitmap against **M**
-    /// membership masks at once — the fused generalization of the
-    /// two-event sweep in `tesc::density::KernelPlan::counts`. See
+    /// membership masks at once — the bitset kernel of the density
+    /// executor's per-node route (`tesc::density::run_density`). See
     /// [`multi_mask_counts`] for the word-level contract.
     #[inline]
     pub fn visited_multi_mask_counts(&self, masks: &[&[u64]], counts: &mut [u32]) {

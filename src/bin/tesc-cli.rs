@@ -788,8 +788,10 @@ fn run_rank_on<G: Adjacency>(graph: &G, flags: &HashMap<String, String>) -> Resu
         req = req.with_top_k(k);
     }
     let mode = parse_mode_flag(flags)?;
-    let anytime = matches!(mode, tesc::RankMode::Anytime { .. });
-    if anytime && req.top_k.is_none() {
+    // The anytime tiers run only under a top-K cutoff; the table shows
+    // what actually ran.
+    let anytime = matches!(mode, tesc::RankMode::Anytime { .. }) && req.top_k.is_some();
+    if matches!(mode, tesc::RankMode::Anytime { .. }) && !anytime {
         eprintln!("note: --mode anytime needs --top-k; running exact");
     }
     req = req.with_mode(mode);

@@ -142,3 +142,27 @@ fn a_tight_rank_deadline_prints_a_table_or_interrupts_and_never_panics() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn anytime_without_top_k_prints_the_exact_table() {
+    let dir = demo_dir("anytime-exact");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (graph, events) = (file("graph.txt"), file("events.txt"));
+    let rank = ["rank", "--graph", &graph, "--events", &events, "--n", "100"];
+    let table = |extra: &[&str]| {
+        let out = cli(&[&rank[..], extra].concat());
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    // No top-K cutoff: the run is exact, and so is its table.
+    let (stdout, stderr) = table(&["--mode", "anytime:0.05"]);
+    assert!(stderr.contains("running exact"), "{stderr}");
+    assert!(!stdout.contains("decided@n"), "{stdout}");
+    let (exact, _) = table(&[]);
+    assert_eq!(stdout, exact, "the same table as an exact run");
+    // With a cutoff the anytime tiers run and the column appears.
+    let (stdout, _) = table(&["--mode", "anytime:0.05", "--top-k", "2"]);
+    assert!(stdout.contains("decided@n"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

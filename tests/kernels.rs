@@ -9,16 +9,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tesc::density::{
-    choose_route, density_counts, density_vectors_group_plan, density_vectors_plan,
-    GroupKernelPlan, KernelPlan, Route,
-};
+use tesc::density::{choose_route, density_counts, run_density, DensityCounts, Route, Workset};
 use tesc::{
-    BfsKernel, DensityCache, NodeMask, SamplerKind, Tail, TescConfig, TescEngine, TescResult,
+    BfsKernel, DensityCache, EventKey, NodeMask, SamplerKind, Tail, TescConfig, TescEngine,
+    TescResult,
 };
 use tesc_datasets::{DblpConfig, DblpScenario};
 use tesc_graph::perturb::{add_random_edges, remove_random_edges};
-use tesc_graph::{BfsScratch, Budget, CsrGraph, MsBfsScratch, NodeId, ScratchPool, VicinityIndex};
+use tesc_graph::{BfsScratch, Budget, CsrGraph, MsBfsScratch, NodeId, VicinityIndex};
 
 const CASES: u64 = 128;
 
@@ -42,6 +40,30 @@ fn random_mask(rng: &mut StdRng, n: usize) -> NodeMask {
     let k = rng.gen_range(0usize..n.max(1));
     let nodes: Vec<NodeId> = (0..k).map(|_| rng.gen_range(0..n as u32)).collect();
     NodeMask::from_nodes(n, &nodes)
+}
+
+/// The one-pair workset of `refs` × `[a, b]` (any order, repeats
+/// allowed), optionally with the union `a ∪ b` as a third slot.
+fn pair_work(h: u32, a: &[NodeId], b: &[NodeId], union: bool, refs: &[NodeId]) -> Workset {
+    let mut keys = vec![EventKey::new(a), EventKey::new(b)];
+    if union {
+        keys.push(EventKey::new(&[a, b].concat()));
+    }
+    Workset::uniform(h, keys, refs).0
+}
+
+/// The density executor over a one-pair workset, read back as
+/// `(s_a, s_b)` in `refs` order.
+fn pair_vectors(
+    engine: &TescEngine<'_>,
+    work: &Workset,
+    refs: &[NodeId],
+    route: Route,
+    threads: usize,
+    group_size: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    let d = run_density(engine, work, route, None, threads, group_size).expect("unlimited budget");
+    (d.densities(work, refs, 0), d.densities(work, refs, 1))
 }
 
 fn all_samplers() -> Vec<SamplerKind> {
@@ -105,21 +127,25 @@ fn kernel_counts_equal_on_perturbed_generator_graphs() {
         let (g, _) = add_random_edges(&shrunk, 30, &mut r);
         let n = g.num_nodes();
         let (ma, mb) = (random_mask(&mut r, n), random_mask(&mut r, n));
+        let (a, b) = (ma.to_nodes(), mb.to_nodes());
         let mut s = BfsScratch::new(n);
         let free = Budget::unlimited();
+        let bitset = TescEngine::new(&g).with_density_kernel(BfsKernel::Bitset);
         for _ in 0..6 {
             let v = r.gen_range(0..n as u32);
             let h = r.gen_range(0u32..4);
             let scalar = density_counts(&g, &mut s, v, h, &ma, &mb, &free);
-            let bitset = KernelPlan {
-                use_bitset: true,
-                ..KernelPlan::scalar(&g, &ma, &mb, h)
-            };
-            assert_eq!(
-                scalar,
-                bitset.counts(&mut s, v, &free),
-                "case {case}: v = {v}, h = {h}"
-            );
+            // The executor's per-node route with the union as a third
+            // slot yields all four integers.
+            let work = pair_work(h, &a, &b, true, &[v]);
+            let got =
+                run_density(&bitset, &work, Route::PerNode, None, 1, 64).map(|d| DensityCounts {
+                    vicinity_size: d.count(&work, v, 0).0 as usize,
+                    count_a: d.count(&work, v, 0).1 as usize,
+                    count_b: d.count(&work, v, 1).1 as usize,
+                    count_union: d.count(&work, v, 2).1 as usize,
+                });
+            assert_eq!(scalar, got, "case {case}: v = {v}, h = {h}");
         }
     }
 }
@@ -277,15 +303,11 @@ fn plan_density_vectors_equal_for_random_masks() {
         let (ma, mb) = (random_mask(&mut r, n), random_mask(&mut r, n));
         let h = r.gen_range(0u32..4);
         let refs: Vec<NodeId> = (0..n as u32).step_by(3).collect();
-        let pool = ScratchPool::for_graph(&g);
-        let scalar = KernelPlan::scalar(&g, &ma, &mb, h);
-        let free = Budget::unlimited();
-        let reference = density_vectors_plan(&scalar, &pool, &refs, 1, &free);
-        let bitset = KernelPlan {
-            use_bitset: true,
-            ..scalar
-        };
-        let got = density_vectors_plan(&bitset, &pool, &refs, 2, &free);
+        let work = pair_work(h, &ma.to_nodes(), &mb.to_nodes(), false, &refs);
+        let scalar = TescEngine::new(&g).with_density_kernel(BfsKernel::Scalar);
+        let reference = pair_vectors(&scalar, &work, &refs, Route::PerNode, 1, 64);
+        let bitset = TescEngine::new(&g).with_density_kernel(BfsKernel::Bitset);
+        let got = pair_vectors(&bitset, &work, &refs, Route::PerNode, 2, 64);
         assert_eq!(reference, got, "case {case}: bitset");
     }
 }
@@ -391,35 +413,21 @@ fn multi_source_lanes_equal_scalar_on_perturbed_generator_graphs() {
 
 #[test]
 fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
-    // Workset sizes 1, 63, 64, 65, 127 — partitioned into groups by
+    // Sample sizes 1, 63, 64, 65, 127 — partitioned into groups by
     // the executor — must all reproduce the scalar reference,
-    // including sources sharing a vicinity (dense community) and
-    // duplicate sources.
+    // including sources sharing a vicinity (dense community) and a
+    // repeated sample node (the workset holds it once; both sample
+    // positions read its counts back).
     let s = DblpScenario::build(DblpConfig::small(), &mut rng(90));
     let g = &s.graph;
     let n = g.num_nodes();
     let (va, vb) = s.plant_positive_keyword_pair(12, 10, 0.25, &mut rng(91));
-    let norm = |v: &[NodeId]| {
-        let mut v = v.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let (a, b) = (norm(&va), norm(&vb));
-    let (ma, mb) = (NodeMask::from_nodes(n, &a), NodeMask::from_nodes(n, &b));
-    let pool = ScratchPool::for_graph(g);
-    let free = Budget::unlimited();
-    let slot_nodes = vec![a.clone(), b.clone()];
-    let plan = GroupKernelPlan {
-        graph: g,
-        slot_nodes: &slot_nodes,
-        h: 2,
-        event_side: None,
-    };
+    let scalar = TescEngine::new(g).with_density_kernel(BfsKernel::Scalar);
+    let engine = TescEngine::new(g);
     let mut r = rng(92);
     for workset in [1usize, 63, 64, 65, 127] {
         // Half clustered (shared vicinities), half uniform; a repeated
-        // node makes two lanes of one group duplicates.
+        // node is one sample drawn twice.
         let base = r.gen_range(0..(n as u32) / 2);
         let mut refs: Vec<NodeId> = (0..workset as u32 / 2).map(|i| base + i % 40).collect();
         refs.extend((refs.len()..workset).map(|_| r.gen_range(0..n as u32)));
@@ -427,10 +435,10 @@ fn grouped_density_vectors_for_worksets_straddling_the_word_boundary() {
             let dup = refs[0];
             refs[workset / 2] = dup;
         }
-        let scalar = KernelPlan::scalar(g, &ma, &mb, 2);
-        let reference = density_vectors_plan(&scalar, &pool, &refs, 1, &free);
+        let work = pair_work(2, &va, &vb, false, &refs);
+        let reference = pair_vectors(&scalar, &work, &refs, Route::PerNode, 1, 64);
         for group_size in [1usize, 63, 64] {
-            let got = density_vectors_group_plan(&plan, &pool, &refs, 2, group_size, &free);
+            let got = pair_vectors(&engine, &work, &refs, Route::RefLanes, 2, group_size);
             assert_eq!(reference, got, "workset={workset} group_size={group_size}");
         }
     }
@@ -660,15 +668,9 @@ fn event_side_densities_equal_set_intersection_oracle() {
             events.iter().map(|e| e.iter().copied().collect()).collect();
         let refs: Vec<NodeId> = (0..n as u32).step_by(2).collect();
         let index = VicinityIndex::build(&g, 2);
-        let plan = GroupKernelPlan {
-            graph: &g,
-            slot_nodes: &events,
-            h,
-            event_side: Some(&index),
-        };
-        let pool = ScratchPool::for_graph(&g);
-        let (sa, sb) =
-            density_vectors_group_plan(&plan, &pool, &refs, 2, 64, &Budget::unlimited()).unwrap();
+        let engine = TescEngine::with_vicinity_index(&g, &index);
+        let work = pair_work(h, &events[0], &events[1], false, &refs);
+        let (sa, sb) = pair_vectors(&engine, &work, &refs, Route::EventLanes, 2, 64);
         for (i, &v) in refs.iter().enumerate() {
             let vicinity = ball(v);
             let density = |e: &BTreeSet<NodeId>| {

@@ -20,7 +20,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use tesc::batch::{run_batch, run_batch_per_pair, run_batch_serial, BatchRequest, EventPair};
+use tesc::batch::{run_batch, run_batch_serial, BatchRequest, EventPair};
 use tesc::rank::{content_seed, rank_pairs, RankRequest};
 use tesc::{BfsKernel, DensityCache, SamplerKind, Tail, TescConfig, TescEngine, VicinityIndex};
 use tesc_datasets::{DblpConfig, DblpScenario};
@@ -222,9 +222,10 @@ fn top_k_prefix_property_holds_across_seeds() {
 
 #[test]
 fn batch_executors_agree_on_shared_event_lists() {
-    // The planner-backed run_batch, the legacy per-pair queue and the
-    // serial reference must agree bit-for-bit on the ranking bench's
-    // workload shape (index-derived seeds here — the batch contract).
+    // The planner-backed run_batch and the serial reference (one
+    // engine test per pair) must agree bit-for-bit on the ranking
+    // bench's workload shape (index-derived seeds here — the batch
+    // contract).
     let s = DblpScenario::build(DblpConfig::small(), &mut rng(40));
     let engine = TescEngine::new(&s.graph);
     let req = BatchRequest::new(TescConfig::new(2).with_sample_size(150))
@@ -233,12 +234,7 @@ fn batch_executors_agree_on_shared_event_lists() {
     let serial = run_batch_serial(&engine, &req);
     for threads in [2usize, 4] {
         let fused = run_batch(&engine, &req.clone().with_threads(threads));
-        let queued = run_batch_per_pair(&engine, &req.clone().with_threads(threads));
         assert_eq!(serial.outcomes, fused.outcomes, "planner path @ {threads}t");
-        assert_eq!(
-            serial.outcomes, queued.outcomes,
-            "per-pair path @ {threads}t"
-        );
     }
 }
 
