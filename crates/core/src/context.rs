@@ -23,8 +23,9 @@
 //!   `(max_level − 1)`-ball around the new edges' endpoints, the only
 //!   nodes that can see a new `≤ max_level` path. What remains
 //!   proportional to the whole graph is copying arrays that must
-//!   exist twice anyway (readers keep the old snapshot) and one
-//!   fingerprint pass for the new version's cache. WAL replay
+//!   exist twice anyway (readers keep the old snapshot); the new
+//!   version's fingerprint is the old one plus the new arcs' terms,
+//!   so pinning its cache hashes nothing. WAL replay
 //!   ([`TescContext::open_dir`]) applies edge records through the same
 //!   splice. Event ingestion reuses the graph and index entirely.
 //! * **Each snapshot carries a cross-pair [`DensityCache`]** shared by

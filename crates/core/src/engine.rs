@@ -1282,6 +1282,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "different graph shape")]
+    fn cache_for_a_spliced_graph_of_equal_node_count_rejected() {
+        let g = grid(5, 5);
+        let spliced = g.with_edges(&[(0, 24), (3, 17)]);
+        assert_eq!(spliced.num_nodes(), g.num_nodes());
+        let cache = std::sync::Arc::new(crate::cache::DensityCache::for_graph(&g));
+        let _ = TescEngine::new(&spliced).with_density_cache(cache);
+    }
+
+    #[test]
     fn kernel_override_engines_bit_identical() {
         let g = barabasi_albert(1200, 3, &mut rng(60));
         let va: Vec<u32> = (0..60).collect();

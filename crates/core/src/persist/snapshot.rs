@@ -35,7 +35,7 @@
 //! never a half-built graph.
 
 use tesc_events::EventStore;
-use tesc_graph::{decode_tgraph, encode_tgraph, CompressedCsr, CsrGraph, GraphBuilder, NodeId};
+use tesc_graph::{decode_tgraph_csr, encode_tgraph, CompressedCsr, CsrGraph, GraphBuilder, NodeId};
 
 use super::codec::{put_u32, put_u64, Cursor, DecodeError};
 use super::crc::crc32;
@@ -113,7 +113,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, CsrGraph, EventStore), Deco
     let graph = if v2 {
         let tgraph_len = c.len_prefix(1)?;
         let container = c.take(tgraph_len)?;
-        decode_tgraph(container)?.graph.to_csr()
+        decode_tgraph_csr(container)?.graph
     } else {
         decode_v1_edges(&mut c, &fail)?
     };

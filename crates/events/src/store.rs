@@ -155,11 +155,10 @@ impl EventStore {
     }
 
     /// 64-bit content fingerprint (FNV-1a over event count, names and
-    /// sorted occurrence lists), same constants as
-    /// `CsrGraph::fingerprint`. Two stores with equal fingerprints hold
-    /// the same events in the same registration order — used by the
-    /// persistence layer to prove a recovered store bit-identical to
-    /// the never-crashed one.
+    /// sorted occurrence lists), computed on each call. Two stores with
+    /// equal fingerprints hold the same events in the same
+    /// registration order — used by the persistence layer to prove a
+    /// recovered store bit-identical to the never-crashed one.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -46,7 +46,8 @@ pub trait Adjacency: Sync + Send {
     /// graph represents (see [`CsrGraph::fingerprint`]). Equal
     /// fingerprints ⇒ identical topology, regardless of encoding —
     /// the invariant that lets density caches built against one
-    /// encoding be pinned to the other.
+    /// encoding be pinned to the other. Both implementations store the
+    /// value from construction, so this is `O(1)`.
     fn fingerprint(&self) -> u64;
 
     /// Estimated resident heap bytes of the adjacency structure

@@ -371,118 +371,6 @@ impl CompressedCsr {
         }
     }
 
-    /// Reassemble (and fully validate) a compressed graph from its
-    /// serialized parts: the per-node degrees and the packed stream
-    /// (block padding and tail padding included).
-    ///
-    /// This is the untrusted-input constructor: it re-walks the whole
-    /// stream with checked chunk reads, verifies block and tail
-    /// padding, id ranges and exact stream consumption, and recomputes
-    /// the plain-CSR fingerprint, which must equal
-    /// `expect_fingerprint`. Never panics on garbage.
-    pub fn assemble(
-        degrees: Vec<u32>,
-        bytes: Vec<u8>,
-        expect_fingerprint: u64,
-    ) -> Result<CompressedCsr, DecodeError> {
-        let n = degrees.len();
-        let malformed = |offset: usize, message: String| DecodeError { offset, message };
-        if n > u32::MAX as usize {
-            return Err(malformed(0, format!("{n} nodes do not fit u32 ids")));
-        }
-        if bytes.len() > u32::MAX as usize {
-            return Err(malformed(0, "packed stream exceeds 4 GiB".into()));
-        }
-        let mut degree_sum = 0u64;
-        for (v, &d) in degrees.iter().enumerate() {
-            if d as usize >= n.max(1) {
-                return Err(malformed(
-                    0,
-                    format!("node {v} claims degree {d} in a {n}-node simple graph"),
-                ));
-            }
-            degree_sum += d as u64;
-        }
-        if !degree_sum.is_multiple_of(2) {
-            return Err(malformed(0, format!("odd degree sum {degree_sum}")));
-        }
-
-        // Fingerprint (FNV-1a, mirroring `CsrGraph::fingerprint`): the
-        // plain offsets are the degree prefix sums, mixable up front.
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        h ^= n as u64;
-        h = h.wrapping_mul(PRIME);
-        let mut prefix = 0u64;
-        h ^= prefix;
-        h = h.wrapping_mul(PRIME);
-        for &d in degrees.iter() {
-            prefix += d as u64;
-            h ^= prefix;
-            h = h.wrapping_mul(PRIME);
-        }
-
-        // Walk the stream exactly as the encoder emitted it.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut pos = 0usize;
-        for (v, &d) in degrees.iter().enumerate() {
-            if v % BLOCK_NODES == 0 {
-                while !pos.is_multiple_of(BLOCK_ALIGN) {
-                    match bytes.get(pos) {
-                        Some(0) => pos += 1,
-                        Some(_) => {
-                            return Err(malformed(pos, "nonzero block padding".into()));
-                        }
-                        None => return Err(malformed(pos, "stream ends inside padding".into())),
-                    }
-                }
-            }
-            offsets.push(pos as u32);
-            let row_start = pos;
-            let mut base = 0u64;
-            checked_walk_chunks(&bytes, &mut pos, d, |gap| {
-                let w = base + gap as u64;
-                if w >= n as u64 {
-                    return Err(DecodeError {
-                        offset: row_start,
-                        message: format!("node {v} neighbor {w} out of range for {n} nodes"),
-                    });
-                }
-                h ^= w;
-                h = h.wrapping_mul(PRIME);
-                base = w + 1;
-                Ok(())
-            })?;
-        }
-        offsets.push(pos as u32);
-        if bytes.len() != pos + TAIL_PAD {
-            return Err(malformed(
-                pos,
-                format!(
-                    "stream is {} bytes, expected {} rows + {TAIL_PAD} tail padding",
-                    bytes.len(),
-                    pos
-                ),
-            ));
-        }
-        if bytes[pos..].iter().any(|&b| b != 0) {
-            return Err(malformed(pos, "nonzero tail padding".into()));
-        }
-        if h != expect_fingerprint {
-            return Err(malformed(
-                0,
-                format!("content fingerprint {h:#018x} != header {expect_fingerprint:#018x}"),
-            ));
-        }
-        Ok(CompressedCsr {
-            offsets: offsets.into_boxed_slice(),
-            degrees: degrees.into_boxed_slice(),
-            bytes: AlignedBytes::copy_from(&bytes),
-            degree_sum,
-            fingerprint: expect_fingerprint,
-        })
-    }
-
     /// Number of nodes `|V|`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -508,7 +396,7 @@ impl CompressedCsr {
     }
 
     /// [`CsrGraph::fingerprint`] of the plain content this graph
-    /// encodes (equal by construction, revalidated on container load).
+    /// encodes, carried over from the graph it was built from. `O(1)`.
     #[inline]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -577,7 +465,8 @@ impl CompressedCsr {
     }
 
     /// Decompress back to a plain [`CsrGraph`] (bit-identical to the
-    /// graph this was built from — same fingerprint by construction).
+    /// graph this was built from). The fingerprint is passed on, not
+    /// recomputed.
     pub fn to_csr(&self) -> CsrGraph {
         let n = self.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -591,7 +480,11 @@ impl CompressedCsr {
         for v in 0..n {
             self.for_each_neighbor(v as NodeId, |w| neighbors.push(w));
         }
-        CsrGraph::from_parts(offsets.into_boxed_slice(), neighbors.into_boxed_slice())
+        CsrGraph::from_hashed_parts(
+            offsets.into_boxed_slice(),
+            neighbors.into_boxed_slice(),
+            self.fingerprint,
+        )
     }
 
     /// Bytes of the packed adjacency stream (block and tail padding
@@ -614,13 +507,6 @@ impl CompressedCsr {
     #[inline]
     pub fn row_bytes(&self, v: NodeId) -> usize {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
-    }
-
-    /// The raw degree directory (test support — the `.tgraph`
-    /// container re-derives its own half-adjacency form).
-    #[cfg(test)]
-    pub(crate) fn degrees_raw(&self) -> &[u32] {
-        &self.degrees
     }
 
     /// The raw packed stream (test support).
@@ -869,10 +755,10 @@ mod tests {
         assert_eq!(c.to_csr(), g);
     }
 
-    /// Satellite property test: 128 seeded random degree/gap
-    /// distributions — including degree-0 nodes and a max-gap row that
-    /// spans the whole id range — must round-trip bit-identically
-    /// through compress → stream-decode and compress → assemble.
+    /// Property test: 128 seeded random degree/gap distributions —
+    /// including degree-0 nodes and a max-gap row that spans the whole
+    /// id range — must round-trip bit-identically through compress →
+    /// stream-decode and compress → decompress.
     #[test]
     fn codec_round_trips_random_degree_gap_distributions() {
         let mut rng = StdRng::seed_from_u64(0xC0DEC);
@@ -902,52 +788,8 @@ mod tests {
             if let Some(iso) = g.nodes().find(|&v| g.degree(v) == 0) {
                 assert_eq!(c.neighbors_iter(iso).count(), 0);
             }
-            // The untrusted-input path accepts its own serialization…
-            let back = CompressedCsr::assemble(
-                c.degrees_raw().to_vec(),
-                c.bytes_raw().to_vec(),
-                c.fingerprint(),
-            )
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-            assert_eq!(back, c, "case {case} assemble round-trip");
-            // …and refuses a wrong fingerprint.
-            assert!(CompressedCsr::assemble(
-                c.degrees_raw().to_vec(),
-                c.bytes_raw().to_vec(),
-                c.fingerprint() ^ 1,
-            )
-            .is_err());
+            assert_eq!(c.fingerprint(), g.fingerprint(), "case {case}");
         }
-    }
-
-    #[test]
-    fn assemble_rejects_malformed_streams() {
-        let g = from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let c = CompressedCsr::from_graph(&g);
-        let (degrees, bytes) = (c.degrees_raw().to_vec(), c.bytes_raw().to_vec());
-        // Truncated stream.
-        assert!(
-            CompressedCsr::assemble(degrees.clone(), bytes[..bytes.len() - 1].to_vec(), 0).is_err()
-        );
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(3);
-        assert!(CompressedCsr::assemble(degrees.clone(), long, c.fingerprint()).is_err());
-        // Nonzero tail padding.
-        let mut dirty = bytes.clone();
-        *dirty.last_mut().unwrap() = 1;
-        assert!(CompressedCsr::assemble(degrees.clone(), dirty, c.fingerprint()).is_err());
-        // Degree exceeding the node count.
-        let mut fat = degrees.clone();
-        fat[0] = 99;
-        assert!(CompressedCsr::assemble(fat, bytes.clone(), c.fingerprint()).is_err());
-        // Odd degree sum.
-        let mut odd = degrees.clone();
-        odd[0] += 1;
-        assert!(CompressedCsr::assemble(odd, bytes.clone(), c.fingerprint()).is_err());
-        // Out-of-range neighbor: lie about n by shrinking the
-        // directory while keeping the stream.
-        assert!(CompressedCsr::assemble(degrees[..4].to_vec(), bytes, c.fingerprint()).is_err());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic     8 B   b"TGRAPH01" (version is the trailing two digits)
+//! magic     8 B   b"TGRAPH02" (version is the trailing two digits)
 //! num_nodes 8 B
 //! num_edges 8 B   undirected count
-//! fingerprint 8 B plain-CSR fingerprint of the content
+//! fingerprint 8 B CsrGraph::fingerprint of the content
 //! flags     8 B   bit 0: node-order section present
 //! header_crc 4 B  CRC-32 of the 40 bytes above
 //! section: directory   u64 len | LEB128 *up*-degree per node | u32 crc
@@ -37,11 +37,21 @@
 //! down-entries (mirrored from rows `v < r`) arrive in ascending `v`
 //! order because the stream is walked in row order, the up-entries
 //! are ascending by the gap encoding, and every down-entry `< r <`
-//! every up-entry. The rebuilt graph is then re-packed and its
-//! fingerprint checked against the header — a flipped bit has to beat
-//! a section CRC *and* a 64-bit FNV fingerprint to be accepted, and
-//! the fuzz suite (`tests/fuzz_parsers.rs`) holds the decoder to
-//! "typed error, never a panic" on arbitrary garbage.
+//! every up-entry. Assembling the plain graph hashes it once (its
+//! stored [`CsrGraph::fingerprint`]), and that value is checked
+//! against the header — a flipped bit has to beat a section CRC *and*
+//! a 64-bit fingerprint to be accepted, and the fuzz suite
+//! (`tests/fuzz_parsers.rs`) holds the decoder to "typed error, never
+//! a panic" on arbitrary garbage. [`decode_tgraph_csr`] returns that
+//! plain graph; [`decode_tgraph`] packs it into a [`CompressedCsr`].
+//!
+//! **Versions.** `TGRAPH02` headers hold the current fingerprint, the
+//! set hash `mix(|V|) + Σ mix(u << 32 | v)` over every directed arc
+//! (see [`crate::csr`]). `TGRAPH01` files have the same layout, but
+//! their header holds the older FNV-1a hash of the CSR arrays; they
+//! still decode, their header checked by that older hash, and the
+//! decoded graph carries the current fingerprint. Only v02 is
+//! written.
 //!
 //! The optional node-order section is a legacy of the deleted
 //! locality relabeling, which stored its permutation there. The
@@ -58,27 +68,53 @@ use crate::compressed::{
 use crate::crc::crc32;
 use crate::csr::{CsrGraph, NodeId};
 
-/// Magic + version prefix of every `.tgraph` file.
-pub const TGRAPH_MAGIC: &[u8; 8] = b"TGRAPH01";
+/// Magic + version prefix of every `.tgraph` file this crate writes.
+pub const TGRAPH_MAGIC: &[u8; 8] = b"TGRAPH02";
+
+/// Magic of first-generation files (FNV header fingerprint), still
+/// read.
+const TGRAPH_MAGIC_V1: &[u8; 8] = b"TGRAPH01";
 
 /// Flag bit: the optional node-order section is present.
 const FLAG_NODE_ORDER: u64 = 1;
 
-/// A decoded `.tgraph` container: the graph plus the optional stored
-/// node order (see the [module docs](self)).
+/// A decoded `.tgraph` container: the graph — packed by
+/// [`decode_tgraph`], plain by [`decode_tgraph_csr`] — plus the
+/// optional stored node order (see the [module docs](self)).
 #[derive(Debug, Clone)]
-pub struct TgraphFile {
-    /// The (validated) compressed graph.
-    pub graph: CompressedCsr,
+pub struct TgraphFile<G = CompressedCsr> {
+    /// The (validated) graph.
+    pub graph: G,
     /// The node order in the legacy section, if the writer stored one:
     /// entry `v` is the original id of position `v`.
     pub node_order: Option<Vec<NodeId>>,
 }
 
-/// Does `bytes` start with the `.tgraph` magic? The sniff used by
-/// loaders that accept both text edge lists and binary containers.
+/// Does `bytes` start with a `.tgraph` magic (either version)? The
+/// sniff used by loaders that accept both text edge lists and binary
+/// containers.
 pub fn is_tgraph(bytes: &[u8]) -> bool {
-    bytes.len() >= TGRAPH_MAGIC.len() && &bytes[..TGRAPH_MAGIC.len()] == TGRAPH_MAGIC
+    bytes.starts_with(TGRAPH_MAGIC) || bytes.starts_with(TGRAPH_MAGIC_V1)
+}
+
+/// The `TGRAPH01` header fingerprint: FNV-1a over `|V|`, the plain CSR
+/// offsets and the neighbor array, in that order. Checked against v01
+/// headers only, so files written before the set hash keep decoding.
+fn fnv_v1_fingerprint(g: &CsrGraph) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |x: u64| h = (h ^ x).wrapping_mul(PRIME);
+    feed(g.num_nodes() as u64);
+    feed(0);
+    let mut offset = 0u64;
+    for v in g.nodes() {
+        offset += g.degree(v) as u64;
+        feed(offset);
+    }
+    for v in g.nodes() {
+        g.neighbors(v).iter().for_each(|&w| feed(u64::from(w)));
+    }
+    h
 }
 
 fn put_section(out: &mut Vec<u8>, payload: &[u8]) {
@@ -158,15 +194,28 @@ fn take_section<'a>(c: &mut Cursor<'a>, what: &str) -> Result<&'a [u8], DecodeEr
     Ok(payload)
 }
 
-/// Decode and fully validate `.tgraph` bytes, reconstructing the
-/// symmetric [`CompressedCsr`] from the half-adjacency stream. Every
-/// acceptance path goes through the section CRCs plus a full
-/// structural walk and fingerprint recomputation; any failure is a
-/// typed [`DecodeError`], never a panic.
+/// Decode and fully validate `.tgraph` bytes (either version) into a
+/// packed [`CompressedCsr`]: [`decode_tgraph_csr`], then
+/// [`CompressedCsr::from_graph`].
 pub fn decode_tgraph(bytes: &[u8]) -> Result<TgraphFile, DecodeError> {
+    let file = decode_tgraph_csr(bytes)?;
+    Ok(TgraphFile {
+        graph: CompressedCsr::from_graph(&file.graph),
+        node_order: file.node_order,
+    })
+}
+
+/// Decode and fully validate `.tgraph` bytes (either version),
+/// reconstructing the plain symmetric [`CsrGraph`] from the
+/// half-adjacency stream. Every acceptance path goes through the
+/// section CRCs plus a full structural walk and fingerprint
+/// recomputation; any failure is a typed [`DecodeError`], never a
+/// panic.
+pub fn decode_tgraph_csr(bytes: &[u8]) -> Result<TgraphFile<CsrGraph>, DecodeError> {
     let mut c = Cursor::new(bytes);
     let magic = c.take(8)?;
-    if magic != TGRAPH_MAGIC {
+    let v1 = magic == TGRAPH_MAGIC_V1;
+    if magic != TGRAPH_MAGIC && !v1 {
         return Err(DecodeError {
             offset: 0,
             message: format!("bad magic {magic:02x?}, expected {TGRAPH_MAGIC:02x?}"),
@@ -271,7 +320,7 @@ pub fn decode_tgraph(bytes: &[u8]) -> Result<TgraphFile, DecodeError> {
     // Offsets from the full degrees, then pass B scatters each stored
     // edge (v, w) into both endpoint rows. The cursor fill emits every
     // row already sorted (see the module docs), so the plain CSR can
-    // be assembled directly and re-packed.
+    // be assembled directly.
     let mut offsets = Vec::with_capacity(n + 1);
     let mut prefix = 0u64;
     offsets.push(0u64);
@@ -295,15 +344,16 @@ pub fn decode_tgraph(bytes: &[u8]) -> Result<TgraphFile, DecodeError> {
             Ok(())
         })?;
     }
-    let plain = CsrGraph::from_parts(offsets.into_boxed_slice(), neighbors.into_boxed_slice());
-    let graph = CompressedCsr::from_graph(&plain);
-    if graph.fingerprint() != fingerprint {
+    let graph = CsrGraph::from_parts(offsets.into_boxed_slice(), neighbors.into_boxed_slice());
+    let content = if v1 {
+        fnv_v1_fingerprint(&graph)
+    } else {
+        graph.fingerprint()
+    };
+    if content != fingerprint {
         return Err(DecodeError {
             offset: 24,
-            message: format!(
-                "content fingerprint {:#018x} != header {fingerprint:#018x}",
-                graph.fingerprint()
-            ),
+            message: format!("content fingerprint {content:#018x} != header {fingerprint:#018x}"),
         });
     }
 
@@ -373,6 +423,26 @@ mod tests {
     ];
     const LEGACY_ORDER: [NodeId; 9] = [3, 0, 1, 8, 2, 7, 4, 5, 6];
 
+    /// The same graph as an unflagged `TGRAPH01` container (no
+    /// node-order section), kept byte for byte.
+    const LEGACY_UNFLAGGED: [u8; 85] = [
+        84, 71, 82, 65, 80, 72, 48, 49, 9, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 180, 107,
+        54, 30, 143, 127, 75, 237, 0, 0, 0, 0, 0, 0, 0, 0, 213, 116, 236, 13, 9, 0, 0, 0, 0, 0, 0,
+        0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 98, 216, 243, 80, 8, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 3, 4,
+        3, 4, 192, 163, 88, 127,
+    ];
+
+    /// [`LEGACY_FLAGGED`] as this crate writes it today: `TGRAPH02`
+    /// and the set-hash fingerprint in the header (bytes 7, 24..32
+    /// and the header CRC at 40..44 differ; every section is the same).
+    const FLAGGED: [u8; 133] = [
+        84, 71, 82, 65, 80, 72, 48, 50, 9, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 162, 141,
+        76, 230, 116, 227, 47, 221, 1, 0, 0, 0, 0, 0, 0, 0, 255, 93, 78, 105, 9, 0, 0, 0, 0, 0, 0,
+        0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 98, 216, 243, 80, 8, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 3, 4,
+        3, 4, 192, 163, 88, 127, 36, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 8, 0,
+        0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 182, 236, 84, 132,
+    ];
+
     fn nine_node() -> CompressedCsr {
         CompressedCsr::from_graph(&from_edges(9, &[(0, 3), (1, 3), (3, 8), (2, 7)]))
     }
@@ -391,7 +461,7 @@ mod tests {
     fn round_trips_with_permutation() {
         let c = nine_node();
         let bytes = encode_tgraph(&c, Some(&LEGACY_ORDER));
-        assert_eq!(bytes, LEGACY_FLAGGED, "the format is unchanged");
+        assert_eq!(bytes, FLAGGED, "the v02 format is unchanged");
         let file = decode_tgraph(&bytes).expect("round trip");
         assert_eq!(file.graph, c);
         assert_eq!(file.node_order.as_deref(), Some(&LEGACY_ORDER[..]));
@@ -401,9 +471,56 @@ mod tests {
     fn legacy_flagged_container_decodes_to_the_same_graph() {
         let file = decode_tgraph(&LEGACY_FLAGGED).expect("legacy container");
         assert_eq!(file.graph, nine_node());
-        assert_eq!(file.graph.fingerprint(), 0xed4b_7f8f_1e36_6bb4);
+        assert_eq!(file.graph.fingerprint(), 0xdd2f_e374_e64c_8da2);
         assert_eq!(file.graph.fingerprint(), nine_node().fingerprint());
         assert_eq!(file.node_order.as_deref(), Some(&LEGACY_ORDER[..]));
+        // The header carries the FNV value the v01 writer stored.
+        assert_eq!(
+            &LEGACY_FLAGGED[24..32],
+            &0xed4b_7f8f_1e36_6bb4u64.to_le_bytes()
+        );
+    }
+
+    #[test]
+    fn legacy_unflagged_container_decodes_to_the_same_graph() {
+        assert!(is_tgraph(&LEGACY_UNFLAGGED));
+        let file = decode_tgraph(&LEGACY_UNFLAGGED).expect("legacy container");
+        assert_eq!(file.graph, nine_node());
+        assert!(file.node_order.is_none());
+        let plain = decode_tgraph_csr(&LEGACY_UNFLAGGED).expect("legacy container");
+        assert_eq!(plain.graph, nine_node().to_csr());
+        // Re-encoding writes v02 with the same sections.
+        let bytes = encode_tgraph(&file.graph, None);
+        assert_eq!(&bytes[..8], TGRAPH_MAGIC);
+        assert_eq!(bytes[44..], LEGACY_UNFLAGGED[44..]);
+    }
+
+    /// `bytes` with the header fingerprint replaced by `fingerprint`
+    /// and the header CRC fixed up, so only the content check can
+    /// catch it.
+    fn with_header_fingerprint(bytes: &[u8], fingerprint: u64) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[24..32].copy_from_slice(&fingerprint.to_le_bytes());
+        let fixed = crc32(&out[..40]).to_le_bytes();
+        out[40..44].copy_from_slice(&fixed);
+        out
+    }
+
+    #[test]
+    fn wrong_header_fingerprints_are_rejected_in_both_versions() {
+        let current = nine_node().fingerprint();
+        for (version, bytes) in [("v01", &LEGACY_UNFLAGGED[..]), ("v02", &FLAGGED[..])] {
+            let stored = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+            assert!(decode_tgraph(&with_header_fingerprint(bytes, stored)).is_ok());
+            let err = decode_tgraph(&with_header_fingerprint(bytes, stored ^ 1)).unwrap_err();
+            assert!(err.message.contains("fingerprint"), "{version}: {err}");
+        }
+        // Each version is checked by its own hash: a v01 header holding
+        // the v02 value is as wrong as any other.
+        assert!(decode_tgraph(&with_header_fingerprint(&LEGACY_UNFLAGGED, current)).is_err());
+        let mut v02 = LEGACY_UNFLAGGED;
+        v02[7] = b'2';
+        assert!(decode_tgraph(&with_header_fingerprint(&v02, current)).is_ok());
     }
 
     #[test]
@@ -433,11 +550,12 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
-        let bytes = LEGACY_FLAGGED;
-        for i in 0..bytes.len() {
-            let mut bad = bytes;
-            bad[i] ^= 0x10;
-            assert!(decode_tgraph(&bad).is_err(), "flip at byte {i} accepted");
+        for bytes in [&FLAGGED[..], &LEGACY_FLAGGED[..], &LEGACY_UNFLAGGED[..]] {
+            for i in 0..bytes.len() {
+                let mut bad = bytes.to_vec();
+                bad[i] ^= 0x10;
+                assert!(decode_tgraph(&bad).is_err(), "flip at byte {i} accepted");
+            }
         }
     }
 

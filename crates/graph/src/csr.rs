@@ -11,6 +11,11 @@
 //! * The graph is undirected and simple: every edge is stored in both
 //!   endpoints' lists; self-loops and parallel edges are rejected or
 //!   deduplicated at build time.
+//! * The structural fingerprint is a *set hash*: `mix(|V|)` plus the
+//!   wrapping sum of `mix` over every directed arc. Each constructor
+//!   sets it once — a build or decode by one pass over the arrays,
+//!   [`CsrGraph::with_edges`] by adding the new arcs' shares to the
+//!   parent's value — and [`CsrGraph::fingerprint`] reads it back.
 
 /// Node identifier (dense, `0..n`).
 pub type NodeId = u32;
@@ -22,6 +27,42 @@ pub struct CsrGraph {
     offsets: Box<[u64]>,
     /// Concatenated, per-node-sorted adjacency.
     neighbors: Box<[NodeId]>,
+    /// [`hash_all_arcs`] of the two arrays, kept from construction.
+    fingerprint: u64,
+}
+
+/// The splitmix64 step: a bijective 64-bit mixer, so no two distinct
+/// arcs contribute the same term to the fingerprint.
+#[inline]
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The directed arc `(u, v)`'s share of the fingerprint.
+#[inline]
+fn arc_share(u: NodeId, v: NodeId) -> u64 {
+    mix(u64::from(u) << 32 | u64::from(v))
+}
+
+/// The fingerprint of a CSR, by one pass over every arc:
+/// `mix(|V|) + Σ mix(u << 32 | v)`, wrapping. The sum does not depend
+/// on the order arcs are visited in, which is what lets
+/// [`CsrGraph::with_edges`] extend a parent's value by the new arcs
+/// alone. The only full pass; every constructor that cannot derive
+/// the value goes through [`CsrGraph::from_parts`], which calls it.
+fn hash_all_arcs(offsets: &[u64], neighbors: &[NodeId]) -> u64 {
+    let n = offsets.len() - 1;
+    let mut h = mix(n as u64);
+    for u in 0..n {
+        let row = &neighbors[offsets[u] as usize..offsets[u + 1] as usize];
+        for &v in row {
+            h = h.wrapping_add(arc_share(u as NodeId, v));
+        }
+    }
+    h
 }
 
 impl CsrGraph {
@@ -84,27 +125,17 @@ impl CsrGraph {
         self.neighbors.len() as u64
     }
 
-    /// 64-bit structural fingerprint (FNV-1a over the CSR arrays),
-    /// `O(|V| + |E|)`. Two graphs with equal fingerprints are the same
-    /// graph for all practical purposes — used to pin density caches
-    /// to a topology, where node/edge *counts* alone would collide
-    /// (e.g. [`crate::perturb`] swaps edges count-neutrally).
+    /// 64-bit structural fingerprint: `mix(|V|)` plus the wrapping sum
+    /// of `mix(u << 32 | v)` over every directed arc `(u, v)`, with
+    /// `mix` the splitmix64 step (see the [module docs](self)). `O(1)`:
+    /// the value is set when the graph is constructed. Two graphs with
+    /// equal fingerprints are the same graph for all practical
+    /// purposes — used to pin density caches to a topology, where
+    /// node/edge *counts* alone would collide (e.g. [`crate::perturb`]
+    /// swaps edges count-neutrally).
+    #[inline]
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(self.num_nodes() as u64);
-        for &o in self.offsets.iter() {
-            mix(o);
-        }
-        for &v in self.neighbors.iter() {
-            mix(v as u64);
-        }
-        h
+        self.fingerprint
     }
 
     /// Average degree `2|E| / |V|`.
@@ -132,17 +163,35 @@ impl CsrGraph {
 
     /// Assemble a graph directly from finished CSR arrays.
     ///
-    /// Crate-internal: callers ([`crate::compressed`] decode,
+    /// Crate-internal: callers ([`crate::container`] decode,
     /// [`crate::generators`] streaming builds) must uphold the CSR
     /// invariants — `offsets` is a non-decreasing prefix-sum array with
     /// `offsets[0] == 0` and `offsets[n] == neighbors.len()`, each
     /// per-node range is strictly sorted, in-range, self-loop-free and
-    /// symmetric. Debug builds spot-check the cheap ones.
+    /// symmetric. Debug builds spot-check the cheap ones. Hashes every
+    /// arc once for the fingerprint.
     pub(crate) fn from_parts(offsets: Box<[u64]>, neighbors: Box<[NodeId]>) -> CsrGraph {
+        let fingerprint = hash_all_arcs(&offsets, &neighbors);
+        CsrGraph::from_hashed_parts(offsets, neighbors, fingerprint)
+    }
+
+    /// [`CsrGraph::from_parts`] for a caller that already knows the
+    /// arrays' fingerprint (a splice, a decompression). Debug builds
+    /// recompute it to check.
+    pub(crate) fn from_hashed_parts(
+        offsets: Box<[u64]>,
+        neighbors: Box<[NodeId]>,
+        fingerprint: u64,
+    ) -> CsrGraph {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap() as usize, neighbors.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        CsrGraph { offsets, neighbors }
+        debug_assert_eq!(fingerprint, hash_all_arcs(&offsets, &neighbors));
+        CsrGraph {
+            offsets,
+            neighbors,
+            fingerprint,
+        }
     }
 
     /// Rebuild a [`GraphBuilder`] seeded with this graph's edges — the
@@ -168,9 +217,10 @@ impl CsrGraph {
     /// runs of old neighbors are block-copied too. Cost is one pass of
     /// `memcpy` over the `O(|V| + |E|)` arrays plus
     /// `O(δ (log δ + log d_max))` for a `δ`-edge delta — no edge list
-    /// is materialised and no existing row is re-sorted. The
-    /// arrays are identical to what
-    /// `to_builder()` + `extend_edges(extra)` + `build()` produces.
+    /// is materialised, no existing row is re-sorted, and the
+    /// fingerprint is the receiver's plus the new arcs' shares, so no
+    /// row is re-hashed. The arrays and fingerprint are identical to
+    /// what `to_builder()` + `extend_edges(extra)` + `build()` produces.
     ///
     /// # Panics
     ///
@@ -192,6 +242,9 @@ impl CsrGraph {
         }
         arcs.sort_unstable();
         arcs.dedup();
+        let fingerprint = arcs.iter().fold(self.fingerprint, |h, &(u, v)| {
+            h.wrapping_add(arc_share(u, v))
+        });
 
         let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
         let mut neighbors: Vec<NodeId> = Vec::with_capacity(self.neighbors.len() + arcs.len());
@@ -222,7 +275,11 @@ impl CsrGraph {
         }
         offsets.extend(self.offsets[next_row..].iter().map(|&o| o + shift));
         neighbors.extend_from_slice(&self.neighbors[self.offsets[next_row] as usize..]);
-        CsrGraph::from_parts(offsets.into_boxed_slice(), neighbors.into_boxed_slice())
+        CsrGraph::from_hashed_parts(
+            offsets.into_boxed_slice(),
+            neighbors.into_boxed_slice(),
+            fingerprint,
+        )
     }
 
     /// Validate an edge delta without applying it: every endpoint in
@@ -389,10 +446,7 @@ impl GraphBuilder {
             neighbors[lo..hi].sort_unstable();
         }
 
-        CsrGraph {
-            offsets: offsets.into_boxed_slice(),
-            neighbors: neighbors.into_boxed_slice(),
-        }
+        CsrGraph::from_parts(offsets.into_boxed_slice(), neighbors.into_boxed_slice())
     }
 }
 
@@ -437,10 +491,7 @@ pub(crate) fn from_endpoint_pairs(num_nodes: usize, endpoints: &[NodeId]) -> Csr
             "duplicate edge incident to node {v}"
         );
     }
-    CsrGraph {
-        offsets: offsets.into_boxed_slice(),
-        neighbors: neighbors.into_boxed_slice(),
-    }
+    CsrGraph::from_parts(offsets.into_boxed_slice(), neighbors.into_boxed_slice())
 }
 
 /// Build a graph directly from an edge list (test/example convenience).
@@ -641,6 +692,91 @@ mod tests {
                     again,
                     rebuilt_with_edges(&oracle, &[(hub, last), (0, near_hub)])
                 );
+            }
+        }
+    }
+
+    /// The stored fingerprint is the one value every path to the same
+    /// graph agrees on: the splice's `O(δ)` upkeep, a full rebuild,
+    /// packing, decompression and a v02 container round trip.
+    #[test]
+    fn fingerprint_upkeep_agrees_with_every_constructor() {
+        use crate::compressed::CompressedCsr;
+        use crate::container::{decode_tgraph, decode_tgraph_csr, encode_tgraph};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xF1_9E);
+        for case in 0..128 {
+            // Every fourth |V| is a multiple of 64; the rest mostly not.
+            let n = if case % 4 == 0 {
+                64 * rng.gen_range(1..4usize)
+            } else {
+                rng.gen_range(2..200usize)
+            };
+            // Edges avoid the top `spare` ids, so isolated nodes exist.
+            let spare = rng.gen_range(1..4usize).min(n - 1);
+            let core = (n - spare) as NodeId;
+            let pair = |rng: &mut StdRng, hi: NodeId| loop {
+                let (u, v) = (rng.gen_range(0..hi), rng.gen_range(0..hi));
+                if u != v {
+                    break (u, v);
+                }
+            };
+            let base: Vec<_> = (0..rng.gen_range(0..3 * n))
+                .filter(|_| core > 1)
+                .map(|_| pair(&mut rng, core))
+                .collect();
+            let g = from_edges(n, &base);
+            let n_id = n as NodeId;
+
+            let fresh: Vec<_> = (0..rng.gen_range(1..8))
+                .map(|_| pair(&mut rng, n_id))
+                .filter(|&(u, v)| !g.has_edge(u, v))
+                .collect();
+            let present: Vec<_> = g.edges().take(rng.gen_range(0..6)).collect();
+            let repeated: Vec<_> = fresh
+                .iter()
+                .flat_map(|&(u, v)| [(u, v), (v, u), (u, v)])
+                .collect();
+            let mixed: Vec<_> = fresh
+                .iter()
+                .chain(&present)
+                .chain(&repeated)
+                .copied()
+                .collect();
+            for (kind, delta) in [
+                ("empty", vec![]),
+                ("new", fresh.clone()),
+                ("present", present),
+                ("repeated", repeated),
+                ("mixed", mixed),
+            ] {
+                let ctx = format!("case {case} (n = {n}) {kind} delta {delta:?}");
+                let spliced = g.with_edges(&delta);
+                let fp = spliced.fingerprint();
+                assert_eq!(
+                    fp,
+                    hash_all_arcs(&spliced.offsets, &spliced.neighbors),
+                    "{ctx}"
+                );
+                assert_eq!(fp, rebuilt_with_edges(&g, &delta).fingerprint(), "{ctx}");
+                let packed = CompressedCsr::from_graph(&spliced);
+                assert_eq!(fp, packed.fingerprint(), "{ctx}");
+                assert_eq!(fp, packed.to_csr().fingerprint(), "{ctx}");
+                let bytes = encode_tgraph(&packed, None);
+                assert_eq!(
+                    fp,
+                    decode_tgraph(&bytes).unwrap().graph.fingerprint(),
+                    "{ctx}"
+                );
+                let plain = decode_tgraph_csr(&bytes).unwrap().graph;
+                assert_eq!(plain, spliced, "{ctx}");
+                if kind == "empty" || kind == "present" || fresh.is_empty() {
+                    assert_eq!(fp, g.fingerprint(), "{ctx}");
+                } else {
+                    assert_ne!(fp, g.fingerprint(), "{ctx}");
+                }
             }
         }
     }

@@ -59,7 +59,9 @@ pub use bfs::{
 };
 pub use budget::{Budget, Interrupted};
 pub use compressed::CompressedCsr;
-pub use container::{decode_tgraph, encode_tgraph, is_tgraph, TgraphFile, TGRAPH_MAGIC};
+pub use container::{
+    decode_tgraph, decode_tgraph_csr, encode_tgraph, is_tgraph, TgraphFile, TGRAPH_MAGIC,
+};
 pub use csr::{CsrGraph, EdgeError, GraphBuilder, NodeId};
 pub use pool::{PooledMultiScratch, PooledScratch, ScratchPool, PARALLEL_MIN_NODES};
 pub use vicinity::VicinityIndex;

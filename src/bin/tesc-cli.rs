@@ -115,7 +115,7 @@ use tesc::{
 use tesc_baselines::{lift, transaction_correlation};
 use tesc_events::NodeMask;
 use tesc_graph::{encode_tgraph, Adjacency, BfsScratch, CompressedCsr, NodeId, VicinityIndex};
-use tesc_repro::{load_graph, LoadedGraph};
+use tesc_repro::{load_csr, load_graph, LoadedGraph};
 
 const USAGE: &str = "usage:
   tesc-cli demo --dir DIR
@@ -1027,14 +1027,8 @@ fn run_stream_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let threads: usize = parse(flags, "threads", 0usize)?;
     let cfg = config_from_flags(flags)?;
 
-    let loaded = load_graph(graph_path)?;
-    if let LoadedGraph::Compressed(..) = &loaded {
-        // The versioned ingestion context mutates its graph, so a
-        // container input is materialized as plain CSR up front; the
-        // near-zero-parse load still beats re-reading the text form.
-        eprintln!("({graph_path} is a .tgraph container; materializing plain CSR for ingestion)");
-    }
-    let graph = loaded.into_csr();
+    // The versioned ingestion context needs the plain CSR.
+    let graph = load_csr(graph_path)?;
     let events = tesc_events::io::read_named_events(&mut open(events_path)?)
         .map_err(|e| format!("reading {events_path}: {e}"))?;
     for (_, name, nodes) in events.iter() {

@@ -219,7 +219,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let events_path = flags
                     .get("events")
                     .ok_or("pass --demo, or --graph and --events")?;
-                let graph = tesc_repro::load_graph(graph_path)?.into_csr();
+                let graph = tesc_repro::load_csr(graph_path)?;
                 let events = tesc_events::io::read_named_events(&mut open(events_path)?)
                     .map_err(|e| format!("reading {events_path}: {e}"))?;
                 (graph, events)

@@ -67,10 +67,10 @@ pub fn parse_byte_size(text: &str) -> Result<Option<usize>, String> {
         .ok_or_else(|| format!("byte size {text:?} overflows"))
 }
 
-/// A graph file as loaded from disk by `tesc-cli` / `tesc-serve`:
-/// either a plain-text edge list parsed into a [`tesc_graph::CsrGraph`]
-/// or a binary `.tgraph` container holding the delta-encoded,
-/// varint-packed [`tesc_graph::CompressedCsr`].
+/// A graph file as loaded from disk by `tesc-cli`'s read-only
+/// commands: either a plain-text edge list parsed into a
+/// [`tesc_graph::CsrGraph`] or a binary `.tgraph` container holding
+/// the delta-encoded, varint-packed [`tesc_graph::CompressedCsr`].
 ///
 /// Both encodings describe the same graph bit-identically — the
 /// container re-validates its section CRCs, structural invariants and
@@ -107,17 +107,6 @@ impl LoadedGraph {
             LoadedGraph::Compressed(c) => c.num_edges(),
         }
     }
-
-    /// Materialize a plain CSR graph whichever encoding was on disk
-    /// (the mutable [`tesc::context::TescContext`] ingestion path
-    /// needs one; read-only commands run on the compressed rows
-    /// directly).
-    pub fn into_csr(self) -> tesc_graph::CsrGraph {
-        match self {
-            LoadedGraph::Plain(g) => g,
-            LoadedGraph::Compressed(c) => c.to_csr(),
-        }
-    }
 }
 
 /// Load a graph file, sniffing the binary `.tgraph` magic and falling
@@ -133,10 +122,27 @@ pub fn load_graph(path: &str) -> Result<LoadedGraph, String> {
         let t = tesc_graph::decode_tgraph(&bytes).map_err(|e| format!("decoding {path}: {e}"))?;
         Ok(LoadedGraph::Compressed(t.graph))
     } else {
-        let g = tesc_graph::io::read_edge_list(&mut std::io::Cursor::new(bytes))
-            .map_err(|e| format!("reading {path}: {e}"))?;
-        Ok(LoadedGraph::Plain(g))
+        read_edge_list(path, bytes).map(LoadedGraph::Plain)
     }
+}
+
+/// [`load_graph`] for callers that need a plain CSR graph (the mutable
+/// [`tesc::context::TescContext`] ingestion path): a `.tgraph`
+/// container decodes straight to plain rows, never packed first.
+pub fn load_csr(path: &str) -> Result<tesc_graph::CsrGraph, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    if tesc_graph::is_tgraph(&bytes) {
+        tesc_graph::decode_tgraph_csr(&bytes)
+            .map(|t| t.graph)
+            .map_err(|e| format!("decoding {path}: {e}"))
+    } else {
+        read_edge_list(path, bytes)
+    }
+}
+
+fn read_edge_list(path: &str, bytes: Vec<u8>) -> Result<tesc_graph::CsrGraph, String> {
+    tesc_graph::io::read_edge_list(&mut std::io::Cursor::new(bytes))
+        .map_err(|e| format!("reading {path}: {e}"))
 }
 
 #[cfg(test)]

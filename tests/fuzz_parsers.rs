@@ -224,21 +224,35 @@ fn wal_scan_survives_mutation_fuzzing() {
     }
 }
 
+/// A first-generation (`TGRAPH01`, FNV header fingerprint) container
+/// of the 9-node graph with edges 0–3, 1–3, 3–8 and 2–7, written by
+/// the v01 encoder and kept byte for byte.
+const TGRAPH_V01: [u8; 85] = [
+    84, 71, 82, 65, 80, 72, 48, 49, 9, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 180, 107, 54,
+    30, 143, 127, 75, 237, 0, 0, 0, 0, 0, 0, 0, 0, 213, 116, 236, 13, 9, 0, 0, 0, 0, 0, 0, 0, 1, 1,
+    1, 1, 0, 0, 0, 0, 0, 98, 216, 243, 80, 8, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 3, 4, 3, 4, 192,
+    163, 88, 127,
+];
+
 #[test]
 fn tgraph_decode_survives_mutation_fuzzing() {
+    use tesc_graph::csr::from_edges;
     use tesc_graph::{decode_tgraph, encode_tgraph, CompressedCsr, NodeId};
     let graph = grid(7, 5);
     let compressed = CompressedCsr::from_graph(&graph);
     let order: Vec<NodeId> = (0..graph.num_nodes() as NodeId).rev().collect();
-    // Fuzz both container shapes: bare, and with the optional legacy
-    // node-order section.
-    for (s, seed) in [
-        encode_tgraph(&compressed, None),
-        encode_tgraph(&compressed, Some(&order)),
+    let legacy = CompressedCsr::from_graph(&from_edges(9, &[(0, 3), (1, 3), (3, 8), (2, 7)]));
+    // Fuzz every container shape: v02 bare and with the optional
+    // legacy node-order section, and a v01 file.
+    for (s, (seed, expect)) in [
+        (encode_tgraph(&compressed, None), &compressed),
+        (encode_tgraph(&compressed, Some(&order)), &compressed),
+        (TGRAPH_V01.to_vec(), &legacy),
     ]
     .iter()
     .enumerate()
     {
+        assert_eq!(&decode_tgraph(seed).expect("seed decodes").graph, *expect);
         let mut rng = StdRng::seed_from_u64(0x7064 ^ s as u64);
         for _case in 0..4 * CASES_PER_SEED {
             let mutated = mutate(seed, &mut rng);
@@ -246,7 +260,7 @@ fn tgraph_decode_survives_mutation_fuzzing() {
             // section CRCs plus the structural fingerprint make an
             // accepted mutant decode to the seed graph.
             if let Ok(t) = decode_tgraph(&mutated) {
-                assert_eq!(t.graph, compressed);
+                assert_eq!(&t.graph, *expect);
             }
         }
         // Every truncation point, exhaustively.
